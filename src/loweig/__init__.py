@@ -3,7 +3,6 @@ with log-spectrum rank truncation, a streaming metric learner, dense
 reference oracles, and a timing harness."""
 
 from .kernels import (
-    ConvergenceError,
     DimensionError,
     SymEig,
     ThinSvd,
@@ -57,7 +56,6 @@ __all__ = [
     "ALGORITHMS",
     "BenchConfig",
     "BenchRecord",
-    "ConvergenceError",
     "DimensionError",
     "EigenFactor",
     "IRREGULAR",

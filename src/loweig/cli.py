@@ -2,18 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
-# Timings assume single-threaded kernels; pin the BLAS pools before numpy
-# loads (harmless if numpy is already up, the grid is O(m) bound anyway).
-for _var in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-):
-    os.environ.setdefault(_var, "1")
-
 import argparse
 import json
 import sys
@@ -111,7 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="time a grid of decompositions and write CSV")
+    run = sub.add_parser(
+        "run",
+        help="time a grid of decompositions and write CSV",
+        description=(
+            "Time a grid of decompositions and write CSV. The BLAS thread pool "
+            "is sized when numpy loads, so single-threaded timings need "
+            "OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 for "
+            "other BLAS builds) set in the environment before launch."
+        ),
+    )
     run.add_argument("--m-grid", default="1024:262144:x2",
                      help="row counts: 'a,b,c' or 'START:STOP:xFACTOR'")
     run.add_argument("--n", default="1", help="base factor rank (int or 'm/3')")

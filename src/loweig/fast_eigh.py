@@ -1,11 +1,11 @@
 """Eigendecomposition of ``alpha*I + Q B Q^T + X X^T - Y Y^T`` in O(m r^2).
 
-The pipeline absorbs each signed outer-product block into a growing
-orthonormal basis plus a small symmetric core (``augment``), then converts
-the core's eigendecomposition into eigenpairs of the full matrix
-(``factor_to_eig``). ``fast_eigh`` chains the three stages; ``svd_route`` and
-``dense_fallback`` are the nonnegative-weight baseline and the O(m^3)
-always-correct path.
+``augment`` absorbs the signed outer products of ``Z = [X Y]`` in one pass:
+the novelty of Z outside span(Q) is orthonormalized and appended to the
+basis, and the small core picks up the signed cross terms. ``factor_to_eig``
+then turns the core's eigendecomposition into eigenpairs of the full matrix.
+``fast_eigh`` chains the two; ``svd_route`` and ``dense_fallback`` are the
+nonnegative-weight baseline and the O(m^3) always-correct path.
 """
 
 from __future__ import annotations
@@ -159,13 +159,15 @@ class EigenFactor:
         return np.sort(values)[::-1]
 
 
-def augment(q, b, x, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """Absorb ``sign * x x^T`` into a factored form: ``Q B Q^T + sign*x x^T = Qc Bc Qc^T``.
+def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
+    """Absorb signed outer products: ``Q B Q^T + x W x^T = Qc Bc Qc^T``.
 
-    The novelty of ``x`` outside span(q) is orthogonalized and appended to the
-    basis; the small core picks up the cross terms as a 2x2 block matrix.
-    Near-zero novelty directions are dropped (the returned basis may grow by
-    fewer than ``x.shape[1]`` columns).
+    ``sign`` is +1, -1 or a vector of +-1, one per column of ``x``; W is the
+    diagonal matrix of those signs. With ``x = Q P + U R`` (P the part inside
+    span(q), U the orthonormal novelty), the core is the block matrix
+    ``[[B + P W P^T, P W R^T], [R W P^T, R W R^T]]``. Near-zero novelty
+    directions are dropped (the returned basis may grow by fewer than
+    ``x.shape[1]`` columns).
 
     Raises
     ------
@@ -173,13 +175,16 @@ def augment(q, b, x, sign: int) -> tuple[np.ndarray, np.ndarray]:
         If the combined rank would exceed the row count; use
         ``dense_fallback`` in that regime.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     q = _as_matrix(q, "q")
     b = _as_matrix(b, "b")
     x = _as_matrix(x, "x")
     m, n = q.shape
     k = x.shape[1]
+    w = np.asarray(sign, dtype=float)
+    if w.ndim == 0:
+        w = np.full(k, w)
+    if w.shape != (k,) or np.any(np.abs(w) != 1.0):
+        raise ValueError(f"sign must be +1, -1 or {k} values of +-1, got {sign}")
     if n + k > m:
         raise DimensionError(
             f"combined rank {n + k} exceeds dimension {m}; use dense_fallback"
@@ -192,8 +197,9 @@ def augment(q, b, x, sign: int) -> tuple[np.ndarray, np.ndarray]:
     u = svd.U[:, :kp]
     r = svd.S[:kp, None] * svd.V[:, :kp].T
     qc = np.hstack([q, u])
-    cross = sign * (p @ r.T)
-    bc = np.block([[b + sign * (p @ p.T), cross], [cross.T, sign * (r @ r.T)]])
+    pw = p * w
+    cross = pw @ r.T
+    bc = np.block([[b + pw @ p.T, cross], [cross.T, (r * w) @ r.T]])
     bc = (bc + bc.T) / 2.0
     return qc, bc
 
@@ -229,9 +235,10 @@ def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenF
         raise DimensionError(
             f"combined rank {total} exceeds dimension {m}; use dense_fallback"
         )
-    q1, b1 = augment(factor.Q, factor.B, data.X, +1)
-    q2, b2 = augment(q1, b1, data.Y, -1)
-    return factor_to_eig(alpha, q2, b2)
+    z = np.hstack([data.X, data.Y])
+    w = np.concatenate([np.ones(data.X.shape[1]), -np.ones(data.Y.shape[1])])
+    q_a, b_a = augment(factor.Q, factor.B, z, w)
+    return factor_to_eig(alpha, q_a, b_a)
 
 
 def svd_route(alpha: float, x) -> EigenFactor:
@@ -249,13 +256,8 @@ def svd_route(alpha: float, x) -> EigenFactor:
     return EigenFactor(alpha, svd.U[:, :kp], svd.S[:kp] ** 2)
 
 
-def dense_fallback(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenFactor:
-    """Materialize the full matrix and decompose it densely, O(m^3).
-
-    Always applicable; returns all m eigenpairs as an EigenFactor with
-    ``alpha = 0`` and rank m. This is the recommended path when the combined
-    rank approaches m, and the reference the fast path is tested against.
-    """
+def _dense_matrix(alpha: float, factor: LowRankFactor, data: WeightedData) -> np.ndarray:
+    """Entrywise ``alpha*I + Q B Q^T + X X^T - Y Y^T`` as a dense m-by-m array."""
     m = factor.dim
     if data.dim != m:
         raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
@@ -263,6 +265,15 @@ def dense_fallback(alpha: float, factor: LowRankFactor, data: WeightedData) -> E
     a += factor.Q @ factor.B @ factor.Q.T
     a += data.X @ data.X.T
     a -= data.Y @ data.Y.T
-    a = (a + a.T) / 2.0
-    eig = symmetric_eig(a)
+    return (a + a.T) / 2.0
+
+
+def dense_fallback(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenFactor:
+    """Materialize the full matrix and decompose it densely, O(m^3).
+
+    Always applicable; returns all m eigenpairs as an EigenFactor with
+    ``alpha = 0`` and rank m. This is the recommended path when the combined
+    rank approaches m, and the reference the fast path is tested against.
+    """
+    eig = symmetric_eig(_dense_matrix(alpha, factor, data))
     return EigenFactor(0.0, eig.E, eig.D)

@@ -1,9 +1,12 @@
-"""Self-contained dense kernels: thin SVD, symmetric eigensolver, projection.
+"""Dense kernels: thin SVD, symmetric eigensolver, projection.
 
 Everything here is sized for small-to-moderate matrices (the low-rank cores
-and the tall-skinny novelty blocks of the update pipeline). The algorithms are
-Jacobi-type and carry their own convergence control; numpy is used only as
-the array container and for vectorized arithmetic.
+and the tall-skinny novelty blocks of the update pipeline). The SVD and the
+eigensolver are LAPACK (``gesdd`` and ``syevd``) through ``numpy.linalg``,
+which scales extreme magnitudes internally; a ``numpy.linalg.LinAlgError``
+from either propagates unchanged. This module adds input validation and the
+output conventions the pipeline relies on: descending order, and an
+orthonormal V for the SVD.
 """
 
 from __future__ import annotations
@@ -12,31 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Sweep cap shared by both Jacobi solvers; convergence is quadratic, so a run
-# hitting the cap signals pathological input rather than slow progress.
-SWEEP_CAP = 100
-
-# Relative cross-product tolerance for one-sided Jacobi column pairs.
-_PAIR_TOL = 1e-15
-
-# Columns of the one-sided iterate with norm <= _DEGENERATE * s_max cannot be
-# normalized reliably; they are replaced by completed basis vectors. Kept one
-# decade below the rank-truncation threshold used downstream so completed
-# (arbitrary-direction) vectors never survive a truncating caller.
-_DEGENERATE = 1e-13
-
-
-class ConvergenceError(RuntimeError):
-    """A Jacobi sweep cap was reached before the off-diagonal mass vanished.
-
-    Carries the remaining relative residual so callers can distinguish
-    near-misses from garbage input.
-    """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
 
 
 class DimensionError(ValueError):
@@ -111,101 +89,30 @@ def _fro(a: np.ndarray) -> float:
     return math.sqrt(float((b * b).sum())) * scale
 
 
-def _complete_basis(u: np.ndarray, cols: list[int]) -> None:
-    """Fill ``u[:, j]`` for j in cols with unit vectors orthogonal to the rest.
-
-    Candidates are standard basis vectors, picked greedily by how poorly the
-    current columns explain them; two projection passes keep orthogonality at
-    machine level.
-    """
-    m = u.shape[0]
-    for j in cols:
-        explained = (u * u).sum(axis=1)
-        i = int(np.argmin(explained))
-        vec = np.zeros(m)
-        vec[i] = 1.0
-        for _ in range(2):
-            vec -= u @ (u.T @ vec)
-        norm = math.sqrt(float(vec @ vec))
-        if norm == 0.0:
-            raise ValueError("cannot complete orthonormal basis")
-        u[:, j] = vec / norm
-
-
 def thin_svd(a) -> ThinSvd:
-    """Thin SVD of a tall matrix by one-sided Jacobi rotations.
+    """Thin SVD of a tall matrix (LAPACK ``gesdd``).
 
     Parameters
     ----------
     a : array_like, shape (m, k) with m >= k
-        Matrix to decompose. May be rank deficient; left vectors attached to
-        (near-)zero singular values are completed to an orthonormal set.
+        Matrix to decompose. May be rank deficient; the left vectors attached
+        to (near-)zero singular values are still orthonormal.
 
     Returns
     -------
     ThinSvd
         Factors with ``U @ diag(S) @ V.T`` reconstructing ``a``.
-
-    Raises
-    ------
-    ConvergenceError
-        If column pairs still fail the relative orthogonality test after the
-        sweep cap.
     """
     a = _as_matrix(a, "a")
     m, k = a.shape
     if k > m:
         raise DimensionError(f"thin_svd expects m >= k, got {m} x {k}")
-    if k == 0:
-        return ThinSvd(np.zeros((m, 0)), np.zeros(0), np.zeros((0, 0)))
-
-    scale = _safe_scale(a)
-    w = a / scale if scale != 1.0 else a.copy()
-    v = np.eye(k)
-    worst = 0.0
-    for _ in range(SWEEP_CAP):
-        worst = 0.0
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                wp = w[:, p]
-                wq = w[:, q]
-                app = float(wp @ wp)
-                aqq = float(wq @ wq)
-                apq = float(wp @ wq)
-                denom = math.sqrt(app) * math.sqrt(aqq)  # app*aqq can underflow
-                if denom == 0.0 or abs(apq) <= _PAIR_TOL * denom:
-                    continue
-                worst = max(worst, abs(apq) / denom)
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                w[:, p], w[:, q] = c * wp - s * wq, s * wp + c * wq
-                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
-        if worst == 0.0:
-            break
-    else:
-        raise ConvergenceError("one-sided Jacobi SVD did not converge", worst)
-
-    norms = np.sqrt((w * w).sum(axis=0))
-    order = np.argsort(-norms, kind="stable")
-    w = w[:, order]
-    v = v[:, order]
-    s = norms[order]
-
-    u = np.zeros((m, k))
-    cutoff = _DEGENERATE * float(s[0])
-    degenerate = [j for j in range(k) if s[j] <= cutoff]
-    for j in range(k):
-        if j not in degenerate:
-            u[:, j] = w[:, j] / s[j]
-    if degenerate:
-        _complete_basis(u, degenerate)
-    return ThinSvd(u, s * scale, v)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return ThinSvd(u, s, vt.T)
 
 
 def symmetric_eig(b) -> SymEig:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
     Parameters
     ----------
@@ -216,69 +123,18 @@ def symmetric_eig(b) -> SymEig:
     Returns
     -------
     SymEig
-        Orthogonal eigenvectors and descending eigenvalues.
-
-    Raises
-    ------
-    ConvergenceError
-        If the off-diagonal Frobenius mass has not dropped below
-        ``1e-14 * ||b||_F`` within the sweep cap.
+        Orthogonal eigenvectors and descending eigenvalues. The ascending
+        eigenvalues of ``-b`` are the descending ones of ``b``, so exact ties
+        keep their input order.
     """
     b = _as_matrix(b, "b")
     k = b.shape[0]
     if b.shape[1] != k:
         raise DimensionError(f"symmetric_eig expects a square matrix, got {b.shape}")
-    scale = _safe_scale(b)
-    if scale != 1.0:
-        b = b / scale
-    normb = _fro(b)
-    if _fro(b - b.T) > 1e-12 * max(1.0, normb):
+    if _fro(b - b.T) > 1e-12 * max(1.0, _fro(b)):
         raise ValueError("input is not symmetric within tolerance")
-    if k == 0:
-        return SymEig(np.zeros((0, 0)), np.zeros(0))
-
-    a = (b + b.T) / 2.0
-    e = np.eye(k)
-    tol = 1e-14 * _fro(a)
-    small = tol / max(1, k * k)
-    off = 0.0
-    for _ in range(SWEEP_CAP):
-        # Summing off-diagonal squares directly; ||A||_F^2 minus the diagonal
-        # mass would cancel to a noise floor far above tol.
-        od = a.copy()
-        np.fill_diagonal(od, 0.0)
-        off = _fro(od)
-        if off <= tol:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = float(a[p, q])
-                if abs(apq) <= small:
-                    continue
-                app = float(a[p, p])
-                aqq = float(a[q, q])
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                e[:, p], e[:, q] = c * e[:, p] - s * e[:, q], s * e[:, p] + c * e[:, q]
-    else:
-        raise ConvergenceError("cyclic Jacobi eigensolver did not converge", off)
-
-    d = np.diag(a).copy()
-    order = np.argsort(-d, kind="stable")
-    return SymEig(e[:, order], d[order] * scale)
+    d, e = np.linalg.eigh(-(b + b.T) / 2.0)
+    return SymEig(e, -d)
 
 
 def orthonormal_residual(q, x) -> tuple[np.ndarray, np.ndarray]:

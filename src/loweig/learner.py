@@ -27,6 +27,23 @@ from .truncation import truncate
 REGULAR = "regular"
 IRREGULAR = "irregular"
 
+# Scoring is a matrix-vector product over E. With OpenBLAS on an x86-64 Xeon,
+# m = 4096 and rank 32, it ran ~25% faster from a cache-line (64-byte)
+# aligned start than from the 16-byte alignment malloc guarantees, so where E
+# happened to land decided the scoring speed.
+_ALIGN = 64
+
+
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if C-contiguous and 64-byte aligned, else such a copy."""
+    if a.flags.c_contiguous and a.ctypes.data % _ALIGN == 0:
+        return a
+    buf = np.empty(a.nbytes + _ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % _ALIGN
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
 
 @dataclass(frozen=True)
 class UpdateConfig:
@@ -114,7 +131,7 @@ class MetricModel:
     @classmethod
     def from_factor(cls, factor: LowRankFactor) -> "MetricModel":
         eigen = factor_to_eig(factor.alpha, factor.Q, factor.B)
-        return cls(factor, eigen)
+        return cls(factor, EigenFactor(eigen.alpha, _aligned(eigen.E), eigen.D))
 
     @property
     def dim(self) -> int:
@@ -130,6 +147,12 @@ def distance(model: MetricModel, x) -> float:
 
     Uses the eigen form of the inverse:
     ``A^{-1} = (1/alpha) (I - E E^T) + E diag(1/(alpha+d_i)) E^T``.
+    A finite ``x`` too large for the squared distance returns ``inf``.
+
+    Raises
+    ------
+    ValueError
+        If ``x`` contains NaN or infinite entries.
     """
     x = np.asarray(x, dtype=float)
     ef = model.eigen
@@ -139,11 +162,19 @@ def distance(model: MetricModel, x) -> float:
     d2 = float(x @ x) / ef.alpha
     if proj.size:
         d2 += float(proj**2 @ (1.0 / (ef.alpha + ef.D) - 1.0 / ef.alpha))
+    if not math.isfinite(d2):
+        # only reached on overflow or bad input, so the O(m) scan is off the hot path
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x contains non-finite entries")
+        return math.inf
     return math.sqrt(max(d2, 0.0))
 
 
 def classify(model: MetricModel, x, threshold: float) -> str:
-    """``REGULAR`` iff the distance does not exceed the threshold."""
+    """``REGULAR`` iff the distance does not exceed the threshold.
+
+    Raises ``ValueError`` for a non-finite ``x``, as ``distance`` does.
+    """
     return REGULAR if distance(model, x) <= threshold else IRREGULAR
 
 
@@ -202,15 +233,20 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
 
     if ef.rank > cfg.rank_cap:
         factor, result = truncate(ef, cfg.rank_cap)
-        eigen = EigenFactor(factor.alpha, factor.Q, np.diag(factor.B).copy())
+        # aligned here, so the snapshot below need not rebuild the eigenfactor
+        ef = EigenFactor(factor.alpha, _aligned(factor.Q), np.diag(factor.B).copy())
         # truncation re-bases d onto the window's geometric mean, which can
         # round a floored eigenvalue back below the floor by an ulp
-        eigen, refloored = _floor_spectrum(eigen, floor)
-        if refloored:
-            factor = LowRankFactor(eigen.alpha, eigen.E, np.diag(eigen.D))
+        ef, refloored = _floor_spectrum(ef, floor)
         stats = UpdateStats(floored=floored + refloored, truncated=True, tau=result.tau)
     else:
-        factor = LowRankFactor(ef.alpha, ef.E, np.diag(ef.D))
-        eigen = ef
         stats = UpdateStats(floored=floored, truncated=False)
-    return MetricModel(factor, eigen, stats)
+    return _snapshot(ef, stats)
+
+
+def _snapshot(ef: EigenFactor, stats: UpdateStats) -> MetricModel:
+    """The model of ``ef``, its factor and eigen form sharing one aligned E."""
+    e = _aligned(ef.E)
+    if e is not ef.E:
+        ef = EigenFactor(ef.alpha, e, ef.D)
+    return MetricModel(LowRankFactor(ef.alpha, e, np.diag(ef.D)), ef, stats)

@@ -1,16 +1,17 @@
 """Brute-force dense references for tests and acceptance checks.
 
-These paths share the dense eigensolver kernel but none of the low-rank
-bookkeeping, so agreement with the fast pipeline is a meaningful check; the
-solver itself is vouched for by solver-independent identities (trace,
-Frobenius, eigen-residuals) in the test suite.
+These paths share the dense builder and the dense eigensolver kernel with
+``dense_fallback`` but none of the low-rank bookkeeping, so agreement with
+the fast pipeline is a meaningful check; the solver itself is vouched for by
+solver-independent identities (trace, Frobenius, eigen-residuals) in the test
+suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fast_eigh import LowRankFactor, WeightedData
+from .fast_eigh import LowRankFactor, WeightedData, _dense_matrix
 from .kernels import _as_matrix, _fro, symmetric_eig
 
 DEFAULT_MAX_DIM = 512
@@ -27,16 +28,9 @@ def materialize(
     Guarded by ``max_dim``: this is a test-scale reference, not a production
     path.
     """
-    m = factor.dim
-    if data.dim != m:
-        raise ValueError(f"data dimension {data.dim} does not match factor {m}")
-    if m > max_dim:
-        raise ValueError(f"dimension {m} exceeds the oracle bound {max_dim}")
-    a = alpha * np.eye(m)
-    a += factor.Q @ factor.B @ factor.Q.T
-    a += data.X @ data.X.T
-    a -= data.Y @ data.Y.T
-    return (a + a.T) / 2.0
+    if factor.dim > max_dim:
+        raise ValueError(f"dimension {factor.dim} exceeds the oracle bound {max_dim}")
+    return _dense_matrix(alpha, factor, data)
 
 
 def dense_spectrum(a) -> tuple[np.ndarray, np.ndarray]:

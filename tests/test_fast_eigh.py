@@ -1,5 +1,7 @@
 """Pipeline checks against dense materialization."""
 
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -85,6 +87,32 @@ class TestAugment:
         with pytest.raises(DimensionError, match="dense_fallback"):
             augment(np.eye(3)[:, :2], np.zeros((2, 2)), np.ones((3, 2)), +1)
 
+    @pytest.mark.parametrize("repeat", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sign_vector_matches_dense(self, seed, repeat):
+        rng = np.random.default_rng([seed, 7])
+        m, n, k = 12, 3, 5
+        q = random_orthonormal(rng, m, n)
+        b = random_symmetric(rng, n)
+        x = rng.standard_normal((m, k))
+        w = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
+        if repeat:
+            # the same column with both signs cancels and adds one direction
+            x[:, 4] = x[:, 0]
+        qc, bc = augment(q, b, x, w)
+        expected = q @ b @ q.T + x @ np.diag(w) @ x.T
+        assert np.linalg.norm(qc @ bc @ qc.T - expected) <= 1e-9 * max(
+            1.0, np.linalg.norm(expected)
+        )
+        r = qc.shape[1]
+        assert r == n + k - repeat
+        assert np.linalg.norm(qc.T @ qc - np.eye(r)) <= 1e-9
+
+    @pytest.mark.parametrize("sign", [0, 2, [1.0, -1.0], [1.0, 0.5, -1.0]])
+    def test_bad_sign_rejected(self, sign):
+        with pytest.raises(ValueError, match="sign"):
+            augment(np.zeros((5, 0)), np.zeros((0, 0)), np.ones((5, 3)), sign)
+
 
 class TestFactorToEig:
     def test_exchange_core(self):
@@ -162,6 +190,20 @@ class TestFastEigh:
         data = WeightedData(np.ones((4, 3)), np.ones((4, 2)))
         with pytest.raises(DimensionError, match="dense_fallback"):
             fast_eigh(1.0, factor, data)
+
+    def test_one_signed_augmentation(self, monkeypatch):
+        calls = []
+
+        def counting(q, b, x, sign):
+            calls.append(np.asarray(sign).copy())
+            return augment(q, b, x, sign)
+
+        monkeypatch.setattr(importlib.import_module("loweig.fast_eigh"), "augment", counting)
+        rng = np.random.default_rng(58)
+        alpha, factor, data = random_instance(rng, 10, 2, 3, 2)
+        fast_eigh(alpha, factor, data)
+        assert len(calls) == 1
+        assert_allclose(calls[0], [1.0, 1.0, 1.0, -1.0, -1.0])
 
 
 class TestSvdRoute:

@@ -1,5 +1,7 @@
 """Streaming learner: distances, updates, flooring, and the dense simulator."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -53,6 +55,19 @@ class TestDistance:
         with pytest.raises(DimensionError):
             distance(MetricModel.identity(3, 1.0), np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probe_rejected(self, bad):
+        rng = np.random.default_rng(8)
+        model = MetricModel.from_factor(random_factor(rng, 16, 2, alpha=8.0))
+        x = np.ones(16)
+        x[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            distance(model, x)
+
+    def test_overflowing_finite_probe_is_infinite(self):
+        model = MetricModel.identity(4, 1.0)
+        assert distance(model, np.full(4, 1e300)) == math.inf
+
 
 class TestClassify:
     def test_zero_vector_is_regular(self):
@@ -63,6 +78,40 @@ class TestClassify:
         model = MetricModel.identity(4, 1.0)
         x = np.array([3.0, 0.0, 0.0, 0.0])
         assert classify(model, x, 2.0) == IRREGULAR
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probe_rejected(self, bad):
+        model = MetricModel.identity(4, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            classify(model, np.array([1.0, bad, 0.0, 0.0]), 2.0)
+
+
+class TestAlignment:
+    """Every model's E starts on a 64-byte boundary, whichever path built it."""
+
+    @staticmethod
+    def assert_aligned(model):
+        assert model.eigen.E.ctypes.data % 64 == 0
+        assert model.eigen.E.flags.c_contiguous
+
+    def test_from_factor(self):
+        rng = np.random.default_rng(13)
+        factor = LowRankFactor(1.0, random_factor(rng, 40, 3).Q, np.eye(3))
+        self.assert_aligned(MetricModel.from_factor(factor))
+
+    @pytest.mark.parametrize("rank_cap", [1, 8])
+    @pytest.mark.parametrize("count", [0, 3, 6])
+    def test_update_paths(self, rank_cap, count):
+        # count 0: decay only; rank_cap 8: fast path kept whole; rank_cap 1:
+        # truncated; count 6 on m = 6 with rank 2: dense fallback
+        rng = np.random.default_rng([rank_cap, count])
+        m = 6 if count == 6 else 40
+        factor = LowRankFactor(4.0, random_factor(rng, m, 2).Q, np.eye(2))
+        batch = LabeledBatch(rng.standard_normal((count, m)), rng.choice([-1.0, 1.0], count))
+        cfg = UpdateConfig(decay=0.9, gain=0.1, rank_cap=rank_cap)
+        out = update(MetricModel.from_factor(factor), batch, cfg)
+        self.assert_aligned(out)
+        assert out.factor.Q is out.eigen.E
 
 
 class TestUpdate:
