@@ -18,7 +18,9 @@ import numpy as np
 from .kernels import (
     DimensionError,
     _as_matrix,
+    _check_orthonormal,
     _fro,
+    _unchecked,
     symmetric_eig,
     orthonormal_residual,
     thin_svd,
@@ -53,8 +55,7 @@ class LowRankFactor:
             raise DimensionError(f"Q must be tall, got {m} x {n}")
         if self.B.shape != (n, n):
             raise DimensionError(f"B must be {n} x {n}, got {self.B.shape}")
-        if _fro(self.Q.T @ self.Q - np.eye(n)) > 1e-10 * math.sqrt(max(1, n)):
-            raise ValueError("Q does not have orthonormal columns")
+        _check_orthonormal(self.Q, "Q")
         if _fro(self.B - self.B.T) > 1e-12 * max(1.0, _fro(self.B)):
             raise ValueError("B is not symmetric within tolerance")
 
@@ -136,13 +137,12 @@ class EigenFactor:
         object.__setattr__(self, "D", np.asarray(self.D, dtype=float))
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        m, r = self.E.shape
+        r = self.E.shape[1]
         if self.D.shape != (r,):
             raise DimensionError(f"D must have length {r}, got {self.D.shape}")
         if self.D.size and np.any(np.diff(self.D) > 0.0):
             raise ValueError("D must be sorted descending")
-        if _fro(self.E.T @ self.E - np.eye(r)) > 1e-10 * math.sqrt(max(1, r)):
-            raise ValueError("E does not have orthonormal columns")
+        _check_orthonormal(self.E, "E")
 
     @property
     def dim(self) -> int:
@@ -225,16 +225,12 @@ def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenF
     Raises
     ------
     DimensionError
-        If n + nx + ny > m; use ``dense_fallback`` there instead.
+        If n + nx + ny > m (raised by ``augment``); use ``dense_fallback``
+        there instead.
     """
     m = factor.dim
     if data.dim != m:
         raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
-    total = factor.rank + data.X.shape[1] + data.Y.shape[1]
-    if total > m:
-        raise DimensionError(
-            f"combined rank {total} exceeds dimension {m}; use dense_fallback"
-        )
     z = np.hstack([data.X, data.Y])
     w = np.concatenate([np.ones(data.X.shape[1]), -np.ones(data.Y.shape[1])])
     q_a, b_a = augment(factor.Q, factor.B, z, w)
@@ -249,11 +245,14 @@ def svd_route(alpha: float, x) -> EigenFactor:
     eigenvectors. Baseline for benchmarks and for cross-checking the general
     pipeline.
     """
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     svd = thin_svd(x)
     smax = float(svd.S[0]) if svd.S.size else 0.0
     eps_rank = RANK_EPS * max(smax, _fro(np.asarray(x, dtype=float)))
     kp = int(np.count_nonzero(svd.S > eps_rank))
-    return EigenFactor(alpha, svd.U[:, :kp], svd.S[:kp] ** 2)
+    return _unchecked(EigenFactor, alpha, svd.U[:, :kp], svd.S[:kp] ** 2)
 
 
 def _dense_matrix(alpha: float, factor: LowRankFactor, data: WeightedData) -> np.ndarray:
@@ -276,4 +275,4 @@ def dense_fallback(alpha: float, factor: LowRankFactor, data: WeightedData) -> E
     rank approaches m, and the reference the fast path is tested against.
     """
     eig = symmetric_eig(_dense_matrix(alpha, factor, data))
-    return EigenFactor(0.0, eig.E, eig.D)
+    return _unchecked(EigenFactor, 0.0, eig.E, eig.D)

@@ -12,7 +12,7 @@ orthonormal V for the SVD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,6 +89,22 @@ def _fro(a: np.ndarray) -> float:
     return math.sqrt(float((b * b).sum())) * scale
 
 
+def _check_orthonormal(a: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless the columns of ``a`` are orthonormal."""
+    n = a.shape[1]
+    if _fro(a.T @ a - np.eye(n)) > 1e-10 * math.sqrt(max(1, n)):
+        raise ValueError(f"{name} does not have orthonormal columns")
+
+
+def _unchecked(cls, *values):
+    """``cls(*values)`` for a frozen dataclass, skipping ``__post_init__``: for
+    results the library computes from inputs it has already validated."""
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values, strict=True):
+        object.__setattr__(obj, field.name, value)
+    return obj
+
+
 def thin_svd(a) -> ThinSvd:
     """Thin SVD of a tall matrix (LAPACK ``gesdd``).
 
@@ -147,12 +163,10 @@ def orthonormal_residual(q, x) -> tuple[np.ndarray, np.ndarray]:
     """
     q = _as_matrix(q, "q")
     x = _as_matrix(x, "x")
-    m, n = q.shape
+    m = q.shape[0]
     if x.shape[0] != m:
         raise DimensionError(f"row counts differ: q has {m}, x has {x.shape[0]}")
-    check = q.T @ q - np.eye(n)
-    if _fro(check) > 1e-10 * math.sqrt(max(1, n)):
-        raise ValueError("q does not have orthonormal columns")
+    _check_orthonormal(q, "q")
     p = q.T @ x
     xres = x - q @ p
     p2 = q.T @ xres

@@ -22,6 +22,7 @@ from .fast_eigh import (
     factor_to_eig,
     fast_eigh,
 )
+from .kernels import _unchecked
 from .truncation import truncate
 
 REGULAR = "regular"
@@ -131,7 +132,7 @@ class MetricModel:
     @classmethod
     def from_factor(cls, factor: LowRankFactor) -> "MetricModel":
         eigen = factor_to_eig(factor.alpha, factor.Q, factor.B)
-        return cls(factor, EigenFactor(eigen.alpha, _aligned(eigen.E), eigen.D))
+        return cls(factor, _unchecked(EigenFactor, eigen.alpha, _aligned(eigen.E), eigen.D))
 
     @property
     def dim(self) -> int:
@@ -182,7 +183,7 @@ def _floor_spectrum(ef: EigenFactor, floor: float) -> tuple[EigenFactor, int]:
     """Raise every full eigenvalue below ``floor`` up to it."""
     full = ef.alpha + ef.D
     floored_explicit = int(np.count_nonzero(full < floor))
-    new_alpha = max(ef.alpha, floor)
+    new_alpha = float(max(ef.alpha, floor))
     alpha_raised = ef.alpha < floor
     if floored_explicit == 0 and not alpha_raised:
         return ef, 0
@@ -197,7 +198,7 @@ def _floor_spectrum(ef: EigenFactor, floor: float) -> tuple[EigenFactor, int]:
         new_d = np.where(low, np.maximum(new_d, d_floor), new_d)
     order = np.argsort(-new_d, kind="stable")
     count = floored_explicit + (ef.dim - ef.rank if alpha_raised else 0)
-    return EigenFactor(new_alpha, ef.E[:, order], new_d[order]), count
+    return _unchecked(EigenFactor, new_alpha, ef.E[:, order], new_d[order]), count
 
 
 def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> MetricModel:
@@ -215,18 +216,18 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
         raise DimensionError(
             f"batch vectors have dimension {batch.vectors.shape[1]}, model has {m}"
         )
-    decayed_alpha = cfg.decay * model.factor.alpha
+    decayed_alpha = float(cfg.decay * model.factor.alpha)
     data = WeightedData.from_weighted(batch.vectors, cfg.gain * batch.weights, dim=m)
     nx, ny = data.X.shape[1], data.Y.shape[1]
 
     if nx + ny == 0:
-        ef = EigenFactor(decayed_alpha, model.eigen.E, cfg.decay * model.eigen.D)
-    elif model.rank + nx + ny <= m:
-        decayed = LowRankFactor(decayed_alpha, model.factor.Q, cfg.decay * model.factor.B)
-        ef = fast_eigh(decayed_alpha, decayed, data)
+        ef = _unchecked(EigenFactor, decayed_alpha, model.eigen.E, cfg.decay * model.eigen.D)
     else:
-        decayed = LowRankFactor(decayed_alpha, model.factor.Q, cfg.decay * model.factor.B)
-        ef = dense_fallback(decayed_alpha, decayed, data)
+        decayed = _unchecked(
+            LowRankFactor, decayed_alpha, model.factor.Q, cfg.decay * model.factor.B
+        )
+        eigh = fast_eigh if model.rank + nx + ny <= m else dense_fallback
+        ef = eigh(decayed_alpha, decayed, data)
 
     floor = cfg.floor if cfg.floor is not None else 1e-12 * decayed_alpha
     ef, floored = _floor_spectrum(ef, floor)
@@ -234,7 +235,7 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
     if ef.rank > cfg.rank_cap:
         factor, result = truncate(ef, cfg.rank_cap)
         # aligned here, so the snapshot below need not rebuild the eigenfactor
-        ef = EigenFactor(factor.alpha, _aligned(factor.Q), np.diag(factor.B).copy())
+        ef = _unchecked(EigenFactor, factor.alpha, _aligned(factor.Q), np.diag(factor.B).copy())
         # truncation re-bases d onto the window's geometric mean, which can
         # round a floored eigenvalue back below the floor by an ulp
         ef, refloored = _floor_spectrum(ef, floor)
@@ -248,5 +249,5 @@ def _snapshot(ef: EigenFactor, stats: UpdateStats) -> MetricModel:
     """The model of ``ef``, its factor and eigen form sharing one aligned E."""
     e = _aligned(ef.E)
     if e is not ef.E:
-        ef = EigenFactor(ef.alpha, e, ef.D)
-    return MetricModel(LowRankFactor(ef.alpha, e, np.diag(ef.D)), ef, stats)
+        ef = _unchecked(EigenFactor, ef.alpha, e, ef.D)
+    return MetricModel(_unchecked(LowRankFactor, ef.alpha, e, np.diag(ef.D)), ef, stats)

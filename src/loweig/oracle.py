@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fast_eigh import LowRankFactor, WeightedData, _dense_matrix
-from .kernels import _as_matrix, _fro, symmetric_eig
+from .kernels import symmetric_eig
 
 DEFAULT_MAX_DIM = 512
 
@@ -36,12 +36,8 @@ def materialize(
 def dense_spectrum(a) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a dense symmetric matrix, descending.
 
-    Returns ``(values, vectors)`` with vectors in columns.
+    Returns ``(values, vectors)`` with vectors in columns. ``symmetric_eig``
+    makes the square, finiteness and symmetry checks.
     """
-    a = _as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    if _fro(a - a.T) > 1e-12 * max(1.0, _fro(a)):
-        raise ValueError("matrix is not symmetric within tolerance")
     eig = symmetric_eig(a)
     return eig.D, eig.E

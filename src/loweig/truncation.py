@@ -5,6 +5,9 @@ mean (the optimal single value under a least-squares objective on the log
 spectrum); the tau largest and k-tau smallest eigenpairs are kept exactly.
 The implicit identity block is handled as a multiplicity without ever
 materializing m scalars.
+``select_tau`` and ``truncate`` share one vectorized pass over all offsets;
+``truncate`` restricts it to the interval of offsets whose window covers the
+implicit positions, which all sit in the alpha block.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fast_eigh import EigenFactor, LowRankFactor
+from .kernels import _unchecked
 
 
 @dataclass(frozen=True)
@@ -96,41 +100,6 @@ class TruncationResult:
     tau: int
 
 
-def _log_prefix_sums(spectrum: Spectrum):
-    """Cumulative (count, sum, sum-of-squares) of centered log-values per block."""
-    mult = np.array([b.multiplicity for b in spectrum.blocks], dtype=float)
-    logs = np.array([math.log(b.value) for b in spectrum.blocks])
-    mean = float((mult * logs).sum()) / spectrum.total
-    clogs = logs - mean  # centering kills cancellation in the variance formula
-    cum_n = np.concatenate([[0.0], np.cumsum(mult)])
-    cum_s1 = np.concatenate([[0.0], np.cumsum(mult * clogs)])
-    cum_s2 = np.concatenate([[0.0], np.cumsum(mult * clogs**2)])
-    return cum_n, cum_s1, cum_s2, clogs, mean
-
-
-def _window_objectives(spectrum: Spectrum, k: int) -> np.ndarray:
-    """Sum of squared log deviations for every window offset tau in 0..k."""
-    m = spectrum.total
-    length = m - k
-    cum_n, cum_s1, cum_s2, clogs, _ = _log_prefix_sums(spectrum)
-
-    def prefix(pos: int):
-        j = int(np.searchsorted(cum_n, pos, side="right")) - 1
-        part = pos - cum_n[j]
-        if part == 0 or j >= len(clogs):
-            return cum_s1[j], cum_s2[j]
-        return cum_s1[j] + part * clogs[j], cum_s2[j] + part * clogs[j] ** 2
-
-    out = np.empty(k + 1)
-    for tau in range(k + 1):
-        s1_hi, s2_hi = prefix(tau + length)
-        s1_lo, s2_lo = prefix(tau)
-        s1 = s1_hi - s1_lo
-        s2 = s2_hi - s2_lo
-        out[tau] = max(s2 - s1 * s1 / length, 0.0)
-    return out
-
-
 def _block_ranges(spectrum: Spectrum):
     """Expanded half-open position range [lo, hi) of each block."""
     lo = 0
@@ -139,29 +108,55 @@ def _block_ranges(spectrum: Spectrum):
         lo += block.multiplicity
 
 
-def _feasible(spectrum: Spectrum, k: int, tau: int) -> bool:
-    """True if the window at tau can cover every implicit spectrum position."""
-    length = spectrum.total - k
-    for block, lo, hi in _block_ranges(spectrum):
-        overlap = min(hi, tau + length) - max(lo, tau)
-        if block.implicit > max(overlap, 0):
-            return False
-    return True
+def _windows(spectrum: Spectrum, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Objective and log geometric mean of the window at every tau in 0..k.
+
+    The window holds sorted positions [tau, tau + m - k); its objective is the
+    sum of squared deviations of its log-values from their own mean. Both come
+    from block prefix sums at all 2(k+1) window edges. The third value is the
+    tie tolerance: the sums round by a few ulps of their total, so objectives
+    that close are ties, as windows over tied eigenvalues often are.
+    """
+    m = spectrum.total
+    if k >= m:
+        raise ValueError(f"k must be smaller than the dimension, got k={k}, m={m}")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    length = m - k
+    mult = np.array([b.multiplicity for b in spectrum.blocks], dtype=float)
+    logs = np.array([math.log(b.value) for b in spectrum.blocks])
+    mean = float((mult * logs).sum()) / m
+    clogs = logs - mean  # centering kills cancellation in the variance formula
+    cum_n = np.concatenate([[0.0], np.cumsum(mult)])
+    cum_s1 = np.concatenate([[0.0], np.cumsum(mult * clogs)])
+    cum_s2 = np.concatenate([[0.0], np.cumsum(mult * clogs**2)])
+    clogs = np.append(clogs, 0.0)  # edge m lies past the last block
+    edges = np.arange(k + 1)
+    edges = np.concatenate([edges, edges + length])
+    j = np.searchsorted(cum_n, edges, side="right") - 1
+    part = edges - cum_n[j]
+    s1 = cum_s1[j] + part * clogs[j]
+    s2 = cum_s2[j] + part * clogs[j] ** 2
+    s1 = s1[k + 1:] - s1[:k + 1]
+    s2 = s2[k + 1:] - s2[:k + 1]
+    objectives = np.maximum(s2 - s1 * s1 / length, 0.0)
+    return objectives, s1 / length + mean, 1e-12 * float(cum_s2[-1])
+
+
+def _first_min(objectives: np.ndarray, tol: float) -> int:
+    """Smallest offset whose objective ties the minimum within ``tol``."""
+    return int(np.argmax(objectives <= objectives.min() + tol))
 
 
 def select_tau(spectrum: Spectrum, k: int) -> int:
     """Number of top eigenvalues to keep: the window offset minimizing the
     squared deviation of the window's log-values from their own mean.
 
-    Ties break toward the smallest tau. Runs on the block representation, so
-    large multiplicities cost nothing extra.
+    Ties, up to rounding, break toward the smallest tau. Runs on the block
+    representation, so large multiplicities cost nothing extra.
     """
-    if k >= spectrum.total:
-        raise ValueError(f"k must be smaller than the dimension, got k={k}, m={spectrum.total}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    objectives = _window_objectives(spectrum, k)
-    return int(np.argmin(objectives))
+    objectives, _, tol = _windows(spectrum, k)
+    return _first_min(objectives, tol)
 
 
 def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
@@ -172,7 +167,8 @@ def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
     spectrum is {kept values} plus the geometric mean with multiplicity m-k.
     The window is constrained to cover every implicit (identity-block)
     position, since those have no representable eigenvector; among feasible
-    offsets the one with the smallest objective wins, ties toward smaller tau.
+    offsets the one with the smallest objective wins, ties (up to rounding)
+    toward smaller tau.
 
     Raises
     ------
@@ -181,33 +177,21 @@ def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
         window exists (a kept position would lack an explicit eigenvector).
     """
     spectrum = Spectrum.from_eigenfactor(ef)
-    m = spectrum.total
-    if k >= m:
-        raise ValueError(f"k must be smaller than the dimension, got k={k}, m={m}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    objectives = _window_objectives(spectrum, k)
-    feasible = [tau for tau in range(k + 1) if _feasible(spectrum, k, tau)]
-    if not feasible:
+    objectives, log_means, tol = _windows(spectrum, k)
+    length = ef.dim - k
+    # Every implicit position lies in the alpha block [lo, hi), so the
+    # offsets whose window covers them all form the interval [first, last].
+    implicit = ef.dim - ef.rank
+    first, last = 0, k
+    for block, lo, hi in _block_ranges(spectrum):
+        if block.implicit:
+            first, last = max(0, lo + implicit - length), min(k, hi - implicit)
+    if implicit > length or first > last:
         raise ValueError(
             "no feasible window: a kept position would lack an explicit eigenvector"
         )
-    tau = min(feasible, key=lambda t: (objectives[t], t))
-    length = m - k
-
-    # Geometric mean over the window, from uncentered log sums.
-    cum_n, cum_s1, _, clogs, mean = _log_prefix_sums(spectrum)
-
-    def prefix_s1(pos: int) -> float:
-        j = int(np.searchsorted(cum_n, pos, side="right")) - 1
-        part = pos - cum_n[j]
-        s1 = cum_s1[j]
-        if part and j < len(clogs):
-            s1 += part * clogs[j]
-        return float(s1)
-
-    log_mean = (prefix_s1(tau + length) - prefix_s1(tau)) / length + mean
-    new_alpha = math.exp(log_mean)
+    tau = first + _first_min(objectives[first:last + 1], tol)
+    new_alpha = math.exp(log_means[tau])
 
     kept_top: list[tuple[float, int]] = []
     kept_bottom: list[tuple[float, int]] = []
@@ -223,5 +207,7 @@ def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
     kept = kept_top + kept_bottom
     columns = [idx for _, idx in kept]
     values = np.array([v for v, _ in kept])
-    model = LowRankFactor(new_alpha, ef.E[:, columns], np.diag(values - new_alpha))
+    model = _unchecked(
+        LowRankFactor, new_alpha, ef.E[:, columns], np.diag(values - new_alpha)
+    )
     return model, TruncationResult(new_alpha, kept_top, kept_bottom, tau)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from loweig import (
     DimensionError,
+    EigenFactor,
     IRREGULAR,
     REGULAR,
     LabeledBatch,
@@ -112,6 +113,41 @@ class TestAlignment:
         out = update(MetricModel.from_factor(factor), batch, cfg)
         self.assert_aligned(out)
         assert out.factor.Q is out.eigen.E
+
+
+class TestTrustedConstruction:
+    """update re-validates none of the factors it derives from a valid model;
+    only the EigenFactor that factor_to_eig returns runs its checks."""
+
+    @pytest.mark.parametrize(
+        "rank_cap, count, truncated, expected",
+        [
+            (8, 0, False, (0, 0)),  # decay only
+            (8, 3, False, (0, 1)),  # fast path, kept whole
+            (1, 3, True, (0, 1)),  # fast path, truncated
+            (8, 6, False, (0, 0)),  # dense fallback: m = 6 with rank 2
+        ],
+    )
+    def test_update_paths(self, monkeypatch, rank_cap, count, truncated, expected):
+        rng = np.random.default_rng([rank_cap, count, 5])
+        m = 6 if count == 6 else 40
+        model = MetricModel.from_factor(
+            LowRankFactor(4.0, random_factor(rng, m, 2).Q, np.eye(2))
+        )
+        batch = LabeledBatch(rng.standard_normal((count, m)), rng.choice([-1.0, 1.0], count))
+        cfg = UpdateConfig(decay=0.9, gain=0.1, rank_cap=rank_cap)
+        calls = {LowRankFactor: 0, EigenFactor: 0}
+        for cls in calls:
+
+            def counting(self, cls=cls, original=cls.__post_init__):
+                calls[cls] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        out = update(model, batch, cfg)
+        assert (calls[LowRankFactor], calls[EigenFactor]) == expected
+        assert out.stats.truncated == truncated
+        assert out.rank == min(rank_cap, m, 2 + count)
 
 
 class TestUpdate:

@@ -1,7 +1,11 @@
 """Window selection and geometric-mean truncation against exhaustive scans."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from loweig import (
@@ -233,3 +237,47 @@ class TestTruncate:
         ef = EigenFactor(1.0, np.eye(5)[:, :1], np.array([-1.5]))
         with pytest.raises(ValueError):
             truncate(ef, 1)
+
+
+# Generic multipliers d_i / alpha, so windows tie only through repeated values.
+TIE_POOL = (0.7318, 2.2913, 4.0671, -0.4187, -0.8634)
+
+
+@st.composite
+def tied_eigenfactors(draw):
+    """EigenFactor with exact ties, plus a k in 0..m-1.
+
+    Explicit values repeat, and d_i == 0 ties them with alpha.
+    """
+    m = draw(st.integers(1, 12))
+    alpha = draw(st.sampled_from([0.25, 1.0, 3.0]))
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(TIE_POOL), max_size=len(TIE_POOL)))
+    d = [alpha * c for c, n in zip(TIE_POOL, counts) for _ in range(n)]
+    d += [0.0] * draw(st.integers(0, m))
+    d = np.sort(np.array(draw(st.permutations(d))[:m], dtype=float))[::-1]
+    columns = list(draw(st.permutations(range(m))))[: d.size]
+    return EigenFactor(alpha, np.eye(m)[:, columns], d), draw(st.integers(0, m - 1))
+
+
+class TestWindowProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_eigenfactors())
+    def test_truncate_matches_feasible_scan(self, case):
+        ef, k = case
+        try:
+            tau, objectives, feasible = brute_force_feasible_tau(ef, k)
+        except ValueError:
+            with pytest.raises(ValueError, match="no feasible window"):
+                truncate(ef, k)
+            return
+        model, result = truncate(ef, k)
+        # Windows over the same tied values, like (a, a, b) and (a, b, b), tie
+        # exactly; the scan's objectives differ there only by rounding, and the
+        # tie goes to the smallest such tau.
+        tied = [t for t in feasible if objectives[t] <= objectives[tau] + 1e-9]
+        assert result.tau == min(tied)
+        window = ef.full_spectrum()[result.tau:result.tau + ef.dim - k]
+        assert result.new_alpha == pytest.approx(
+            math.exp(np.log(window).mean()), rel=1e-12
+        )
+        assert model.rank == k
