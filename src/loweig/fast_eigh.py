@@ -1,11 +1,14 @@
 """Eigendecomposition of ``alpha*I + Q B Q^T + X X^T - Y Y^T`` in O(m r^2).
 
 ``augment`` absorbs the signed outer products of ``Z = [X Y]`` in one pass:
-the novelty of Z outside span(Q) is orthonormalized and appended to the
-basis, and the small core picks up the signed cross terms. ``factor_to_eig``
-then turns the core's eigendecomposition into eigenpairs of the full matrix.
-``fast_eigh`` chains the two; ``svd_route`` and ``dense_fallback`` are the
-nonnegative-weight baseline and the O(m^3) always-correct path.
+the novelty U of Z outside span(Q) is orthonormalized and appended to the
+basis, and the small core picks up the signed cross terms. The core's
+eigenvectors V are then rotated up as ``Q @ V[:n] + U @ V[n:]``, written
+once into the result, so ``fast_eigh`` never builds ``[X Y]`` or ``[Q U]``;
+``learner.update`` runs the same steps and rotates only the columns it keeps.
+``factor_to_eig`` does the rotation for a basis given whole. ``svd_route``
+and ``dense_fallback`` are the nonnegative-weight baseline and the O(m^3)
+always-correct path.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ import numpy as np
 
 from .kernels import (
     DimensionError,
+    SymEig,
+    _aligned_empty,
     _as_matrix,
     _check_orthonormal,
     _fro,
+    _residual,
     _unchecked,
     symmetric_eig,
-    orthonormal_residual,
     thin_svd,
 )
 
@@ -165,9 +170,9 @@ def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
     ``sign`` is +1, -1 or a vector of +-1, one per column of ``x``; W is the
     diagonal matrix of those signs. With ``x = Q P + U R`` (P the part inside
     span(q), U the orthonormal novelty), the core is the block matrix
-    ``[[B + P W P^T, P W R^T], [R W P^T, R W R^T]]``. Near-zero novelty
-    directions are dropped (the returned basis may grow by fewer than
-    ``x.shape[1]`` columns).
+    ``[[B + P W P^T, P W R^T], [R W P^T, R W R^T]]`` and ``Qc = [Q U]``.
+    Near-zero novelty directions are dropped (the returned basis may grow by
+    fewer than ``x.shape[1]`` columns).
 
     Raises
     ------
@@ -175,11 +180,22 @@ def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
         If the combined rank would exceed the row count; use
         ``dense_fallback`` in that regime.
     """
+    u, bc = _augment(q, b, (x,), sign)
+    return np.hstack([q, u]), bc
+
+
+def _augment(q, b, blocks, sign) -> tuple[np.ndarray, np.ndarray]:
+    """Novelty basis U and core Bc of ``augment`` for ``Z = [blocks]``,
+    validating every array.
+
+    Returns U rather than ``[Q U]``, and Z is never concatenated: the
+    projection residual is written in place into one buffer.
+    """
     q = _as_matrix(q, "q")
     b = _as_matrix(b, "b")
-    x = _as_matrix(x, "x")
+    blocks = [_as_matrix(x, "x") for x in blocks]
     m, n = q.shape
-    k = x.shape[1]
+    k = sum(x.shape[1] for x in blocks)
     w = np.asarray(sign, dtype=float)
     if w.ndim == 0:
         w = np.full(k, w)
@@ -189,19 +205,28 @@ def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(
             f"combined rank {n + k} exceeds dimension {m}; use dense_fallback"
         )
-    p, xres = orthonormal_residual(q, x)
-    svd = thin_svd(xres)
+    p, res = _residual(q, blocks)
+    svd = thin_svd(res)
     smax = float(svd.S[0]) if svd.S.size else 0.0
-    eps_rank = RANK_EPS * max(smax, _fro(x))
+    eps_rank = RANK_EPS * max(smax, math.hypot(*(_fro(x) for x in blocks)))
     kp = int(np.count_nonzero(svd.S > eps_rank))
     u = svd.U[:, :kp]
     r = svd.S[:kp, None] * svd.V[:, :kp].T
-    qc = np.hstack([q, u])
     pw = p * w
     cross = pw @ r.T
     bc = np.block([[b + pw @ p.T, cross], [cross.T, (r * w) @ r.T]])
-    bc = (bc + bc.T) / 2.0
-    return qc, bc
+    return u, (bc + bc.T) / 2.0
+
+
+def _rotate(q: np.ndarray, v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+    """``[q u] @ v`` written once into a fresh 64-byte-aligned array, without
+    building ``[q u]``."""
+    n = q.shape[1]
+    out = _aligned_empty((q.shape[0], v.shape[1]))
+    np.matmul(q, v[:n], out=out)
+    if u is not None and u.shape[1]:
+        out += u @ v[n:]
+    return out
 
 
 def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
@@ -212,7 +237,18 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
     """
     q_a = _as_matrix(q_a, "q_a")
     eig = symmetric_eig(b_a)
-    return EigenFactor(alpha, q_a @ eig.E, eig.D)
+    return EigenFactor(alpha, _rotate(q_a, eig.E), eig.D)
+
+
+def _core_eig(factor: LowRankFactor, data: WeightedData) -> tuple[np.ndarray, SymEig]:
+    """``fast_eigh`` before its rotation: the novelty basis U and the core's
+    eigendecomposition, whose eigenvectors up in R^m are ``[Q U] @ eig.E``."""
+    m = factor.dim
+    if data.dim != m:
+        raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
+    sign = np.concatenate([np.ones(data.X.shape[1]), -np.ones(data.Y.shape[1])])
+    u, b_a = _augment(factor.Q, factor.B, (data.X, data.Y), sign)
+    return u, symmetric_eig(b_a)
 
 
 def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenFactor:
@@ -225,16 +261,10 @@ def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenF
     Raises
     ------
     DimensionError
-        If n + nx + ny > m (raised by ``augment``); use ``dense_fallback``
-        there instead.
+        If n + nx + ny > m; use ``dense_fallback`` there instead.
     """
-    m = factor.dim
-    if data.dim != m:
-        raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
-    z = np.hstack([data.X, data.Y])
-    w = np.concatenate([np.ones(data.X.shape[1]), -np.ones(data.Y.shape[1])])
-    q_a, b_a = augment(factor.Q, factor.B, z, w)
-    return factor_to_eig(alpha, q_a, b_a)
+    u, eig = _core_eig(factor, data)
+    return EigenFactor(alpha, _rotate(factor.Q, eig.E, u), eig.D)
 
 
 def svd_route(alpha: float, x) -> EigenFactor:

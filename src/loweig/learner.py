@@ -4,6 +4,14 @@ The model keeps ``A = alpha*I + Q B Q^T`` positive definite, scores points by
 ``sqrt(x^T A^{-1} x)`` in O(m n), and folds signed-weight batches in as
 ``decay*A + gain * sum_i w_i x_i x_i^T`` followed by eigenvalue flooring and
 rank truncation. Model snapshots are immutable; updates return new ones.
+
+In ``update`` the values decide and E is written once. Flooring, window
+selection and re-flooring all run on ``(alpha, d, m)``; flooring keeps the
+order of d, so their result is the index array of the kept columns of the
+step's eigenvectors. On the fast path those are the small core's eigenvectors V,
+and the model's E is ``Q @ V[:n, kept] + U @ V[n:, kept]``, written straight
+into a 64-byte-aligned array; the decay-only and dense paths gather their
+kept columns once into such an array.
 """
 
 from __future__ import annotations
@@ -18,33 +26,16 @@ from .fast_eigh import (
     EigenFactor,
     LowRankFactor,
     WeightedData,
+    _core_eig,
+    _rotate,
     dense_fallback,
     factor_to_eig,
-    fast_eigh,
 )
-from .kernels import _unchecked
-from .truncation import truncate
+from .kernels import _take_columns, _unchecked
+from .truncation import _select
 
 REGULAR = "regular"
 IRREGULAR = "irregular"
-
-# Scoring is a matrix-vector product over E. With OpenBLAS on an x86-64 Xeon,
-# m = 4096 and rank 32, it ran ~25% faster from a cache-line (64-byte)
-# aligned start than from the 16-byte alignment malloc guarantees, so where E
-# happened to land decided the scoring speed.
-_ALIGN = 64
-
-
-def _aligned(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if C-contiguous and 64-byte aligned, else such a copy."""
-    if a.flags.c_contiguous and a.ctypes.data % _ALIGN == 0:
-        return a
-    buf = np.empty(a.nbytes + _ALIGN, dtype=np.uint8)
-    start = -buf.ctypes.data % _ALIGN
-    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
-    out[...] = a
-    return out
-
 
 @dataclass(frozen=True)
 class UpdateConfig:
@@ -99,8 +90,13 @@ class LabeledBatch:
 
 @dataclass(frozen=True)
 class UpdateStats:
-    """What the last update had to intervene on."""
+    """What the last update did and had to intervene on.
 
+    ``path`` is the decomposition that ran: ``"fast"``, ``"dense"`` (the
+    combined rank exceeded m) or ``"decay"`` (an effectively empty batch).
+    """
+
+    path: str
     floored: int
     truncated: bool
     tau: int | None = None
@@ -131,8 +127,7 @@ class MetricModel:
 
     @classmethod
     def from_factor(cls, factor: LowRankFactor) -> "MetricModel":
-        eigen = factor_to_eig(factor.alpha, factor.Q, factor.B)
-        return cls(factor, _unchecked(EigenFactor, eigen.alpha, _aligned(eigen.E), eigen.D))
+        return cls(factor, factor_to_eig(factor.alpha, factor.Q, factor.B))
 
     @property
     def dim(self) -> int:
@@ -179,14 +174,20 @@ def classify(model: MetricModel, x, threshold: float) -> str:
     return REGULAR if distance(model, x) <= threshold else IRREGULAR
 
 
-def _floor_spectrum(ef: EigenFactor, floor: float) -> tuple[EigenFactor, int]:
-    """Raise every full eigenvalue below ``floor`` up to it."""
-    full = ef.alpha + ef.D
+def _floor_spectrum(alpha: float, d: np.ndarray, m: int, floor: float):
+    """Raise every eigenvalue of ``alpha*I + E diag(d) E^T`` on R^m that is
+    below ``floor`` up to it, on the values alone.
+
+    Returns ``(new_alpha, new_d, count)``; ``count`` includes the implicit
+    eigenvalues when alpha was raised. Every step is monotone in d, so a
+    descending d stays descending and E keeps its column order.
+    """
+    full = alpha + d
     floored_explicit = int(np.count_nonzero(full < floor))
-    new_alpha = float(max(ef.alpha, floor))
-    alpha_raised = ef.alpha < floor
+    new_alpha = float(max(alpha, floor))
+    alpha_raised = alpha < floor
     if floored_explicit == 0 and not alpha_raised:
-        return ef, 0
+        return alpha, d, 0
     new_d = np.maximum(full, floor) - new_alpha
     # The subtraction can make alpha + d round back below the floor; nudge
     # such entries up so the reconstructed eigenvalue honors it exactly.
@@ -196,20 +197,20 @@ def _floor_spectrum(ef: EigenFactor, floor: float) -> tuple[EigenFactor, int]:
         while new_alpha + d_floor < floor:
             d_floor = np.nextafter(d_floor, np.inf)
         new_d = np.where(low, np.maximum(new_d, d_floor), new_d)
-    order = np.argsort(-new_d, kind="stable")
-    count = floored_explicit + (ef.dim - ef.rank if alpha_raised else 0)
-    return _unchecked(EigenFactor, new_alpha, ef.E[:, order], new_d[order]), count
+    count = floored_explicit + (m - d.size if alpha_raised else 0)
+    return new_alpha, new_d, count
 
 
 def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> MetricModel:
     """One streaming step: decay, signed batch, flooring, rank truncation.
 
     Composes ``decay*A + gain * sum_i w_i x_i x_i^T``, eigendecomposes it on
-    the fast path (dense fallback when the combined rank reaches m), floors
+    the fast path (dense fallback when the combined rank exceeds m), floors
     the full spectrum at ``cfg.floor`` to restore positive definiteness, and
     truncates back to ``cfg.rank_cap`` explicit pairs when the rank grew past
     it. Zero-weight vectors are dropped; an effectively empty batch is pure
-    decay and skips the decomposition entirely.
+    decay and skips the decomposition entirely. Every decision is made on the
+    eigenvalues; the new E is then written once, with only the kept columns.
     """
     m = model.dim
     if batch.vectors.shape[1:] != (m,) and len(batch) > 0:
@@ -221,33 +222,35 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
     nx, ny = data.X.shape[1], data.Y.shape[1]
 
     if nx + ny == 0:
-        ef = _unchecked(EigenFactor, decayed_alpha, model.eigen.E, cfg.decay * model.eigen.D)
+        path, alpha, d, basis = "decay", decayed_alpha, cfg.decay * model.eigen.D, model.eigen.E
     else:
         decayed = _unchecked(
             LowRankFactor, decayed_alpha, model.factor.Q, cfg.decay * model.factor.B
         )
-        eigh = fast_eigh if model.rank + nx + ny <= m else dense_fallback
-        ef = eigh(decayed_alpha, decayed, data)
+        if model.rank + nx + ny <= m:
+            path, alpha = "fast", decayed_alpha
+            u, eig = _core_eig(decayed, data)
+            d = eig.D
+        else:
+            path = "dense"
+            ef = dense_fallback(decayed_alpha, decayed, data)
+            alpha, d, basis = ef.alpha, ef.D, ef.E
 
     floor = cfg.floor if cfg.floor is not None else 1e-12 * decayed_alpha
-    ef, floored = _floor_spectrum(ef, floor)
-
-    if ef.rank > cfg.rank_cap:
-        factor, result = truncate(ef, cfg.rank_cap)
-        # aligned here, so the snapshot below need not rebuild the eigenfactor
-        ef = _unchecked(EigenFactor, factor.alpha, _aligned(factor.Q), np.diag(factor.B).copy())
+    alpha, d, floored = _floor_spectrum(alpha, d, m, floor)
+    columns, tau = np.arange(d.size), None
+    if d.size > cfg.rank_cap:
+        new_alpha, columns, tau = _select(alpha, d, m, cfg.rank_cap)
         # truncation re-bases d onto the window's geometric mean, which can
         # round a floored eigenvalue back below the floor by an ulp
-        ef, refloored = _floor_spectrum(ef, floor)
-        stats = UpdateStats(floored=floored + refloored, truncated=True, tau=result.tau)
+        alpha, d, refloored = _floor_spectrum(
+            new_alpha, alpha + d[columns] - new_alpha, m, floor
+        )
+        floored += refloored
+
+    if path == "fast":
+        ef = EigenFactor(alpha, _rotate(model.factor.Q, eig.E[:, columns], u), d)
     else:
-        stats = UpdateStats(floored=floored, truncated=False)
-    return _snapshot(ef, stats)
-
-
-def _snapshot(ef: EigenFactor, stats: UpdateStats) -> MetricModel:
-    """The model of ``ef``, its factor and eigen form sharing one aligned E."""
-    e = _aligned(ef.E)
-    if e is not ef.E:
-        ef = _unchecked(EigenFactor, ef.alpha, e, ef.D)
-    return MetricModel(_unchecked(LowRankFactor, ef.alpha, e, np.diag(ef.D)), ef, stats)
+        ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)
+    stats = UpdateStats(path=path, floored=floored, truncated=tau is not None, tau=tau)
+    return MetricModel(_unchecked(LowRankFactor, ef.alpha, ef.E, np.diag(ef.D)), ef, stats)

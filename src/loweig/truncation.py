@@ -5,9 +5,13 @@ mean (the optimal single value under a least-squares objective on the log
 spectrum); the tau largest and k-tau smallest eigenpairs are kept exactly.
 The implicit identity block is handled as a multiplicity without ever
 materializing m scalars.
-``select_tau`` and ``truncate`` share one vectorized pass over all offsets;
-``truncate`` restricts it to the interval of offsets whose window covers the
-implicit positions, which all sit in the alpha block.
+
+Values decide: ``_select`` works on ``(alpha, d, m)`` alone and returns the
+new alpha, the kept columns and tau, so a caller gathers or rotates only the
+columns it keeps. ``_windows`` scores every offset in one vectorized pass;
+``select_tau`` takes its minimizer, and ``_select`` takes it over the
+interval of offsets whose window covers the implicit positions, which all
+sit in the alpha block. ``truncate`` is ``_select`` plus one gather.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fast_eigh import EigenFactor, LowRankFactor
-from .kernels import _unchecked
+from .kernels import _take_columns, _unchecked
 
 
 @dataclass(frozen=True)
@@ -69,20 +73,28 @@ class Spectrum:
     @classmethod
     def from_eigenfactor(cls, ef: EigenFactor) -> "Spectrum":
         """Expand alpha + d_i plus the implicit alpha block, merging exact ties."""
-        m, r = ef.E.shape
-        entries = [(float(ef.alpha + ef.D[i]), i) for i in range(r)]
-        merged: dict[float, list[int]] = {}
-        for value, idx in entries:
-            merged.setdefault(value, []).append(idx)
-        alpha = float(ef.alpha)
-        counts = {v: len(ix) for v, ix in merged.items()}
-        if m - r > 0:
-            counts[alpha] = counts.get(alpha, 0) + (m - r)
+        values, mult, block = _blocks(ef.alpha, ef.D, ef.dim)
         blocks = [
-            SpectrumBlock(v, counts[v], tuple(merged.get(v, ())))
-            for v in sorted(counts, reverse=True)
+            SpectrumBlock(float(v), int(c), tuple(np.flatnonzero(block == b).tolist()))
+            for b, (v, c) in enumerate(zip(values, mult))
         ]
-        return cls(tuple(blocks), m)
+        return cls(tuple(blocks), ef.dim)
+
+
+def _blocks(alpha: float, d: np.ndarray, m: int):
+    """Exact-tie blocks of the spectrum {alpha + d_i} plus alpha with
+    multiplicity m - r: block values (strictly descending), multiplicities,
+    and the block of each explicit pair."""
+    r = d.size
+    pool = alpha + d
+    if m > r:
+        pool = np.append(pool, alpha)
+    values, inverse = np.unique(pool, return_inverse=True)
+    mult = np.bincount(inverse[:r], minlength=values.size)
+    if m > r:
+        mult[inverse[r]] += m - r
+    top = values.size - 1
+    return values[::-1], mult[::-1], top - inverse[:r]
 
 
 @dataclass(frozen=True)
@@ -100,31 +112,25 @@ class TruncationResult:
     tau: int
 
 
-def _block_ranges(spectrum: Spectrum):
-    """Expanded half-open position range [lo, hi) of each block."""
-    lo = 0
-    for block in spectrum.blocks:
-        yield block, lo, lo + block.multiplicity
-        lo += block.multiplicity
-
-
-def _windows(spectrum: Spectrum, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _windows(values: np.ndarray, mult: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Objective and log geometric mean of the window at every tau in 0..k.
 
-    The window holds sorted positions [tau, tau + m - k); its objective is the
-    sum of squared deviations of its log-values from their own mean. Both come
-    from block prefix sums at all 2(k+1) window edges. The third value is the
-    tie tolerance: the sums round by a few ulps of their total, so objectives
-    that close are ties, as windows over tied eigenvalues often are.
+    ``values`` are the block values, strictly descending, and ``mult`` their
+    multiplicities. The window holds sorted positions [tau, tau + m - k); its
+    objective is the sum of squared deviations of its log-values from their
+    own mean. Both come from block prefix sums at all 2(k+1) window edges.
+    The third value is the tie tolerance: the sums round by a few ulps of
+    their total, so objectives that close are ties, as windows over tied
+    eigenvalues often are.
     """
-    m = spectrum.total
+    m = int(mult.sum())
     if k >= m:
         raise ValueError(f"k must be smaller than the dimension, got k={k}, m={m}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     length = m - k
-    mult = np.array([b.multiplicity for b in spectrum.blocks], dtype=float)
-    logs = np.array([math.log(b.value) for b in spectrum.blocks])
+    mult = mult.astype(float)
+    logs = np.log(values)
     mean = float((mult * logs).sum()) / m
     clogs = logs - mean  # centering kills cancellation in the variance formula
     cum_n = np.concatenate([[0.0], np.cumsum(mult)])
@@ -155,8 +161,46 @@ def select_tau(spectrum: Spectrum, k: int) -> int:
     Ties, up to rounding, break toward the smallest tau. Runs on the block
     representation, so large multiplicities cost nothing extra.
     """
-    objectives, _, tol = _windows(spectrum, k)
+    values = np.array([b.value for b in spectrum.blocks])
+    mult = np.array([b.multiplicity for b in spectrum.blocks])
+    objectives, _, tol = _windows(values, mult, k)
     return _first_min(objectives, tol)
+
+
+def _select(alpha: float, d: np.ndarray, m: int, k: int) -> tuple[float, np.ndarray, int]:
+    """``truncate`` on the values alone: ``(new_alpha, columns, tau)``.
+
+    ``d`` is sorted descending and the spectrum is ``alpha + d_i`` plus alpha
+    with multiplicity ``m - d.size``. ``columns`` are the indices into ``d``
+    of the k kept pairs, ascending, so their values descend: the first tau
+    sit above the window and the rest below it. Within a tie block the
+    explicit pairs fill the kept positions first, in index order.
+    """
+    values, mult, block = _blocks(alpha, d, m)
+    if not np.all(values > 0.0) or not math.isfinite(values[0]):
+        raise ValueError("spectrum values must be finite and strictly positive")
+    objectives, log_means, tol = _windows(values, mult, k)
+    length = m - k
+    hi = np.cumsum(mult)
+    lo = hi - mult
+    # Every implicit position lies in the alpha block [lo, hi), so the
+    # offsets whose window covers them all form the interval [first, last].
+    implicit = m - d.size
+    first, last = 0, k
+    if implicit:
+        a = int(np.flatnonzero(values == alpha)[0])
+        first, last = max(0, int(lo[a]) + implicit - length), min(k, int(hi[a]) - implicit)
+    if implicit > length or first > last:
+        raise ValueError(
+            "no feasible window: a kept position would lack an explicit eigenvector"
+        )
+    tau = first + _first_min(objectives[first:last + 1], tol)
+    # Kept positions of each block: those above and those below the window.
+    # Feasibility leaves enough explicit pairs in every block to fill them.
+    kept = np.clip(tau - lo, 0, mult) + np.clip(hi - (tau + length), 0, mult)
+    rank_in_block = np.arange(d.size) - np.searchsorted(block, block)
+    columns = np.flatnonzero(rank_in_block < kept[block])
+    return math.exp(log_means[tau]), columns, tau
 
 
 def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
@@ -168,7 +212,8 @@ def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
     The window is constrained to cover every implicit (identity-block)
     position, since those have no representable eigenvector; among feasible
     offsets the one with the smallest objective wins, ties (up to rounding)
-    toward smaller tau.
+    toward smaller tau. The kept columns of E are gathered once into a fresh
+    64-byte-aligned array.
 
     Raises
     ------
@@ -176,38 +221,10 @@ def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
         If any eigenvalue is nonpositive (log undefined) or no feasible
         window exists (a kept position would lack an explicit eigenvector).
     """
-    spectrum = Spectrum.from_eigenfactor(ef)
-    objectives, log_means, tol = _windows(spectrum, k)
-    length = ef.dim - k
-    # Every implicit position lies in the alpha block [lo, hi), so the
-    # offsets whose window covers them all form the interval [first, last].
-    implicit = ef.dim - ef.rank
-    first, last = 0, k
-    for block, lo, hi in _block_ranges(spectrum):
-        if block.implicit:
-            first, last = max(0, lo + implicit - length), min(k, hi - implicit)
-    if implicit > length or first > last:
-        raise ValueError(
-            "no feasible window: a kept position would lack an explicit eigenvector"
-        )
-    tau = first + _first_min(objectives[first:last + 1], tol)
-    new_alpha = math.exp(log_means[tau])
-
-    kept_top: list[tuple[float, int]] = []
-    kept_bottom: list[tuple[float, int]] = []
-    for block, lo, hi in _block_ranges(spectrum):
-        before = max(0, min(hi, tau) - lo)
-        after = max(0, hi - max(lo, tau + length))
-        # Feasibility guarantees enough explicit indices for the kept copies.
-        kept_top.extend((block.value, idx) for idx in block.indices[:before])
-        kept_bottom.extend(
-            (block.value, idx) for idx in block.indices[before:before + after]
-        )
-
-    kept = kept_top + kept_bottom
-    columns = [idx for _, idx in kept]
-    values = np.array([v for v, _ in kept])
+    new_alpha, columns, tau = _select(ef.alpha, ef.D, ef.dim, k)
+    values = ef.alpha + ef.D[columns]
+    kept = list(zip(values.tolist(), columns.tolist()))
     model = _unchecked(
-        LowRankFactor, new_alpha, ef.E[:, columns], np.diag(values - new_alpha)
+        LowRankFactor, new_alpha, _take_columns(ef.E, columns), np.diag(values - new_alpha)
     )
-    return model, TruncationResult(new_alpha, kept_top, kept_bottom, tau)
+    return model, TruncationResult(new_alpha, kept[:tau], kept[tau:], tau)

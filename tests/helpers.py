@@ -113,6 +113,24 @@ def brute_force_feasible_tau(ef, k):
     return best, objectives, feasible
 
 
+def brute_force_kept_columns(ef, tau, k):
+    """Explicit columns the window at ``tau`` keeps, from the expanded spectrum.
+
+    Kept positions are those outside the window. Within a run of equal values
+    the explicit pairs take the run's kept positions first, lowest index
+    first, so the implicit copies of alpha fall inside the window.
+    """
+    m, r = ef.E.shape
+    values = ef.full_spectrum()
+    explicit = ef.alpha + ef.D
+    kept_values = np.concatenate([values[:tau], values[tau + m - k:]])
+    columns = []
+    for v in sorted(set(kept_values.tolist()), reverse=True):
+        need = int(np.count_nonzero(kept_values == v))
+        columns += [j for j in range(r) if explicit[j] == v][:need]
+    return sorted(columns)
+
+
 def brute_truncate_dense(values, vectors, k, tau=None):
     """Windowed truncation on a fully materialized spectrum.
 

@@ -192,13 +192,15 @@ class TestFastEigh:
             fast_eigh(1.0, factor, data)
 
     def test_one_signed_augmentation(self, monkeypatch):
+        module = importlib.import_module("loweig.fast_eigh")
+        original = module._augment
         calls = []
 
-        def counting(q, b, x, sign):
+        def counting(q, b, blocks, sign):
             calls.append(np.asarray(sign).copy())
-            return augment(q, b, x, sign)
+            return original(q, b, blocks, sign)
 
-        monkeypatch.setattr(importlib.import_module("loweig.fast_eigh"), "augment", counting)
+        monkeypatch.setattr(module, "_augment", counting)
         rng = np.random.default_rng(58)
         alpha, factor, data = random_instance(rng, 10, 2, 3, 2)
         fast_eigh(alpha, factor, data)

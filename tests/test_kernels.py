@@ -1,5 +1,7 @@
 """Kernel identities: reconstruction, orthogonality, trace and determinant."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,8 @@ from loweig import (
     symmetric_eig,
     thin_svd,
 )
+
+from loweig.kernels import _as_matrix, _fro, _residual, _safe_scale
 
 from helpers import cofactor_det, random_orthonormal
 
@@ -199,3 +203,60 @@ class TestOrthonormalResidual:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             orthonormal_residual(np.eye(3)[:, :1], np.ones((4, 1)))
+
+
+class TestAllocationFreeChecks:
+    """The finiteness scan, the scale and the norm keep their results while
+    working without an m-by-r temporary."""
+
+    # the sum of inf and -inf is NaN, and numpy warns about it before the raise
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "row", [[1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [np.inf, -np.inf]]
+    )
+    def test_non_finite_rejected(self, row):
+        with pytest.raises(ValueError, match="non-finite"):
+            _as_matrix(np.array([row]), "a")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_overflowing_sum_of_finite_entries_accepted(self, value):
+        a = np.full((1, 2), value)
+        assert not math.isfinite(a.sum())
+        assert _as_matrix(a, "a") is a
+
+    @staticmethod
+    def reference_scale(a):
+        amax = float(np.max(np.abs(a)))
+        if amax == 0.0 or 1e-70 <= amax <= 1e70:
+            return 1.0
+        return 2.0 ** math.floor(math.log2(amax))
+
+    @pytest.mark.parametrize("exponent", [-150, 0, 150])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_scale_and_norm_unchanged(self, exponent, contiguous):
+        rng = np.random.default_rng(exponent + 150)
+        a = 10.0**exponent * rng.standard_normal((40, 7))
+        if not contiguous:
+            a = a[:, 1::2]
+            assert not a.flags.c_contiguous
+        scale = self.reference_scale(a)
+        assert (scale == 1.0) == (exponent == 0)
+        assert _safe_scale(a) == scale
+        expected = math.sqrt(math.fsum((a / scale).ravel() ** 2)) * scale
+        assert _fro(a) == pytest.approx(expected, rel=1e-14)
+
+    def test_negative_extreme_sets_scale(self):
+        a = np.array([[-3e150, 1.0]])
+        assert _safe_scale(a) == self.reference_scale(a)
+
+
+class TestBlockResidual:
+    def test_blocks_match_concatenation(self):
+        rng = np.random.default_rng(31)
+        q = random_orthonormal(rng, 30, 4)
+        x, y = rng.standard_normal((30, 3)), rng.standard_normal((30, 2))
+        p, res = _residual(q, (x, y))
+        p_ref, res_ref = orthonormal_residual(q, np.hstack([x, y]))
+        assert_allclose(p, p_ref, rtol=0, atol=1e-13)
+        assert_allclose(res, res_ref, rtol=0, atol=1e-13)

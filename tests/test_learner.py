@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from loweig import (
@@ -17,10 +19,14 @@ from loweig import (
     UpdateConfig,
     WeightedData,
     classify,
+    dense_fallback,
     distance,
+    fast_eigh,
     materialize,
+    truncate,
     update,
 )
+from loweig.learner import _floor_spectrum
 
 from helpers import dense_metric_simulator, random_factor
 
@@ -147,7 +153,86 @@ class TestTrustedConstruction:
         out = update(model, batch, cfg)
         assert (calls[LowRankFactor], calls[EigenFactor]) == expected
         assert out.stats.truncated == truncated
+        assert out.stats.path == {0: "decay", 3: "fast", 6: "dense"}[count]
         assert out.rank == min(rank_cap, m, 2 + count)
+
+
+class TestFloorSpectrum:
+    """``update`` keeps E's column order through flooring, which is right
+    only if the floored d stays descending."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-3, 1e3),
+        st.lists(st.floats(-1.0, 3.0), max_size=12),
+        st.floats(-13.0, 0.6),
+        st.integers(0, 5),
+    )
+    def test_keeps_order_and_honors_floor(self, alpha, ratios, log_floor, implicit):
+        # floors far below alpha make alpha + (floor - alpha) round below the
+        # floor, which the nudge must repair without reordering
+        d = np.sort(alpha * np.array(ratios))[::-1]
+        floor = 10.0**log_floor * alpha
+        m = d.size + implicit
+        new_alpha, new_d, count = _floor_spectrum(alpha, d, m, floor)
+        assert np.all(np.diff(new_d) <= 0.0)
+        assert new_alpha >= floor and np.all(new_alpha + new_d >= floor)
+        raised = implicit if alpha < floor else 0
+        assert count == np.count_nonzero(alpha + d < floor) + raised
+
+
+def reference_update(model, batch, cfg):
+    """``update`` from public pieces: decompose with ``fast_eigh`` (or the
+    dense or decay-only form), floor, ``truncate`` the full E, floor again."""
+    m = model.dim
+    decayed_alpha = cfg.decay * model.factor.alpha
+    data = WeightedData.from_weighted(batch.vectors, cfg.gain * batch.weights, dim=m)
+    k = data.X.shape[1] + data.Y.shape[1]
+    if k == 0:
+        ef = EigenFactor(decayed_alpha, model.eigen.E, cfg.decay * model.eigen.D)
+    else:
+        decayed = LowRankFactor(decayed_alpha, model.factor.Q, cfg.decay * model.factor.B)
+        eigh = fast_eigh if model.rank + k <= m else dense_fallback
+        ef = eigh(decayed_alpha, decayed, data)
+
+    def floored(ef):
+        alpha, d, count = _floor_spectrum(ef.alpha, ef.D, m, cfg.floor)
+        return EigenFactor(alpha, ef.E, d), count
+
+    ef, count = floored(ef)
+    tau = None
+    if ef.rank > cfg.rank_cap:
+        factor, result = truncate(ef, cfg.rank_cap)
+        ef, more = floored(EigenFactor(factor.alpha, factor.Q, np.diag(factor.B)))
+        count, tau = count + more, result.tau
+    return ef, count, tau
+
+
+class TestRotateOnce:
+    """Deciding on the values and rotating only the kept columns gives the
+    model that decomposing, flooring and truncating the full basis gives."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_public_pipeline(self, seed):
+        rng = np.random.default_rng([seed, 77])
+        m, rank_cap = 10, 4
+        # floor 0.3 catches negative batches; count 0 is decay only, and a
+        # count past m - rank_cap goes through the dense fallback
+        cfg = UpdateConfig(decay=0.9, gain=0.8, rank_cap=rank_cap, floor=0.3)
+        model = MetricModel.identity(m, 1.0)
+        seen = set()
+        for count in [2, 0, 3, 1, 8, 0, 4, 2, 7, 3, 0, 5]:
+            batch = LabeledBatch(rng.standard_normal((count, m)), rng.choice([-1.0, 1.0], count))
+            ef, count_ref, tau = reference_update(model, batch, cfg)
+            model = update(model, batch, cfg)
+            stats = model.stats
+            seen.add((stats.path, stats.truncated))
+            assert (stats.tau, stats.floored, model.rank) == (tau, count_ref, ef.rank)
+            assert model.eigen.alpha == pytest.approx(ef.alpha, rel=1e-12)
+            assert_allclose(model.eigen.alpha + model.eigen.D, ef.alpha + ef.D,
+                            rtol=1e-12, atol=0)
+            assert_allclose(model.eigen.E, ef.E, rtol=0, atol=1e-12)
+        assert {("fast", False), ("fast", True), ("dense", True), ("decay", False)} <= seen
 
 
 class TestUpdate:

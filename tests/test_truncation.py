@@ -17,8 +17,11 @@ from loweig import (
     truncate,
 )
 
+from loweig.truncation import _select
+
 from helpers import (
     brute_force_feasible_tau,
+    brute_force_kept_columns,
     brute_force_tau,
     brute_truncate_dense,
     positive_eigenfactor,
@@ -281,3 +284,36 @@ class TestWindowProperties:
             math.exp(np.log(window).mean()), rel=1e-12
         )
         assert model.rank == k
+
+
+class TestSelectProperties:
+    """``_select`` decides on the values alone; the columns it returns must
+    be the ones an expanded-spectrum walk keeps, and ``truncate`` must be
+    ``_select`` plus a gather."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_eigenfactors())
+    def test_select_matches_scan_and_truncate(self, case):
+        ef, k = case
+        try:
+            tau, objectives, feasible = brute_force_feasible_tau(ef, k)
+        except ValueError:
+            with pytest.raises(ValueError, match="no feasible window"):
+                _select(ef.alpha, ef.D, ef.dim, k)
+            return
+        new_alpha, columns, sel_tau = _select(ef.alpha, ef.D, ef.dim, k)
+        tied = [t for t in feasible if objectives[t] <= objectives[tau] + 1e-9]
+        assert sel_tau == min(tied)
+        # explicit d_i == 0 pairs tie with the implicit alpha block; they
+        # fill the block's kept positions before any implicit copy would
+        assert columns.tolist() == brute_force_kept_columns(ef, sel_tau, k)
+        full = ef.full_spectrum()
+        outside = np.concatenate([full[:sel_tau], full[sel_tau + ef.dim - k:]])
+        assert_allclose(ef.alpha + ef.D[columns], outside, rtol=0, atol=0)
+
+        model, result = truncate(ef, k)
+        assert result.tau == sel_tau
+        assert result.new_alpha == new_alpha == model.alpha
+        kept = result.kept_top + result.kept_bottom
+        assert [idx for _, idx in kept] == columns.tolist()
+        assert_allclose(model.Q, ef.E[:, columns], rtol=0, atol=0)
