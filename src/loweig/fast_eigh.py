@@ -1,13 +1,29 @@
 """Eigendecomposition of ``alpha*I + Q B Q^T + X X^T - Y Y^T`` in O(m r^2).
 
-``augment`` absorbs the signed outer products of ``Z = [X Y]`` in one pass:
-the novelty U of Z outside span(Q) is orthonormalized and appended to the
-basis, and the small core picks up the signed cross terms. The core's
-eigenvectors V are then rotated up as ``Q @ V[:n] + U @ V[n:]``, written
-once into the result, so ``fast_eigh`` never builds ``[X Y]`` or ``[Q U]``;
-``learner.update`` runs the same steps and rotates only the columns it keeps.
-``factor_to_eig`` does the rotation for a basis given whole. ``svd_route``
-and ``dense_fallback`` are the nonnegative-weight baseline and the O(m^3)
+The signed outer products of ``Z = [X Y]`` are absorbed in one augmentation:
+with ``Z = Q P + U R`` (P inside span(Q), U the orthonormal novelty), the
+small core is ``[[B + P W P^T, P W R^T], [R W P^T, R W R^T]]``, W the +-1
+signs. Its eigenvectors V are lifted to R^m as ``Q V1 + U V2``, written once
+into a 64-byte-aligned result; ``[X Y]`` and ``[Q U]`` are never built.
+``fast_eigh`` and ``learner.update`` share these steps, and ``update`` lifts
+only the columns it keeps. P and R come from one of two routes:
+
+- The Gram route, tried first. One Gram of ``[Q X Y]``, summed block by
+  block, gives ``Q^T Q`` (the orthonormality test of Q), ``P = Q^T Z`` and
+  ``Z^T Z``; R is the Cholesky factor of ``Z^T Z - P^T P``, the small-matrix
+  step of CholeskyQR (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014,
+  "CholeskyQR2"). U is never formed: with ``C = R^-1 V2`` the lift is
+  ``Q (V1 - P C) + X C_x + Y C_y``. That is two passes over the m-row data.
+- The two-pass route: Z is projected out of span(Q) twice and the residual
+  goes through a thin SVD, which drops directions at or below ``RANK_EPS``.
+
+The Gram route loses orthogonality as ``eps * kappa(R)^2`` (Yamamoto et al.
+2015, ETNA 44), so it is taken only when the Cholesky succeeds and
+``sigma_min(R) >= GRAM_MIN_RATIO * ||Z||_F``; novelty near span(Q), exact
+cancellation (``X == Y``) and rank-deficient Z go the two-pass way. The
+public ``augment``, which returns ``[Q U]``, is always two-pass.
+``factor_to_eig`` lifts a basis given whole. ``svd_route`` and
+``dense_fallback`` are the nonnegative-weight baseline and the O(m^3)
 always-correct path.
 """
 
@@ -24,8 +40,11 @@ from .kernels import (
     _aligned_empty,
     _as_matrix,
     _check_orthonormal,
+    _checked_blocks,
     _fro,
-    _residual,
+    _project,
+    _row_blocks,
+    _safe_scale,
     _unchecked,
     symmetric_eig,
     thin_svd,
@@ -36,6 +55,11 @@ from .kernels import (
 # arbitrary for (near-)zero singular values and need not be orthogonal to the
 # existing basis, while their contribution to the product is O(eps_rank^2).
 RANK_EPS = 1e-12
+
+# The Gram route is taken only when sigma_min(R) >= GRAM_MIN_RATIO * ||Z||_F.
+# Its orthogonality loss grows as eps * kappa(R)^2 (Yamamoto et al. 2015), so
+# nearer to span(Q) the two-pass route with its SVD is used instead.
+GRAM_MIN_RATIO = 1e-2
 
 
 @dataclass(frozen=True)
@@ -171,8 +195,9 @@ def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
     diagonal matrix of those signs. With ``x = Q P + U R`` (P the part inside
     span(q), U the orthonormal novelty), the core is the block matrix
     ``[[B + P W P^T, P W R^T], [R W P^T, R W R^T]]`` and ``Qc = [Q U]``.
-    Near-zero novelty directions are dropped (the returned basis may grow by
-    fewer than ``x.shape[1]`` columns).
+    U comes from the two-pass route, so near-zero novelty directions are
+    dropped (the returned basis may grow by fewer than ``x.shape[1]``
+    columns).
 
     Raises
     ------
@@ -180,20 +205,19 @@ def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
         If the combined rank would exceed the row count; use
         ``dense_fallback`` in that regime.
     """
-    u, bc = _augment(q, b, (x,), sign)
+    q, b, blocks, w = _checked(q, b, (x,), sign)
+    _check_orthonormal(q, "q")
+    u, bc, _ = _two_pass(q, b, blocks, w)
     return np.hstack([q, u]), bc
 
 
-def _augment(q, b, blocks, sign) -> tuple[np.ndarray, np.ndarray]:
-    """Novelty basis U and core Bc of ``augment`` for ``Z = [blocks]``,
-    validating every array.
-
-    Returns U rather than ``[Q U]``, and Z is never concatenated: the
-    projection residual is written in place into one buffer.
-    """
-    q = _as_matrix(q, "q")
+def _checked(q, b, blocks, sign):
+    """The arrays of one augmentation of ``Z = [blocks]``, validated: finite,
+    matching rows, one sign of +-1 per column, rank <= m. Returns
+    ``(q, b, blocks, w)`` with w the sign vector; q's orthonormality is left
+    to the caller."""
+    q, blocks = _checked_blocks(q, blocks)
     b = _as_matrix(b, "b")
-    blocks = [_as_matrix(x, "x") for x in blocks]
     m, n = q.shape
     k = sum(x.shape[1] for x in blocks)
     w = np.asarray(sign, dtype=float)
@@ -205,27 +229,119 @@ def _augment(q, b, blocks, sign) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(
             f"combined rank {n + k} exceeds dimension {m}; use dense_fallback"
         )
-    p, res = _residual(q, blocks)
+    return q, b, blocks, w
+
+
+def _signed_core(b, p, r, w) -> np.ndarray:
+    """The core ``[[B + P W P^T, P W R^T], [R W P^T, R W R^T]]`` of
+    ``Z = Q P + U R`` with column signs w, symmetrized."""
+    pw = p * w
+    cross = pw @ r.T
+    bc = np.block([[b + pw @ p.T, cross], [cross.T, (r * w) @ r.T]])
+    return (bc + bc.T) / 2.0
+
+
+def _two_pass(q, b, blocks, w):
+    """Novelty basis U, core and dropped count of the two-pass route: the
+    residual of Z after two projections, then its thin SVD. Singular values
+    at or below ``RANK_EPS`` of the scale are dropped with their directions."""
+    p, res = _project(q, blocks)
     svd = thin_svd(res)
     smax = float(svd.S[0]) if svd.S.size else 0.0
     eps_rank = RANK_EPS * max(smax, math.hypot(*(_fro(x) for x in blocks)))
     kp = int(np.count_nonzero(svd.S > eps_rank))
-    u = svd.U[:, :kp]
     r = svd.S[:kp, None] * svd.V[:, :kp].T
-    pw = p * w
-    cross = pw @ r.T
-    bc = np.block([[b + pw @ p.T, cross], [cross.T, (r * w) @ r.T]])
-    return u, (bc + bc.T) / 2.0
+    return svd.U[:, :kp], _signed_core(b, p, r, w), svd.S.size - kp
 
 
-def _rotate(q: np.ndarray, v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-    """``[q u] @ v`` written once into a fresh 64-byte-aligned array, without
-    building ``[q u]``."""
+def _gram(q, b, blocks, w):
+    """``(P, R, core, ratio)`` of the Gram route, or None where it is unsafe.
+
+    One Gram of ``[Q Z]``, summed over row blocks, gives ``Q^T Q`` (the
+    orthonormality test of q), ``P = Q^T Z`` and ``Z^T Z``; R is the Cholesky
+    factor of ``Z^T Z - P^T P``. Z is first divided by an exact power of 2 so
+    the products neither overflow nor go subnormal; P and R are scaled back
+    exactly. None when Z is empty, the Cholesky fails or
+    ``sigma_min(R) < GRAM_MIN_RATIO * ||Z||_F``.
+    """
+    scale = _safe_scale(*blocks)
+    zs = blocks if scale == 1.0 else [x / scale for x in blocks]
+    g = _block_gram([q, *zs])
     n = q.shape[1]
-    out = _aligned_empty((q.shape[0], v.shape[1]))
-    np.matmul(q, v[:n], out=out)
-    if u is not None and u.shape[1]:
-        out += u @ v[n:]
+    _check_orthonormal(q, "q", g[:n, :n])
+    if w.size == 0:
+        return None
+    p, zz = g[:n, n:], g[n:, n:]
+    try:
+        r = np.linalg.cholesky(zz - p.T @ p).T
+    except np.linalg.LinAlgError:
+        return None
+    # sigma_min of the k-by-k R, not min R_ii, which only bounds it from above
+    ratio = float(np.linalg.svd(r, compute_uv=False)[-1]) / math.sqrt(np.trace(zz))
+    if not ratio >= GRAM_MIN_RATIO:
+        return None
+    p, r = p * scale, r * scale
+    return p, r, _signed_core(b, p, r, w), ratio
+
+
+def _block_gram(parts) -> np.ndarray:
+    """``A^T A`` for ``A = [parts]``, without concatenating the parts: each
+    block product is summed over row blocks."""
+    edges = np.cumsum([0] + [a.shape[1] for a in parts])
+    g = np.zeros((edges[-1], edges[-1]))
+    pairs = [(i, j) for i in range(len(parts)) for j in range(i, len(parts))
+             if parts[i].shape[1] and parts[j].shape[1]]
+    for rows in _row_blocks(parts[0].shape[0], edges[-1]):
+        for i, j in pairs:
+            g[edges[i]:edges[i + 1], edges[j]:edges[j + 1]] += parts[i][rows].T @ parts[j][rows]
+    return np.triu(g) + np.triu(g, 1).T
+
+
+@dataclass(frozen=True)
+class _Core:
+    """Eigendecomposition of the core and what lifts its eigenvectors to R^m.
+
+    An eigenvector ``v = [v1; v2]`` of the core lifts to ``Q v1 + U v2``. The
+    two-pass route holds U, the only block. The Gram route never forms U:
+    with ``C = R^-1 v2`` the lift is ``Q (v1 - P C) + X C_x + Y C_y``.
+    """
+
+    route: str
+    eig: SymEig
+    blocks: tuple
+    p: np.ndarray | None = None
+    r: np.ndarray | None = None
+    novelty_ratio: float | None = None
+    dropped: int = 0
+
+    def lift(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``[Q U] @ v`` for core eigenvectors v, in a 64-byte-aligned array."""
+        n = q.shape[1]
+        v1, c = v[:n], v[n:]
+        if self.r is not None:
+            c = np.linalg.solve(self.r, c)  # R is triangular, so LU does not pivot
+            v1 = v1 - self.p @ c
+        ends = np.cumsum([x.shape[1] for x in self.blocks])[:-1]
+        return _rotate(q, v1, self.blocks, np.split(c, ends))
+
+
+def _rotate(q: np.ndarray, v1: np.ndarray, blocks=(), coeffs=()) -> np.ndarray:
+    """``q @ v1 + sum_i blocks[i] @ coeffs[i]`` written once into a fresh
+    64-byte-aligned array, without concatenating the blocks."""
+    m = q.shape[0]
+    out = _aligned_empty((m, v1.shape[1]))
+    terms = [(x, c) for x, c in zip(blocks, coeffs, strict=True) if x.shape[1]]
+    width = q.shape[1] + sum(x.shape[1] for x, _ in terms) + v1.shape[1]
+    rows = _row_blocks(m, width)
+    # one row block of a product, kept in cache until it is added
+    tmp = np.empty_like(out[rows[0]]) if rows else None
+    for r in rows:
+        o = out[r]
+        np.matmul(q[r], v1, out=o)
+        for x, c in terms:
+            t = tmp[:o.shape[0]]
+            np.matmul(x[r], c, out=t)
+            o += t
     return out
 
 
@@ -240,15 +356,20 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
     return EigenFactor(alpha, _rotate(q_a, eig.E), eig.D)
 
 
-def _core_eig(factor: LowRankFactor, data: WeightedData) -> tuple[np.ndarray, SymEig]:
-    """``fast_eigh`` before its rotation: the novelty basis U and the core's
-    eigendecomposition, whose eigenvectors up in R^m are ``[Q U] @ eig.E``."""
+def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
+    """``fast_eigh`` before its lift: the route taken and the core's
+    eigendecomposition, whose eigenvectors lift to R^m by ``_Core.lift``."""
     m = factor.dim
     if data.dim != m:
         raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
     sign = np.concatenate([np.ones(data.X.shape[1]), -np.ones(data.Y.shape[1])])
-    u, b_a = _augment(factor.Q, factor.B, (data.X, data.Y), sign)
-    return u, symmetric_eig(b_a)
+    q, b, blocks, w = _checked(factor.Q, factor.B, (data.X, data.Y), sign)
+    gram = _gram(q, b, blocks, w)
+    if gram is not None:
+        p, r, bc, ratio = gram
+        return _Core("gram", symmetric_eig(bc), tuple(blocks), p, r, ratio)
+    u, bc, dropped = _two_pass(q, b, blocks, w)
+    return _Core("two-pass", symmetric_eig(bc), (u,), dropped=dropped)
 
 
 def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenFactor:
@@ -263,8 +384,8 @@ def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenF
     DimensionError
         If n + nx + ny > m; use ``dense_fallback`` there instead.
     """
-    u, eig = _core_eig(factor, data)
-    return EigenFactor(alpha, _rotate(factor.Q, eig.E, u), eig.D)
+    core = _core_eig(factor, data)
+    return EigenFactor(alpha, core.lift(factor.Q, core.eig.E), core.eig.D)
 
 
 def svd_route(alpha: float, x) -> EigenFactor:

@@ -27,7 +27,6 @@ from .fast_eigh import (
     LowRankFactor,
     WeightedData,
     _core_eig,
-    _rotate,
     dense_fallback,
     factor_to_eig,
 )
@@ -94,12 +93,19 @@ class UpdateStats:
 
     ``path`` is the decomposition that ran: ``"fast"``, ``"dense"`` (the
     combined rank exceeded m) or ``"decay"`` (an effectively empty batch).
+    On the fast path, ``route`` is ``"gram"`` or ``"two-pass"``,
+    ``novelty_ratio`` is ``sigma_min(R) / ||Z||_F`` on the Gram route, and
+    ``dropped`` counts the novelty directions the two-pass route cut at
+    ``RANK_EPS``; off the fast path they are None, None and 0.
     """
 
     path: str
     floored: int
     truncated: bool
     tau: int | None = None
+    route: str | None = None
+    novelty_ratio: float | None = None
+    dropped: int = 0
 
 
 @dataclass(frozen=True)
@@ -229,8 +235,8 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
         )
         if model.rank + nx + ny <= m:
             path, alpha = "fast", decayed_alpha
-            u, eig = _core_eig(decayed, data)
-            d = eig.D
+            core = _core_eig(decayed, data)
+            d = core.eig.D
         else:
             path = "dense"
             ef = dense_fallback(decayed_alpha, decayed, data)
@@ -249,8 +255,10 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
         floored += refloored
 
     if path == "fast":
-        ef = EigenFactor(alpha, _rotate(model.factor.Q, eig.E[:, columns], u), d)
+        ef = EigenFactor(alpha, core.lift(model.factor.Q, core.eig.E[:, columns]), d)
+        route, ratio, dropped = core.route, core.novelty_ratio, core.dropped
     else:
         ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)
-    stats = UpdateStats(path=path, floored=floored, truncated=tau is not None, tau=tau)
+        route, ratio, dropped = None, None, 0
+    stats = UpdateStats(path, floored, tau is not None, tau, route, ratio, dropped)
     return MetricModel(_unchecked(LowRankFactor, ef.alpha, ef.E, np.diag(ef.D)), ef, stats)

@@ -193,14 +193,14 @@ class TestFastEigh:
 
     def test_one_signed_augmentation(self, monkeypatch):
         module = importlib.import_module("loweig.fast_eigh")
-        original = module._augment
+        original = module._signed_core
         calls = []
 
-        def counting(q, b, blocks, sign):
+        def counting(b, p, r, sign):
             calls.append(np.asarray(sign).copy())
-            return original(q, b, blocks, sign)
+            return original(b, p, r, sign)
 
-        monkeypatch.setattr(module, "_augment", counting)
+        monkeypatch.setattr(module, "_signed_core", counting)
         rng = np.random.default_rng(58)
         alpha, factor, data = random_instance(rng, 10, 2, 3, 2)
         fast_eigh(alpha, factor, data)

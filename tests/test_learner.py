@@ -220,19 +220,80 @@ class TestRotateOnce:
         # count past m - rank_cap goes through the dense fallback
         cfg = UpdateConfig(decay=0.9, gain=0.8, rank_cap=rank_cap, floor=0.3)
         model = MetricModel.identity(m, 1.0)
-        seen = set()
-        for count in [2, 0, 3, 1, 8, 0, 4, 2, 7, 3, 0, 5]:
-            batch = LabeledBatch(rng.standard_normal((count, m)), rng.choice([-1.0, 1.0], count))
+        seen, routes = set(), set()
+        for step, count in enumerate([2, 0, 3, 1, 8, 0, 4, 2, 7, 3, 0, 5]):
+            vectors = rng.standard_normal((count, m))
+            weights = rng.choice([-1.0, 1.0], count)
+            if step % 2 and count >= 2:
+                # a vector repeated with the opposite weight cancels, so the
+                # novelty is rank deficient and takes the two-pass route
+                vectors[-1], weights[-1] = vectors[0], -weights[0]
+            batch = LabeledBatch(vectors, weights)
             ef, count_ref, tau = reference_update(model, batch, cfg)
             model = update(model, batch, cfg)
             stats = model.stats
             seen.add((stats.path, stats.truncated))
+            routes.add(stats.route)
             assert (stats.tau, stats.floored, model.rank) == (tau, count_ref, ef.rank)
             assert model.eigen.alpha == pytest.approx(ef.alpha, rel=1e-12)
             assert_allclose(model.eigen.alpha + model.eigen.D, ef.alpha + ef.D,
                             rtol=1e-12, atol=0)
             assert_allclose(model.eigen.E, ef.E, rtol=0, atol=1e-12)
         assert {("fast", False), ("fast", True), ("dense", True), ("decay", False)} <= seen
+        assert {"gram", "two-pass"} <= routes
+
+
+class TestUpdateDiagnostics:
+    """``route``, ``novelty_ratio`` and ``dropped`` against the novelty of the
+    step's ``Z = [X Y]`` outside span(Q), computed densely."""
+
+    m, cfg = 12, UpdateConfig(decay=0.9, gain=0.5, rank_cap=6)
+
+    def model(self):
+        rng = np.random.default_rng(0)
+        return MetricModel.from_factor(random_factor(rng, self.m, 3, alpha=2.0))
+
+    def step(self, vectors, weights):
+        """The stats of one update, and the dense ``(ratio, dropped)``."""
+        model = self.model()
+        batch = LabeledBatch(vectors, weights)
+        data = WeightedData.from_weighted(vectors, self.cfg.gain * batch.weights, dim=self.m)
+        z, q = np.hstack([data.X, data.Y]), model.factor.Q
+        res = z - q @ (q.T @ z)
+        res -= q @ (q.T @ res)
+        ratio = np.linalg.svd(res, compute_uv=False)[-1] / np.linalg.norm(z)
+        dropped = z.shape[1] - (np.linalg.matrix_rank(np.hstack([q, z])) - q.shape[1])
+        return update(model, batch, self.cfg).stats, ratio, dropped
+
+    def test_gram_route(self):
+        rng = np.random.default_rng(40)
+        stats, ratio, dropped = self.step(rng.standard_normal((3, self.m)), [1.0, -1.0, 1.0])
+        assert (stats.path, stats.route, stats.dropped, dropped) == ("fast", "gram", 0, 0)
+        assert stats.novelty_ratio == pytest.approx(ratio, rel=1e-8)
+
+    def test_cancelling_pair_takes_two_pass(self):
+        rng = np.random.default_rng(41)
+        v = rng.standard_normal((2, self.m))
+        stats, _, dropped = self.step(v[[0, 1, 0]], [1.0, 1.0, -1.0])
+        assert (stats.route, stats.novelty_ratio) == ("two-pass", None)
+        assert stats.dropped == dropped == 1
+
+    def test_vector_inside_span_takes_two_pass(self):
+        rng = np.random.default_rng(42)
+        inside = self.model().factor.Q @ rng.standard_normal(3)
+        vectors = np.vstack([inside, rng.standard_normal(self.m)])
+        stats, ratio, dropped = self.step(vectors, [-1.0, 1.0])
+        assert (stats.route, stats.novelty_ratio) == ("two-pass", None)
+        assert ratio < 1e-12
+        assert stats.dropped == dropped == 1
+
+    @pytest.mark.parametrize("count", [0, 10])
+    def test_off_the_fast_path(self, count):
+        rng = np.random.default_rng(43)
+        batch = LabeledBatch(rng.standard_normal((count, self.m)), np.ones(count))
+        stats = update(self.model(), batch, self.cfg).stats
+        assert stats.path == ("decay" if count == 0 else "dense")
+        assert (stats.route, stats.novelty_ratio, stats.dropped) == (None, None, 0)
 
 
 class TestUpdate:

@@ -1,0 +1,178 @@
+"""The fast path's two routes against the dense oracle.
+
+``fast_eigh`` takes the Gram route (P and R from one Gram of ``[Q X Y]`` and
+a Cholesky factor) when ``sigma_min(R) >= GRAM_MIN_RATIO * ||Z||_F``, and the
+two-pass route (two projections and an SVD of the residual) otherwise. Each
+test states which route its instance must take, from a dense computation of
+the novelty, and checks the result against ``dense_fallback`` at the suite's
+usual tolerances.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from loweig import LowRankFactor, WeightedData, dense_fallback, fast_eigh, materialize
+from loweig.fast_eigh import GRAM_MIN_RATIO, _core_eig, _gram
+
+from helpers import random_orthonormal, random_symmetric
+
+
+def dense_novelty(q, z):
+    """``(sigma_min / ||Z||_F, rank)`` of Z's part outside span(q), densely."""
+    res = z - q @ (q.T @ z)
+    res -= q @ (q.T @ res)
+    s = np.linalg.svd(res, compute_uv=False)
+    rank = np.linalg.matrix_rank(np.hstack([q, z])) - q.shape[1]
+    return s[-1] / np.linalg.norm(z), rank
+
+
+def expected_route(ratio):
+    return "gram" if ratio >= GRAM_MIN_RATIO else "two-pass"
+
+
+def assert_matches_dense(alpha, factor, data, scale=1.0):
+    """Spectrum, orthonormality and eigen-residuals of ``fast_eigh`` against
+    ``dense_fallback``; ``scale`` is the spectrum's order of magnitude."""
+    ef = fast_eigh(alpha, factor, data)
+    dense = dense_fallback(alpha, factor, data)
+    assert_allclose(ef.full_spectrum(), dense.D, rtol=0, atol=1e-9 * scale)
+    assert np.linalg.norm(ef.E.T @ ef.E - np.eye(ef.rank)) <= 1e-9
+    # divided by the scale so that the norms neither overflow nor underflow
+    a = materialize(alpha, factor, data) / scale
+    for i in range(ef.rank):
+        v = ef.E[:, i]
+        lam = (ef.alpha + ef.D[i]) / scale
+        assert np.linalg.norm(a @ v - lam * v) <= 1e-8 * np.linalg.norm(a)
+
+
+def near_span_instance(rng, eps, m=40, n=6, nx=3, ny=3):
+    """``Z = Q C + eps G``: novelty of relative size ~eps outside span(Q)."""
+    q = random_orthonormal(rng, m, n)
+    factor = LowRankFactor(1.0, q, random_symmetric(rng, n))
+    z = (q @ rng.standard_normal((n, nx + ny)) + eps * rng.standard_normal((m, nx + ny)))
+    return factor, WeightedData(z[:, :nx] / math.sqrt(m), z[:, nx:] / math.sqrt(m))
+
+
+class TestRouting:
+    @pytest.mark.parametrize(
+        "eps, route",
+        [(1e-1, "gram"), (3e-2, "gram"), (1e-3, "two-pass"), (1e-4, "two-pass"),
+         (1e-5, "two-pass"), (1e-6, "two-pass"), (1e-7, "two-pass"), (1e-8, "two-pass")],
+    )
+    def test_near_span_novelty(self, eps, route):
+        rng = np.random.default_rng([11, round(-math.log10(eps) * 10)])
+        factor, data = near_span_instance(rng, eps)
+        ratio, _ = dense_novelty(factor.Q, np.hstack([data.X, data.Y]))
+        assert expected_route(ratio) == route
+        core = _core_eig(factor, data)
+        assert core.route == route
+        if route == "gram":
+            assert core.novelty_ratio == pytest.approx(ratio, rel=1e-8)
+            assert core.dropped == 0
+        else:
+            assert core.novelty_ratio is None
+        assert_matches_dense(1.0, factor, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-8.0, -1.0))
+    def test_near_span_property(self, seed, log_eps):
+        rng = np.random.default_rng(seed)
+        factor, data = near_span_instance(rng, 10.0**log_eps)
+        ratio, _ = dense_novelty(factor.Q, np.hstack([data.X, data.Y]))
+        core = _core_eig(factor, data)
+        # the Gram route's own ratio differs from the dense one by rounding
+        if abs(math.log10(ratio / GRAM_MIN_RATIO)) > 1e-3:
+            assert core.route == expected_route(ratio)
+        assert_matches_dense(1.0, factor, data)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_cancellation(self, seed):
+        rng = np.random.default_rng([seed, 21])
+        q = random_orthonormal(rng, 12, 2)
+        factor = LowRankFactor(1.0, q, random_symmetric(rng, 2))
+        x = rng.standard_normal((12, 3)) / math.sqrt(12)
+        data = WeightedData(x, x)
+        core = _core_eig(factor, data)
+        assert (core.route, core.novelty_ratio, core.dropped) == ("two-pass", None, 3)
+        assert_matches_dense(1.0, factor, data)
+
+    @pytest.mark.parametrize("n, nx, ny", [(3, 3, 2), (0, 4, 4), (5, 0, 3), (6, 2, 0)])
+    def test_full_rank_square(self, n, nx, ny):
+        rng = np.random.default_rng([n, nx, ny])
+        m = n + nx + ny
+        factor = LowRankFactor(1.0, random_orthonormal(rng, m, n), random_symmetric(rng, n))
+        data = WeightedData(rng.standard_normal((m, nx)), rng.standard_normal((m, ny)))
+        ratio, rank = dense_novelty(factor.Q, np.hstack([data.X, data.Y]))
+        core = _core_eig(factor, data)
+        assert core.route == expected_route(ratio)
+        assert core.dropped == nx + ny - rank
+        assert_matches_dense(1.0, factor, data, scale=float(m))
+
+    def test_square_reaches_both_routes(self):
+        routes = set()
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 8])
+            factor = LowRankFactor(1.0, random_orthonormal(rng, 8, 3), random_symmetric(rng, 3))
+            data = WeightedData(rng.standard_normal((8, 3)), rng.standard_normal((8, 2)))
+            routes.add(_core_eig(factor, data).route)
+            assert_matches_dense(1.0, factor, data, scale=8.0)
+        assert routes == {"gram", "two-pass"}
+
+    @pytest.mark.parametrize("case", ["zero column", "repeated column", "y inside x",
+                                      "x inside q"])
+    def test_rank_deficient_blocks(self, case):
+        rng = np.random.default_rng(len(case))
+        m, n = 15, 3
+        q = random_orthonormal(rng, m, n)
+        factor = LowRankFactor(1.0, q, random_symmetric(rng, n))
+        x = rng.standard_normal((m, 3)) / math.sqrt(m)
+        y = rng.standard_normal((m, 2)) / math.sqrt(m)
+        if case == "zero column":
+            x[:, 1] = 0.0
+        elif case == "repeated column":
+            x[:, 2] = x[:, 0]
+        elif case == "y inside x":
+            y = x @ rng.standard_normal((3, 2))
+        else:
+            x = q @ rng.standard_normal((n, 3))
+        data = WeightedData(x, y)
+        _, rank = dense_novelty(q, np.hstack([x, y]))
+        core = _core_eig(factor, data)
+        assert core.route == "two-pass"
+        assert core.dropped == 5 - rank > 0
+        assert_matches_dense(1.0, factor, data)
+
+    @pytest.mark.parametrize("exponent", [-150, 150])
+    def test_extreme_scales_end_to_end(self, exponent):
+        rng = np.random.default_rng(exponent + 150)
+        alpha, factor, data = 1.0, *near_span_instance(rng, 1.0, m=20, n=3, nx=2, ny=2)
+        ratio = _core_eig(factor, data).novelty_ratio
+        s = 10.0**exponent
+        scaled_factor = LowRankFactor(alpha * s * s, factor.Q, factor.B * (s * s))
+        scaled_data = WeightedData(data.X * s, data.Y * s)
+        core = _core_eig(scaled_factor, scaled_data)
+        assert core.route == "gram"
+        assert core.novelty_ratio == pytest.approx(ratio, rel=1e-12)
+        assert_matches_dense(alpha * s * s, scaled_factor, scaled_data, scale=s * s)
+
+    @pytest.mark.parametrize("exponent", [-160, -150, 150, 160])
+    def test_gram_factor_scales_exactly(self, exponent):
+        # at 1e+-160 the squares leave the normal range: without the power-of-2
+        # pre-scaling they overflow or keep only a few digits
+        rng = np.random.default_rng(exponent + 160)
+        factor, data = near_span_instance(rng, 1.0, m=20, n=3, nx=2, ny=2)
+        w = np.array([1.0, 1.0, -1.0, -1.0])
+        p, r, _, ratio = _gram(factor.Q, factor.B, [data.X, data.Y], w)
+        s = 10.0**exponent
+        with np.errstate(over="ignore"):  # the core itself overflows at 1e160
+            scaled = _gram(factor.Q, factor.B, [data.X * s, data.Y * s], w)
+        assert scaled is not None
+        ps, rs, _, ratio_s = scaled
+        assert np.linalg.norm(ps / s - p) <= 1e-12 * np.linalg.norm(p)
+        assert np.linalg.norm(rs / s - r) <= 1e-12 * np.linalg.norm(r)
+        assert ratio_s == pytest.approx(ratio, rel=1e-12)
