@@ -9,11 +9,11 @@ into a 64-byte-aligned result; ``[X Y]`` and ``[Q U]`` are never built.
 only the columns it keeps. P and R come from one of two routes:
 
 - The Gram route, tried first. One Gram of ``[Q X Y]``, summed block by
-  block, gives ``Q^T Q`` (the orthonormality test of Q), ``P = Q^T Z`` and
-  ``Z^T Z``; R is the Cholesky factor of ``Z^T Z - P^T P``, the small-matrix
-  step of CholeskyQR (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014,
-  "CholeskyQR2"). U is never formed: with ``C = R^-1 V2`` the lift is
-  ``Q (V1 - P C) + X C_x + Y C_y``. That is two passes over the m-row data.
+  block, gives ``P = Q^T Z`` and ``Z^T Z``; R is the Cholesky factor of
+  ``Z^T Z - P^T P``, the small-matrix step of CholeskyQR (Fukaya,
+  Nakatsukasa, Yanagisawa & Yamamoto 2014, "CholeskyQR2"). U is never
+  formed: with ``C = R^-1 V2`` the lift is ``Q (V1 - P C) + X C_x + Y C_y``.
+  That is two passes over the m-row data.
 - The two-pass route: Z is projected out of span(Q) twice and the residual
   goes through a thin SVD, which drops directions at or below ``RANK_EPS``.
 
@@ -25,6 +25,33 @@ public ``augment``, which returns ``[Q U]``, is always two-pass.
 ``factor_to_eig`` lifts a basis given whole. ``svd_route`` and
 ``dense_fallback`` are the nonnegative-weight baseline and the O(m^3)
 always-correct path.
+
+Each invariant is verified once per array, where the array enters, and is
+read off a Gram the call computes anyway where one exists:
+
+=============================  ===================  =========================
+check                          where it runs        what supplies it
+=============================  ===================  =========================
+Q finite and orthonormal       ``LowRankFactor``    the Gram ``Q^T Q``
+B finite and symmetric         ``LowRankFactor``    a scan of B
+X, Y finite                    ``WeightedData``     a scan of X and Y
+Q, X, Y finite; Z's scale      ``_scaled_gram``     the Gram of ``[Q X Y]``
+core finite (no overflow)      ``_core_eig``        a scan of the small core
+E finite and orthonormal       ``EigenFactor``      the Gram ``E^T E``
+=============================  ===================  =========================
+
+A Gram's diagonal entry ``sum_i a_ij^2`` is finite exactly when column j is
+finite and no square overflowed, so the O(m r) finiteness scans run only
+behind a non-finite Gram, to name the array. The fast path does not test Q
+again: the ``EigenFactor`` check of E also catches a Q changed after its
+factor was built. Every column of the lift is kept, and on the Gram route
+``E^T E - I = W^T (Q^T Q - I) W`` with ``W = [I, -P R^-1] V``, whose
+singular values are all >= 1, so ``||E^T E - I|| >= ||Q^T Q - I||``. Bases
+the library builds (the lifted E, ``factor_to_eig``'s E and the learner's
+gathered columns) are read-only, so the learner's next-step Q, checked as
+the previous step's E, cannot change before it is used. The public
+``augment`` and ``orthonormal_residual`` take raw arrays and keep their own
+checks.
 """
 
 from __future__ import annotations
@@ -38,6 +65,7 @@ from .kernels import (
     DimensionError,
     SymEig,
     _aligned_empty,
+    _as_2d,
     _as_matrix,
     _check_orthonormal,
     _checked_blocks,
@@ -75,7 +103,7 @@ class LowRankFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "Q", _as_matrix(self.Q, "Q"))
+        object.__setattr__(self, "Q", _as_2d(self.Q, "Q"))
         object.__setattr__(self, "B", _as_matrix(self.B, "B"))
         if not math.isfinite(self.alpha) or self.alpha < 0.0:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
@@ -162,7 +190,7 @@ class EigenFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "E", _as_matrix(self.E, "E"))
+        object.__setattr__(self, "E", _as_2d(self.E, "E"))
         object.__setattr__(self, "D", np.asarray(self.D, dtype=float))
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
@@ -205,18 +233,17 @@ def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
         If the combined rank would exceed the row count; use
         ``dense_fallback`` in that regime.
     """
-    q, b, blocks, w = _checked(q, b, (x,), sign)
+    q, blocks = _checked_blocks(q, (x,))
+    b, w = _checked(q, b, blocks, sign)
     _check_orthonormal(q, "q")
     u, bc, _ = _two_pass(q, b, blocks, w)
-    return np.hstack([q, u]), bc
+    return np.hstack([q, u]), _finite_core(bc)
 
 
 def _checked(q, b, blocks, sign):
-    """The arrays of one augmentation of ``Z = [blocks]``, validated: finite,
-    matching rows, one sign of +-1 per column, rank <= m. Returns
-    ``(q, b, blocks, w)`` with w the sign vector; q's orthonormality is left
-    to the caller."""
-    q, blocks = _checked_blocks(q, blocks)
+    """The core and signs of one augmentation of ``Z = [blocks]`` onto q, whose
+    arrays the caller has checked: b finite, one sign of +-1 per column,
+    rank <= m. Returns ``(b, w)`` with w the sign vector."""
     b = _as_matrix(b, "b")
     m, n = q.shape
     k = sum(x.shape[1] for x in blocks)
@@ -229,16 +256,26 @@ def _checked(q, b, blocks, sign):
         raise DimensionError(
             f"combined rank {n + k} exceeds dimension {m}; use dense_fallback"
         )
-    return q, b, blocks, w
+    return b, w
 
 
 def _signed_core(b, p, r, w) -> np.ndarray:
     """The core ``[[B + P W P^T, P W R^T], [R W P^T, R W R^T]]`` of
-    ``Z = Q P + U R`` with column signs w, symmetrized."""
+    ``Z = Q P + U R`` with column signs w, symmetrized, hence exactly
+    symmetric. It may overflow without a warning; ``_finite_core`` tests it."""
     pw = p * w
-    cross = pw @ r.T
-    bc = np.block([[b + pw @ p.T, cross], [cross.T, (r * w) @ r.T]])
-    return (bc + bc.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = pw @ r.T
+        bc = np.block([[b + pw @ p.T, cross], [cross.T, (r * w) @ r.T]])
+        return (bc + bc.T) / 2.0
+
+
+def _finite_core(bc: np.ndarray) -> np.ndarray:
+    """``bc``, or ``ValueError`` if it overflowed: P and R are finite, but at
+    data scales near 1e154 and above their squares are not."""
+    if not np.all(np.isfinite(bc)):
+        raise ValueError("the spectrum overflows float64 at this data scale")
+    return bc
 
 
 def _two_pass(q, b, blocks, w):
@@ -257,21 +294,13 @@ def _two_pass(q, b, blocks, w):
 def _gram(q, b, blocks, w):
     """``(P, R, core, ratio)`` of the Gram route, or None where it is unsafe.
 
-    One Gram of ``[Q Z]``, summed over row blocks, gives ``Q^T Q`` (the
-    orthonormality test of q), ``P = Q^T Z`` and ``Z^T Z``; R is the Cholesky
-    factor of ``Z^T Z - P^T P``. Z is first divided by an exact power of 2 so
-    the products neither overflow nor go subnormal; P and R are scaled back
-    exactly. None when Z is empty, the Cholesky fails or
-    ``sigma_min(R) < GRAM_MIN_RATIO * ||Z||_F``.
+    ``P = Q^T Z`` and ``Z^T Z`` come from ``_scaled_gram``; R is the Cholesky
+    factor of ``Z^T Z - P^T P``. P and R are scaled back exactly. None when Z
+    is empty, the Cholesky fails or ``sigma_min(R) < GRAM_MIN_RATIO * ||Z||_F``.
     """
-    scale = _safe_scale(*blocks)
-    zs = blocks if scale == 1.0 else [x / scale for x in blocks]
-    g = _block_gram([q, *zs])
-    n = q.shape[1]
-    _check_orthonormal(q, "q", g[:n, :n])
     if w.size == 0:
         return None
-    p, zz = g[:n, n:], g[n:, n:]
+    p, zz, scale = _scaled_gram(q, blocks)
     try:
         r = np.linalg.cholesky(zz - p.T @ p).T
     except np.linalg.LinAlgError:
@@ -284,17 +313,64 @@ def _gram(q, b, blocks, w):
     return p, r, _signed_core(b, p, r, w), ratio
 
 
-def _block_gram(parts) -> np.ndarray:
-    """``A^T A`` for ``A = [parts]``, without concatenating the parts: each
-    block product is summed over row blocks."""
+# _scaled_gram keeps the unscaled Gram when the largest diagonal entry d of
+# Z^T Z lies in [m * _GRAM_LOW, _GRAM_HIGH]: then max|z| lies inside
+# _safe_scale's [1e-70, 1e70] band, whose scale is 1.0, and no entry of Z^T Z
+# (each bounded by the diagonal) overflowed. The factor 2 on each side covers
+# the Gram's rounding.
+_GRAM_LOW = 2e-140
+_GRAM_HIGH = 0.5e140
+
+
+def _scaled_gram(q, blocks):
+    """``(P, Z^T Z, scale)`` for ``Z = [blocks] / scale``, ``P = Q^T Z`` and
+    ``scale = _safe_scale(*blocks)``, an exact power of 2 that keeps the
+    products from overflowing or going subnormal.
+
+    The unscaled Gram comes first, and its finiteness and diagonal decide
+    the scale: a finite Gram whose largest diagonal entry lies in the band
+    above has scale 1.0, and q and the blocks are finite. Any other input
+    (zero, extreme or non-finite) gets ``_as_matrix``'s scans, which raise
+    its message on a non-finite entry, and ``_safe_scale``; the Gram is
+    redone on the scaled blocks. The orthonormality of q was tested where its
+    factor was built; here P gives only the bound ``||Q^T Z||_F <= ||Z||_F``
+    for free.
+    """
+    m = q.shape[0]
+    p, zz = _block_gram(q, blocks)
+    dmax = float(np.max(np.diagonal(zz)))
+    scale = 1.0
+    if not (np.all(np.isfinite(p)) and m * _GRAM_LOW <= dmax <= _GRAM_HIGH):
+        q, blocks = _checked_blocks(q, blocks)
+        scale = _safe_scale(*blocks)
+        if scale != 1.0:
+            p, zz = _block_gram(q, [x / scale for x in blocks])
+    # An orthonormal q has ||Q^T Z||_F <= ||Z||_F (Bessel). A q scaled up in
+    # place after its factor was built breaks that, and by 1e50 or so the
+    # core overflows before the check of E could name q.
+    if not (np.all(np.isfinite(p)) and _fro(p) <= 2.0 * math.sqrt(np.trace(zz))):
+        raise ValueError("q does not have orthonormal columns")
+    return p, zz, scale
+
+
+def _block_gram(q, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q^T Z, Z^T Z)`` for ``Z = [blocks]``, without concatenating the
+    blocks: each block product is summed over row blocks. Non-finite results
+    raise no warning; the caller tests them."""
+    parts = [q, *blocks]
+    n = q.shape[1]
     edges = np.cumsum([0] + [a.shape[1] for a in parts])
-    g = np.zeros((edges[-1], edges[-1]))
-    pairs = [(i, j) for i in range(len(parts)) for j in range(i, len(parts))
+    g = np.zeros((edges[-1], edges[-1] - n))
+    pairs = [(i, j) for i in range(len(parts)) for j in range(max(i, 1), len(parts))
              if parts[i].shape[1] and parts[j].shape[1]]
-    for rows in _row_blocks(parts[0].shape[0], edges[-1]):
-        for i, j in pairs:
-            g[edges[i]:edges[i + 1], edges[j]:edges[j + 1]] += parts[i][rows].T @ parts[j][rows]
-    return np.triu(g) + np.triu(g, 1).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(q.shape[0], edges[-1]):
+            for i, j in pairs:
+                g[edges[i]:edges[i + 1], edges[j] - n:edges[j + 1] - n] += (
+                    parts[i][rows].T @ parts[j][rows]
+                )
+    zz = g[n:]
+    return g[:n], np.triu(zz) + np.triu(zz, 1).T
 
 
 @dataclass(frozen=True)
@@ -327,7 +403,8 @@ class _Core:
 
 def _rotate(q: np.ndarray, v1: np.ndarray, blocks=(), coeffs=()) -> np.ndarray:
     """``q @ v1 + sum_i blocks[i] @ coeffs[i]`` written once into a fresh
-    64-byte-aligned array, without concatenating the blocks."""
+    64-byte-aligned array, without concatenating the blocks. The result is
+    read-only, so a basis checked once cannot change before it is used."""
     m = q.shape[0]
     out = _aligned_empty((m, v1.shape[1]))
     terms = [(x, c) for x, c in zip(blocks, coeffs, strict=True) if x.shape[1]]
@@ -342,6 +419,7 @@ def _rotate(q: np.ndarray, v1: np.ndarray, blocks=(), coeffs=()) -> np.ndarray:
             t = tmp[:o.shape[0]]
             np.matmul(x[r], c, out=t)
             o += t
+    out.flags.writeable = False
     return out
 
 
@@ -363,13 +441,14 @@ def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     if data.dim != m:
         raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
     sign = np.concatenate([np.ones(data.X.shape[1]), -np.ones(data.Y.shape[1])])
-    q, b, blocks, w = _checked(factor.Q, factor.B, (data.X, data.Y), sign)
+    q, blocks = factor.Q, [data.X, data.Y]
+    b, w = _checked(q, factor.B, blocks, sign)
     gram = _gram(q, b, blocks, w)
     if gram is not None:
         p, r, bc, ratio = gram
-        return _Core("gram", symmetric_eig(bc), tuple(blocks), p, r, ratio)
+        return _Core("gram", symmetric_eig(_finite_core(bc)), tuple(blocks), p, r, ratio)
     u, bc, dropped = _two_pass(q, b, blocks, w)
-    return _Core("two-pass", symmetric_eig(bc), (u,), dropped=dropped)
+    return _Core("two-pass", symmetric_eig(_finite_core(bc)), (u,), dropped=dropped)
 
 
 def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenFactor:

@@ -17,7 +17,7 @@ kept columns once into such an array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,18 +114,22 @@ class MetricModel:
 
     The cached eigen form makes distance evaluation O(m n) and is refreshed by
     every update. Both fields represent the same matrix; positive definiteness
-    (all eigenvalues > 0) is an invariant.
+    (all eigenvalues > 0) is an invariant. ``_weights`` holds the scoring
+    weights ``1/(alpha + d_i) - 1/alpha`` of ``distance``, computed once.
     """
 
     factor: LowRankFactor
     eigen: EigenFactor
     stats: UpdateStats | None = None
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eigen.alpha <= 0.0:
             raise ValueError("model must be positive definite: alpha <= 0")
         if self.eigen.D.size and float(self.eigen.alpha + self.eigen.D[-1]) <= 0.0:
             raise ValueError("model must be positive definite: nonpositive eigenvalue")
+        ef = self.eigen
+        object.__setattr__(self, "_weights", 1.0 / (ef.alpha + ef.D) - 1.0 / ef.alpha)
 
     @classmethod
     def identity(cls, m: int, alpha: float = 1.0) -> "MetricModel":
@@ -163,7 +167,7 @@ def distance(model: MetricModel, x) -> float:
     proj = ef.E.T @ x
     d2 = float(x @ x) / ef.alpha
     if proj.size:
-        d2 += float(proj**2 @ (1.0 / (ef.alpha + ef.D) - 1.0 / ef.alpha))
+        d2 += float(proj**2 @ model._weights)
     if not math.isfinite(d2):
         # only reached on overflow or bad input, so the O(m) scan is off the hot path
         if not np.all(np.isfinite(x)):

@@ -278,3 +278,18 @@ class TestTypes:
             EigenFactor(0.0, np.eye(3)[:, :2], np.array([1.0, 2.0]))  # ascending
         with pytest.raises(ValueError):
             EigenFactor(0.0, np.ones((3, 2)), np.array([2.0, 1.0]))  # not orthonormal
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_eigenfactor_non_finite(self, bad):
+        # finiteness is read off the orthonormality Gram; the scan behind it
+        # keeps the message
+        e = random_orthonormal(np.random.default_rng(3), 6, 2)
+        e[4, 1] = bad
+        with pytest.raises(ValueError, match="^E contains non-finite entries$"):
+            EigenFactor(0.0, e, np.array([2.0, 1.0]))
+
+    def test_overflowing_gram_is_not_orthonormal(self):
+        # finite entries whose Gram overflows: an orthonormality error, not
+        # an OverflowError from the norm of an infinite residual
+        with pytest.raises(ValueError, match="orthonormal"):
+            LowRankFactor(1.0, np.full((3, 1), 1e200), np.eye(1))

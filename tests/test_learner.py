@@ -75,6 +75,24 @@ class TestDistance:
         model = MetricModel.identity(4, 1.0)
         assert distance(model, np.full(4, 1e300)) == math.inf
 
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_stored_weights_score_bitwise_as_recomputed(self, steps):
+        # the model computes 1/(alpha + d) - 1/alpha once; the score must not
+        # move by a bit from the expression evaluated on every call
+        rng = np.random.default_rng([steps, 19])
+        model = MetricModel.from_factor(
+            LowRankFactor(2.0, random_factor(rng, 24, 3).Q, np.diag([3.0, 1.0, 0.5]))
+        )
+        cfg = UpdateConfig(decay=0.9, gain=0.5, rank_cap=5)
+        for _ in range(steps):
+            model = update(model, LabeledBatch(rng.standard_normal((3, 24)), [1.0, -1.0, 1.0]), cfg)
+        ef = model.eigen
+        for x in rng.standard_normal((10, 24)):
+            proj = ef.E.T @ x
+            d2 = float(x @ x) / ef.alpha
+            d2 += float(proj**2 @ (1.0 / (ef.alpha + ef.D) - 1.0 / ef.alpha))
+            assert distance(model, x) == math.sqrt(max(d2, 0.0))
+
 
 class TestClassify:
     def test_zero_vector_is_regular(self):
@@ -104,7 +122,10 @@ class TestAlignment:
     def test_from_factor(self):
         rng = np.random.default_rng(13)
         factor = LowRankFactor(1.0, random_factor(rng, 40, 3).Q, np.eye(3))
-        self.assert_aligned(MetricModel.from_factor(factor))
+        model = MetricModel.from_factor(factor)
+        self.assert_aligned(model)
+        # checked once, so it must not change before the next step uses it
+        assert not model.eigen.E.flags.writeable
 
     @pytest.mark.parametrize("rank_cap", [1, 8])
     @pytest.mark.parametrize("count", [0, 3, 6])
@@ -119,6 +140,7 @@ class TestAlignment:
         out = update(MetricModel.from_factor(factor), batch, cfg)
         self.assert_aligned(out)
         assert out.factor.Q is out.eigen.E
+        assert not out.eigen.E.flags.writeable
 
 
 class TestTrustedConstruction:

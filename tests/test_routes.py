@@ -5,10 +5,12 @@ a Cholesky factor) when ``sigma_min(R) >= GRAM_MIN_RATIO * ||Z||_F``, and the
 two-pass route (two projections and an SVD of the residual) otherwise. Each
 test states which route its instance must take, from a dense computation of
 the novelty, and checks the result against ``dense_fallback`` at the suite's
-usual tolerances.
+usual tolerances. ``TestVerdicts`` checks that invalid input raises the same
+errors on either route, wherever its invariant is now verified.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from loweig import LowRankFactor, WeightedData, dense_fallback, fast_eigh, materialize
-from loweig.fast_eigh import GRAM_MIN_RATIO, _core_eig, _gram
+from loweig.fast_eigh import GRAM_MIN_RATIO, _core_eig, _gram, _scaled_gram
+from loweig.kernels import _safe_scale
 
 from helpers import random_orthonormal, random_symmetric
 
@@ -176,3 +179,116 @@ class TestRouting:
         assert np.linalg.norm(ps / s - p) <= 1e-12 * np.linalg.norm(p)
         assert np.linalg.norm(rs / s - r) <= 1e-12 * np.linalg.norm(r)
         assert ratio_s == pytest.approx(ratio, rel=1e-12)
+
+
+def route_instance(route, m=20, n=3, nx=2, ny=2, seed=0):
+    """A near-span instance that takes ``route``: novelty of relative size 1
+    for the Gram route, 1e-6 for the two-pass route."""
+    rng = np.random.default_rng([seed, len(route)])
+    factor, data = near_span_instance(rng, 1.0 if route == "gram" else 1e-6, m, n, nx, ny)
+    assert _core_eig(factor, data).route == route
+    return factor, data
+
+
+class TestVerdicts:
+    """Each invariant is verified once, mostly off a Gram the call computes
+    anyway, and every invalid input still gets the error it got when every
+    array was scanned on its own."""
+
+    @pytest.mark.parametrize("route", ["gram", "two-pass"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array", ["Q", "X", "Y"])
+    def test_non_finite_at_construction(self, array, bad, route):
+        factor, data = route_instance(route)
+        arrays = {"Q": factor.Q.copy(), "X": data.X.copy(), "Y": data.Y.copy()}
+        arrays[array][7, 1] = bad
+        with pytest.raises(ValueError, match=f"^{array} contains non-finite entries$"):
+            fast_eigh(1.0, LowRankFactor(1.0, arrays["Q"], factor.B),
+                      WeightedData(arrays["X"], arrays["Y"]))
+
+    @pytest.mark.parametrize("route", ["gram", "two-pass"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array", ["Q", "X", "Y"])
+    def test_non_finite_written_after_construction(self, array, bad, route):
+        # the entry bypasses the constructors' checks; the Gram of [Q X Y]
+        # is then not finite, and the scans behind it name the array
+        factor, data = route_instance(route)
+        {"Q": factor.Q, "X": data.X, "Y": data.Y}[array][7, 1] = bad
+        name = "q" if array == "Q" else "x"
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            fast_eigh(1.0, factor, data)
+
+    @pytest.mark.parametrize("route", ["gram", "two-pass"])
+    @pytest.mark.parametrize(
+        "kind, amount",
+        [("scale", 1.5), ("scale", 1.0 + 1e-6), ("scale", 1e-100), ("scale", 1e50),
+         ("scale", 1e300), ("rotate", 0.3), ("rotate", 1e-6)],
+    )
+    def test_non_orthonormal_q_written_after_construction(self, kind, amount, route):
+        # the dropped Gram of Q is made up for by the Gram of E: every column
+        # of the lift is kept, and E^T E - I = W^T (Q^T Q - I) W
+        # (large scalings break ||Q^T Z|| <= ||Z|| first, before anything
+        # built from Q overflows)
+        factor, data = route_instance(route)
+        q = factor.Q
+        if kind == "scale":
+            q *= amount
+        else:
+            # column 0 turns toward column 1, keeping its norm
+            q[:, 0] = math.cos(amount) * q[:, 0] + math.sin(amount) * q[:, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="orthonormal"):
+                fast_eigh(1.0, factor, data)
+
+    @pytest.mark.parametrize("route", ["gram", "two-pass"])
+    def test_overflowing_spectrum(self, route):
+        # at 1e160 the pre-scaled Gram is exact, but the core's squares are not
+        factor, data = route_instance(route)
+        s = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="spectrum overflows float64"):
+                fast_eigh(1.0, factor, WeightedData(data.X * s, data.Y * s))
+
+    @pytest.mark.parametrize(
+        "case",
+        ["1e-71", "1e-70", "1e-69", "1e69", "1e70", "1e71", "tiny 1e-170", "zero",
+         "x alone", "y alone"],
+    )
+    def test_scale_matches_explicit_prescale(self, case):
+        # _scaled_gram reads the scale off the unscaled Gram where it can;
+        # it must still be _safe_scale's, and P and R those of a pre-scale
+        rng = np.random.default_rng(len(case))
+        factor, data = near_span_instance(rng, 1.0, m=20, n=3, nx=2, ny=2)
+        x, y = data.X, data.Y
+        if case == "zero":
+            x, y = np.zeros_like(x), np.zeros_like(y)
+        elif case == "x alone":
+            y = y[:, :0]
+        elif case == "y alone":
+            x = x[:, :0]
+        elif case == "tiny 1e-170":
+            # entry squares underflow, so the Gram's diagonal reads 0
+            x, y = x * 1e-170, y * 1e-170
+        else:
+            amax = max(np.max(np.abs(x)), np.max(np.abs(y)))
+            x, y = x / amax * float(case), y / amax * float(case)
+            assert max(np.max(np.abs(x)), np.max(np.abs(y))) == float(case)
+        blocks = [x, y]
+        w = np.concatenate([np.ones(x.shape[1]), -np.ones(y.shape[1])])
+        scale = _safe_scale(*blocks)
+        if case.startswith("1e"):
+            assert (scale == 1.0) == (abs(math.log10(float(case))) <= 70.5)
+        p, zz, got_scale = _scaled_gram(factor.Q, blocks)
+        assert got_scale == scale
+        prescaled = [b / scale for b in blocks]
+        p_ref, zz_ref, ref_scale = _scaled_gram(factor.Q, prescaled)
+        assert ref_scale == 1.0 or case == "zero"
+        np.testing.assert_array_equal(p, p_ref)
+        np.testing.assert_array_equal(zz, zz_ref)
+        got, ref = _gram(factor.Q, factor.B, blocks, w), _gram(factor.Q, factor.B, prescaled, w)
+        assert (got is None) == (ref is None) == (case == "zero")
+        if got is not None:
+            np.testing.assert_array_equal(got[0], ref[0] * scale)
+            np.testing.assert_array_equal(got[1], ref[1] * scale)
