@@ -26,6 +26,14 @@ public ``augment``, which returns ``[Q U]``, is always two-pass.
 ``dense_fallback`` are the nonnegative-weight baseline and the O(m^3)
 always-correct path.
 
+``WeightedData.from_weighted`` writes X and Y in C order, one product
+``vectors[kept].T @ diag(sqrt(|w|))`` each, so BLAS reads the vectors
+transposed and no transposing copy is made. On the Gram route a call then
+costs four O(m r^2) kernels (the block Gram, the r-by-r ``eigh``, the lift
+and the Gram of E in the ``EigenFactor`` check) and a fixed cost on r-sized
+arrays: the core is filled in place, the lift slices its coefficients, and
+each small reduction of the checks is computed once.
+
 Each invariant is verified once per array, where the array enters, and is
 read off a Gram the call computes anyway where one exists:
 
@@ -36,7 +44,7 @@ Q finite and orthonormal       ``LowRankFactor``    the Gram ``Q^T Q``
 B finite and symmetric         ``LowRankFactor``    a scan of B
 X, Y finite                    ``WeightedData``     a scan of X and Y
 Q, X, Y finite; Z's scale      ``_scaled_gram``     the Gram of ``[Q X Y]``
-core finite (no overflow)      ``_core_eig``        a scan of the small core
+core finite (no overflow)      ``_core_eig``        ``symmetric_eig``'s scan
 E finite and orthonormal       ``EigenFactor``      the Gram ``E^T E``
 =============================  ===================  =========================
 
@@ -67,6 +75,7 @@ from .kernels import (
     _aligned_empty,
     _as_2d,
     _as_matrix,
+    _check_finite,
     _check_orthonormal,
     _checked_blocks,
     _fro,
@@ -152,7 +161,12 @@ class WeightedData:
 
     @classmethod
     def from_weighted(cls, vectors, weights, dim: int | None = None) -> "WeightedData":
-        """Build from raw (vector, weight) pairs; zero weights are dropped."""
+        """Build from raw (vector, weight) pairs; zero weights are dropped.
+
+        Each of X and Y is written in C order by one product, see
+        ``_weighted_columns``; a non-finite vector leaves non-finite entries,
+        which the check of X or Y rejects.
+        """
         w = np.asarray(weights, dtype=float)
         arr = np.asarray(vectors, dtype=float)
         if arr.size == 0:
@@ -163,9 +177,7 @@ class WeightedData:
             raise DimensionError("vectors must be (count, m) matching weights (count,)")
         pos = w > 0.0
         neg = w < 0.0
-        x = (arr[pos] * np.sqrt(w[pos])[:, None]).T
-        y = (arr[neg] * np.sqrt(-w[neg])[:, None]).T
-        return cls(np.ascontiguousarray(x), np.ascontiguousarray(y))
+        return cls(_weighted_columns(arr[pos], w[pos]), _weighted_columns(arr[neg], -w[neg]))
 
     @classmethod
     def empty(cls, m: int) -> "WeightedData":
@@ -176,17 +188,34 @@ class WeightedData:
         return self.X.shape[0]
 
 
+def _weighted_columns(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``(rows * sqrt(w)[:, None]).T`` in C order, as ``rows.T @ diag(sqrt(w))``.
+
+    BLAS reads the rows transposed, so no transposing copy is made. Every
+    entry is ``rows[i, j] * sqrt(w[i])`` plus exact zeros, the elementwise
+    product. A non-finite row still gives non-finite entries (``inf * 0``
+    spreads NaN along its row of the result), which the caller's check
+    names, so the product raises no warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rows.T @ np.diag(np.sqrt(w))
+
+
 @dataclass(frozen=True)
 class EigenFactor:
     """Thin eigendecomposition ``alpha*I + E diag(D) E^T``.
 
     E is m-by-r with orthonormal columns and D is sorted descending; the full
     spectrum is {alpha + d_i} plus alpha with multiplicity m - r.
+    ``orthogonality`` is ``||E^T E - I||_F`` as the check in ``__post_init__``
+    measured it, and None for a factor the library built without that check.
     """
 
     alpha: float
     E: np.ndarray
     D: np.ndarray
+
+    orthogonality = None  # not a field: set by the check, so never compared
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -197,9 +226,9 @@ class EigenFactor:
         r = self.E.shape[1]
         if self.D.shape != (r,):
             raise DimensionError(f"D must have length {r}, got {self.D.shape}")
-        if self.D.size and np.any(np.diff(self.D) > 0.0):
+        if r > 1 and (self.D[1:] > self.D[:-1]).any():
             raise ValueError("D must be sorted descending")
-        _check_orthonormal(self.E, "E")
+        object.__setattr__(self, "orthogonality", _check_orthonormal(self.E, "E"))
 
     @property
     def dim(self) -> int:
@@ -250,7 +279,7 @@ def _checked(q, b, blocks, sign):
     w = np.asarray(sign, dtype=float)
     if w.ndim == 0:
         w = np.full(k, w)
-    if w.shape != (k,) or np.any(np.abs(w) != 1.0):
+    if w.shape != (k,) or (np.abs(w) != 1.0).any():
         raise ValueError(f"sign must be +1, -1 or {k} values of +-1, got {sign}")
     if n + k > m:
         raise DimensionError(
@@ -262,12 +291,21 @@ def _checked(q, b, blocks, sign):
 def _signed_core(b, p, r, w) -> np.ndarray:
     """The core ``[[B + P W P^T, P W R^T], [R W P^T, R W R^T]]`` of
     ``Z = Q P + U R`` with column signs w, symmetrized, hence exactly
-    symmetric. It may overflow without a warning; ``_finite_core`` tests it."""
+    symmetric. Each block is written in place into one array. It may
+    overflow without a warning; ``_core_symmetric_eig`` tests it."""
+    n = p.shape[0]
     pw = p * w
+    bc = np.empty((n + r.shape[0],) * 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        cross = pw @ r.T
-        bc = np.block([[b + pw @ p.T, cross], [cross.T, (r * w) @ r.T]])
-        return (bc + bc.T) / 2.0
+        top = bc[:n, :n]
+        np.matmul(pw, p.T, out=top)
+        top += b
+        np.matmul(pw, r.T, out=bc[:n, n:])
+        bc[n:, :n] = bc[:n, n:].T
+        np.matmul(r * w, r.T, out=bc[n:, n:])
+        core = bc + bc.T
+        core /= 2.0
+    return core
 
 
 def _finite_core(bc: np.ndarray) -> np.ndarray:
@@ -306,10 +344,11 @@ def _gram(q, b, blocks, w):
     except np.linalg.LinAlgError:
         return None
     # sigma_min of the k-by-k R, not min R_ii, which only bounds it from above
-    ratio = float(np.linalg.svd(r, compute_uv=False)[-1]) / math.sqrt(np.trace(zz))
+    ratio = float(np.linalg.svd(r, compute_uv=False)[-1]) / math.sqrt(zz.trace())
     if not ratio >= GRAM_MIN_RATIO:
         return None
-    p, r = p * scale, r * scale
+    if scale != 1.0:
+        p, r = p * scale, r * scale
     return p, r, _signed_core(b, p, r, w), ratio
 
 
@@ -338,39 +377,47 @@ def _scaled_gram(q, blocks):
     """
     m = q.shape[0]
     p, zz = _block_gram(q, blocks)
-    dmax = float(np.max(np.diagonal(zz)))
+    finite = bool(np.isfinite(p).all())
     scale = 1.0
-    if not (np.all(np.isfinite(p)) and m * _GRAM_LOW <= dmax <= _GRAM_HIGH):
+    if not (finite and m * _GRAM_LOW <= zz.diagonal().max() <= _GRAM_HIGH):
         q, blocks = _checked_blocks(q, blocks)
         scale = _safe_scale(*blocks)
         if scale != 1.0:
             p, zz = _block_gram(q, [x / scale for x in blocks])
+        finite = bool(np.isfinite(p).all())
     # An orthonormal q has ||Q^T Z||_F <= ||Z||_F (Bessel). A q scaled up in
     # place after its factor was built breaks that, and by 1e50 or so the
     # core overflows before the check of E could name q.
-    if not (np.all(np.isfinite(p)) and _fro(p) <= 2.0 * math.sqrt(np.trace(zz))):
+    if not (finite and _fro(p) <= 2.0 * math.sqrt(zz.trace())):
         raise ValueError("q does not have orthonormal columns")
     return p, zz, scale
 
 
 def _block_gram(q, blocks) -> tuple[np.ndarray, np.ndarray]:
     """``(Q^T Z, Z^T Z)`` for ``Z = [blocks]``, without concatenating the
-    blocks: each block product is summed over row blocks. Non-finite results
-    raise no warning; the caller tests them."""
+    blocks: each block product is summed over row blocks, into a view of the
+    result taken once. Non-finite results raise no warning; the caller tests
+    them."""
     parts = [q, *blocks]
     n = q.shape[1]
-    edges = np.cumsum([0] + [a.shape[1] for a in parts])
-    g = np.zeros((edges[-1], edges[-1] - n))
-    pairs = [(i, j) for i in range(len(parts)) for j in range(max(i, 1), len(parts))
+    spans = [slice(0, n)]
+    for x in blocks:
+        spans.append(slice(spans[-1].stop, spans[-1].stop + x.shape[1]))
+    g = np.zeros((spans[-1].stop, spans[-1].stop - n))
+    cols = [slice(s.start - n, s.stop - n) for s in spans]
+    pairs = [(parts[i], parts[j], g[spans[i], cols[j]])
+             for i in range(len(parts)) for j in range(max(i, 1), len(parts))
              if parts[i].shape[1] and parts[j].shape[1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_blocks(q.shape[0], edges[-1]):
-            for i, j in pairs:
-                g[edges[i]:edges[i + 1], edges[j] - n:edges[j + 1] - n] += (
-                    parts[i][rows].T @ parts[j][rows]
-                )
-    zz = g[n:]
-    return g[:n], np.triu(zz) + np.triu(zz, 1).T
+        for rows in _row_blocks(q.shape[0], spans[-1].stop):
+            for a, b, out in pairs:
+                out += a[rows].T @ b[rows]
+    # The diagonal blocks of Z^T Z are sums of products a^T a, which BLAS
+    # (syrk) returns exactly symmetric; the blocks below them are mirrored.
+    for i in range(1, len(parts)):
+        for j in range(i + 1, len(parts)):
+            g[spans[j], cols[i]] = g[spans[i], cols[j]].T
+    return g[:n], g[n:]
 
 
 @dataclass(frozen=True)
@@ -397,8 +444,11 @@ class _Core:
         if self.r is not None:
             c = np.linalg.solve(self.r, c)  # R is triangular, so LU does not pivot
             v1 = v1 - self.p @ c
-        ends = np.cumsum([x.shape[1] for x in self.blocks])[:-1]
-        return _rotate(q, v1, self.blocks, np.split(c, ends))
+        coeffs, start = [], 0
+        for x in self.blocks:
+            coeffs.append(c[start:start + x.shape[1]])
+            start += x.shape[1]
+        return _rotate(q, v1, self.blocks, coeffs)
 
 
 def _rotate(q: np.ndarray, v1: np.ndarray, blocks=(), coeffs=()) -> np.ndarray:
@@ -427,11 +477,19 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
     """Turn ``alpha*I + Qa Ba Qa^T`` into a thin eigendecomposition.
 
     Diagonalizes the small core and rotates its eigenvectors up through the
-    orthonormal basis.
+    orthonormal basis. A non-finite ``q_a`` makes E non-finite, which the
+    ``EigenFactor`` check reads off its Gram, so ``q_a`` is scanned only
+    then, to name it.
     """
-    q_a = _as_matrix(q_a, "q_a")
+    q_a = _as_2d(q_a, "q_a")
     eig = symmetric_eig(b_a)
-    return EigenFactor(alpha, _rotate(q_a, eig.E), eig.D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _rotate(q_a, eig.E)
+    try:
+        return EigenFactor(alpha, e, eig.D)
+    except ValueError:
+        _check_finite(q_a, "q_a")
+        raise
 
 
 def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
@@ -440,15 +498,29 @@ def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     m = factor.dim
     if data.dim != m:
         raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
-    sign = np.concatenate([np.ones(data.X.shape[1]), -np.ones(data.Y.shape[1])])
-    q, blocks = factor.Q, [data.X, data.Y]
+    nx = data.X.shape[1]
+    sign = np.empty(nx + data.Y.shape[1])
+    sign[:nx] = 1.0
+    sign[nx:] = -1.0
+    q, blocks = factor.Q, (data.X, data.Y)
     b, w = _checked(q, factor.B, blocks, sign)
     gram = _gram(q, b, blocks, w)
     if gram is not None:
         p, r, bc, ratio = gram
-        return _Core("gram", symmetric_eig(_finite_core(bc)), tuple(blocks), p, r, ratio)
+        return _Core("gram", _core_symmetric_eig(bc), blocks, p, r, ratio)
     u, bc, dropped = _two_pass(q, b, blocks, w)
-    return _Core("two-pass", symmetric_eig(_finite_core(bc)), (u,), dropped=dropped)
+    return _Core("two-pass", _core_symmetric_eig(bc), (u,), dropped=dropped)
+
+
+def _core_symmetric_eig(bc: np.ndarray) -> SymEig:
+    """``symmetric_eig`` of a core ``_signed_core`` built. Its scan of the
+    core is the finiteness test; only on failure does ``_finite_core`` name
+    the overflow."""
+    try:
+        return symmetric_eig(bc)
+    except ValueError:
+        _finite_core(bc)
+        raise
 
 
 def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenFactor:

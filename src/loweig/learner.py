@@ -5,13 +5,21 @@ The model keeps ``A = alpha*I + Q B Q^T`` positive definite, scores points by
 ``decay*A + gain * sum_i w_i x_i x_i^T`` followed by eigenvalue flooring and
 rank truncation. Model snapshots are immutable; updates return new ones.
 
-In ``update`` the values decide and E is written once. Flooring, window
-selection and re-flooring all run on ``(alpha, d, m)``; flooring keeps the
-order of d, so their result is the index array of the kept columns of the
-step's eigenvectors. On the fast path those are the small core's eigenvectors V,
-and the model's E is ``Q @ V[:n, kept] + U @ V[n:, kept]``, written straight
-into a 64-byte-aligned array; the decay-only and dense paths gather their
-kept columns once into such an array.
+In ``update`` the values decide and E is written once. The batch becomes
+``WeightedData`` by one product per sign, ``vectors[kept].T @
+diag(sqrt(|w|))``, which writes X and Y in C order without a transposing
+copy. Flooring, window selection and re-flooring all run on
+``(alpha, d, m)``; flooring keeps the order of d, so their result is the
+index array of the kept columns of the step's eigenvectors. On the fast path
+those are the small core's eigenvectors V, and the model's E is
+``Q @ V[:n, kept] + U @ V[n:, kept]``, written straight into a
+64-byte-aligned array; the decay-only and dense paths gather their kept
+columns once into such an array.
+
+A fast step pays for four O(m r^2) kernels, r = n + nx + ny: the block Gram
+of ``[Q X Y]``, the r-by-r ``eigh``, the lift and the Gram of the new E.
+Everything else works on r-sized arrays and costs the same at any m; below
+r of about 32 it is most of the step.
 """
 
 from __future__ import annotations
@@ -97,6 +105,11 @@ class UpdateStats:
     ``novelty_ratio`` is ``sigma_min(R) / ||Z||_F`` on the Gram route, and
     ``dropped`` counts the novelty directions the two-pass route cut at
     ``RANK_EPS``; off the fast path they are None, None and 0.
+    ``orthogonality`` is ``||E^T E - I||_F`` of the new E, as the check of
+    the fast path's ``EigenFactor`` measured it; None on the paths that run
+    no such check. ``alpha`` is the new base coefficient and ``condition``
+    the ratio of the largest to the smallest eigenvalue of the full
+    spectrum, the implicit alpha block included.
     """
 
     path: str
@@ -106,6 +119,9 @@ class UpdateStats:
     route: str | None = None
     novelty_ratio: float | None = None
     dropped: int = 0
+    orthogonality: float | None = None
+    alpha: float | None = None
+    condition: float | None = None
 
 
 @dataclass(frozen=True)
@@ -194,21 +210,30 @@ def _floor_spectrum(alpha: float, d: np.ndarray, m: int, floor: float):
     """
     full = alpha + d
     floored_explicit = int(np.count_nonzero(full < floor))
-    new_alpha = float(max(alpha, floor))
     alpha_raised = alpha < floor
     if floored_explicit == 0 and not alpha_raised:
         return alpha, d, 0
+    new_alpha = float(max(alpha, floor))
     new_d = np.maximum(full, floor) - new_alpha
     # The subtraction can make alpha + d round back below the floor; nudge
     # such entries up so the reconstructed eigenvalue honors it exactly.
     low = new_alpha + new_d < floor
-    if np.any(low):
+    if low.any():
         d_floor = floor - new_alpha
         while new_alpha + d_floor < floor:
             d_floor = np.nextafter(d_floor, np.inf)
         new_d = np.where(low, np.maximum(new_d, d_floor), new_d)
     count = floored_explicit + (m - d.size if alpha_raised else 0)
     return new_alpha, new_d, count
+
+
+def _condition(alpha: float, d: np.ndarray, m: int) -> float:
+    """Largest over smallest eigenvalue of ``alpha*I + E diag(d) E^T`` on R^m,
+    d descending; inf unless the smallest is positive."""
+    top, bottom = (alpha + d[0], alpha + d[-1]) if d.size else (alpha, alpha)
+    if d.size < m:
+        top, bottom = max(top, alpha), min(bottom, alpha)
+    return float(top / bottom) if bottom > 0.0 else math.inf
 
 
 def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> MetricModel:
@@ -264,5 +289,6 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
     else:
         ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)
         route, ratio, dropped = None, None, 0
-    stats = UpdateStats(path, floored, tau is not None, tau, route, ratio, dropped)
+    stats = UpdateStats(path, floored, tau is not None, tau, route, ratio, dropped,
+                        ef.orthogonality, ef.alpha, _condition(ef.alpha, ef.D, m))
     return MetricModel(_unchecked(LowRankFactor, ef.alpha, ef.E, np.diag(ef.D)), ef, stats)

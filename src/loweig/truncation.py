@@ -73,7 +73,7 @@ class Spectrum:
     @classmethod
     def from_eigenfactor(cls, ef: EigenFactor) -> "Spectrum":
         """Expand alpha + d_i plus the implicit alpha block, merging exact ties."""
-        values, mult, block = _blocks(ef.alpha, ef.D, ef.dim)
+        values, mult, block, _ = _blocks(ef.alpha, ef.D, ef.dim)
         blocks = [
             SpectrumBlock(float(v), int(c), tuple(np.flatnonzero(block == b).tolist()))
             for b, (v, c) in enumerate(zip(values, mult))
@@ -84,17 +84,31 @@ class Spectrum:
 def _blocks(alpha: float, d: np.ndarray, m: int):
     """Exact-tie blocks of the spectrum {alpha + d_i} plus alpha with
     multiplicity m - r: block values (strictly descending), multiplicities,
-    and the block of each explicit pair."""
+    the block of each explicit pair, and the block of alpha (None when
+    m == r).
+
+    One pass over the sorted d: ``alpha + d`` is descending, so its exact
+    ties are neighbours. The m - r implicit copies of alpha enter as one
+    entry after the values above alpha, and a new block starts wherever a
+    value differs from the one before it.
+    """
     r = d.size
     pool = alpha + d
+    at = None
     if m > r:
-        pool = np.append(pool, alpha)
-    values, inverse = np.unique(pool, return_inverse=True)
-    mult = np.bincount(inverse[:r], minlength=values.size)
-    if m > r:
-        mult[inverse[r]] += m - r
-    top = values.size - 1
-    return values[::-1], mult[::-1], top - inverse[:r]
+        at = int(np.count_nonzero(pool > alpha))
+        pool = np.concatenate((pool[:at], (alpha,), pool[at:]))
+    starts = np.empty(pool.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(pool[1:], pool[:-1], out=starts[1:])
+    block = starts.cumsum() - 1
+    values = pool[starts]
+    mult = np.bincount(block)
+    if at is None:
+        return values, mult, block, None
+    a = int(block[at])
+    mult[a] += m - r - 1
+    return values, mult, np.concatenate((block[:at], block[at + 1:])), a
 
 
 @dataclass(frozen=True)
@@ -129,29 +143,35 @@ def _windows(values: np.ndarray, mult: np.ndarray, k: int) -> tuple[np.ndarray, 
     if k < 0:
         raise ValueError("k must be nonnegative")
     length = m - k
+    nb = values.size
     mult = mult.astype(float)
     logs = np.log(values)
     mean = float((mult * logs).sum()) / m
-    clogs = logs - mean  # centering kills cancellation in the variance formula
-    cum_n = np.concatenate([[0.0], np.cumsum(mult)])
-    cum_s1 = np.concatenate([[0.0], np.cumsum(mult * clogs)])
-    cum_s2 = np.concatenate([[0.0], np.cumsum(mult * clogs**2)])
-    clogs = np.append(clogs, 0.0)  # edge m lies past the last block
-    edges = np.arange(k + 1)
-    edges = np.concatenate([edges, edges + length])
-    j = np.searchsorted(cum_n, edges, side="right") - 1
-    part = edges - cum_n[j]
-    s1 = cum_s1[j] + part * clogs[j]
-    s2 = cum_s2[j] + part * clogs[j] ** 2
+    # centering kills cancellation in the variance formula; the entry past
+    # the last block is for edge m
+    clogs = np.zeros(nb + 1)
+    np.subtract(logs, mean, out=clogs[:nb])
+    # prefix sums of n, s1 and s2 at every block start, from edge 0
+    cum = np.zeros((3, nb + 1))
+    mult.cumsum(out=cum[0, 1:])
+    (mult * clogs[:nb]).cumsum(out=cum[1, 1:])
+    (mult * clogs[:nb] ** 2).cumsum(out=cum[2, 1:])
+    edges = np.arange(2 * k + 2, dtype=float)
+    edges[k + 1:] += length - k - 1
+    j = np.searchsorted(cum[0], edges, side="right") - 1
+    part = edges - cum[0, j]
+    c = clogs[j]
+    s1 = cum[1, j] + part * c
+    s2 = cum[2, j] + part * c**2
     s1 = s1[k + 1:] - s1[:k + 1]
     s2 = s2[k + 1:] - s2[:k + 1]
     objectives = np.maximum(s2 - s1 * s1 / length, 0.0)
-    return objectives, s1 / length + mean, 1e-12 * float(cum_s2[-1])
+    return objectives, s1 / length + mean, 1e-12 * float(cum[2, -1])
 
 
 def _first_min(objectives: np.ndarray, tol: float) -> int:
     """Smallest offset whose objective ties the minimum within ``tol``."""
-    return int(np.argmax(objectives <= objectives.min() + tol))
+    return int((objectives <= objectives.min() + tol).argmax())
 
 
 def select_tau(spectrum: Spectrum, k: int) -> int:
@@ -176,19 +196,18 @@ def _select(alpha: float, d: np.ndarray, m: int, k: int) -> tuple[float, np.ndar
     sit above the window and the rest below it. Within a tie block the
     explicit pairs fill the kept positions first, in index order.
     """
-    values, mult, block = _blocks(alpha, d, m)
-    if not np.all(values > 0.0) or not math.isfinite(values[0]):
+    values, mult, block, a = _blocks(alpha, d, m)
+    if not (values > 0.0).all() or not math.isfinite(values[0]):
         raise ValueError("spectrum values must be finite and strictly positive")
     objectives, log_means, tol = _windows(values, mult, k)
     length = m - k
-    hi = np.cumsum(mult)
+    hi = mult.cumsum()
     lo = hi - mult
     # Every implicit position lies in the alpha block [lo, hi), so the
     # offsets whose window covers them all form the interval [first, last].
     implicit = m - d.size
     first, last = 0, k
     if implicit:
-        a = int(np.flatnonzero(values == alpha)[0])
         first, last = max(0, int(lo[a]) + implicit - length), min(k, int(hi[a]) - implicit)
     if implicit > length or first > last:
         raise ValueError(
@@ -196,10 +215,13 @@ def _select(alpha: float, d: np.ndarray, m: int, k: int) -> tuple[float, np.ndar
         )
     tau = first + _first_min(objectives[first:last + 1], tol)
     # Kept positions of each block: those above and those below the window.
-    # Feasibility leaves enough explicit pairs in every block to fill them.
-    kept = np.clip(tau - lo, 0, mult) + np.clip(hi - (tau + length), 0, mult)
-    rank_in_block = np.arange(d.size) - np.searchsorted(block, block)
-    columns = np.flatnonzero(rank_in_block < kept[block])
+    # Feasibility leaves enough explicit pairs in every block to fill them;
+    # they are the block's first explicit pairs, whose indices run from the
+    # block's first index up to ``cut``.
+    above = np.minimum(np.maximum(tau - lo, 0), mult)
+    below = np.minimum(np.maximum(hi - (tau + length), 0), mult)
+    cut = np.searchsorted(block, np.arange(values.size)) + above + below
+    columns = np.flatnonzero(np.arange(d.size) < cut[block])
     return math.exp(log_means[tau]), columns, tau
 
 

@@ -170,3 +170,97 @@ def dense_metric_simulator(m, alpha0, batches, cfg):
         a, _, _ = brute_truncate_dense(vals, vecs, cfg.rank_cap)
     return a
 
+
+
+# The truncation routines as they were written with ``np.unique``, kept
+# verbatim as the reference for the one-pass tie merge, which must reproduce
+# their tau, columns and new alpha exactly.
+
+
+def reference_blocks(alpha, d, m):
+    r = d.size
+    pool = alpha + d
+    if m > r:
+        pool = np.append(pool, alpha)
+    values, inverse = np.unique(pool, return_inverse=True)
+    mult = np.bincount(inverse[:r], minlength=values.size)
+    if m > r:
+        mult[inverse[r]] += m - r
+    top = values.size - 1
+    return values[::-1], mult[::-1], top - inverse[:r]
+
+
+def reference_windows(values, mult, k):
+    m = int(mult.sum())
+    if k >= m:
+        raise ValueError(f"k must be smaller than the dimension, got k={k}, m={m}")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    length = m - k
+    mult = mult.astype(float)
+    logs = np.log(values)
+    mean = float((mult * logs).sum()) / m
+    clogs = logs - mean
+    cum_n = np.concatenate([[0.0], np.cumsum(mult)])
+    cum_s1 = np.concatenate([[0.0], np.cumsum(mult * clogs)])
+    cum_s2 = np.concatenate([[0.0], np.cumsum(mult * clogs**2)])
+    clogs = np.append(clogs, 0.0)
+    edges = np.arange(k + 1)
+    edges = np.concatenate([edges, edges + length])
+    j = np.searchsorted(cum_n, edges, side="right") - 1
+    part = edges - cum_n[j]
+    s1 = cum_s1[j] + part * clogs[j]
+    s2 = cum_s2[j] + part * clogs[j] ** 2
+    s1 = s1[k + 1:] - s1[:k + 1]
+    s2 = s2[k + 1:] - s2[:k + 1]
+    objectives = np.maximum(s2 - s1 * s1 / length, 0.0)
+    return objectives, s1 / length + mean, 1e-12 * float(cum_s2[-1])
+
+
+def reference_first_min(objectives, tol):
+    return int(np.argmax(objectives <= objectives.min() + tol))
+
+
+def reference_select_tau(alpha, d, m, k):
+    """``select_tau`` of the spectrum {alpha + d_i} plus alpha (m - r times)."""
+    values, mult, _ = reference_blocks(alpha, d, m)
+    objectives, _, tol = reference_windows(values, mult, k)
+    return reference_first_min(objectives, tol)
+
+
+def reference_select(alpha, d, m, k):
+    values, mult, block = reference_blocks(alpha, d, m)
+    if not np.all(values > 0.0) or not math.isfinite(values[0]):
+        raise ValueError("spectrum values must be finite and strictly positive")
+    objectives, log_means, tol = reference_windows(values, mult, k)
+    length = m - k
+    hi = np.cumsum(mult)
+    lo = hi - mult
+    implicit = m - d.size
+    first, last = 0, k
+    if implicit:
+        a = int(np.flatnonzero(values == alpha)[0])
+        first, last = max(0, int(lo[a]) + implicit - length), min(k, int(hi[a]) - implicit)
+    if implicit > length or first > last:
+        raise ValueError(
+            "no feasible window: a kept position would lack an explicit eigenvector"
+        )
+    tau = first + reference_first_min(objectives[first:last + 1], tol)
+    kept = np.clip(tau - lo, 0, mult) + np.clip(hi - (tau + length), 0, mult)
+    rank_in_block = np.arange(d.size) - np.searchsorted(block, block)
+    columns = np.flatnonzero(rank_in_block < kept[block])
+    return math.exp(log_means[tau]), columns, tau
+
+
+def tied_spectrum(rng):
+    """``(alpha, d, m, k)``: a descending d drawn from a few levels, so exact
+    ties are common, some of them at ``d_i == 0`` (tied with alpha); the
+    implicit block may be empty, and k may leave no feasible window."""
+    alpha = float(np.exp(rng.normal(0.0, 1.0)))
+    r = int(rng.integers(0, 12))
+    levels = alpha * np.concatenate([[0.0], np.exp(rng.normal(0.0, 1.5, 4)) - 0.9])
+    d = np.sort(rng.choice(levels, r))[::-1]
+    m = r + int(rng.choice([0, 0, 1, 2, int(rng.integers(3, 40))]))
+    m = max(m, 1)
+    k = int(rng.integers(0, m))
+    return alpha, d, m, k

@@ -1,6 +1,7 @@
 """Pipeline checks against dense materialization."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from loweig import (
     DimensionError,
     EigenFactor,
     LowRankFactor,
+    MetricModel,
     WeightedData,
     augment,
     dense_fallback,
@@ -20,6 +22,8 @@ from loweig import (
     svd_route,
     symmetric_eig,
 )
+
+from loweig.fast_eigh import _signed_core
 
 from helpers import random_instance, random_orthonormal, random_symmetric
 
@@ -133,6 +137,35 @@ class TestFactorToEig:
         ef = factor_to_eig(0.0, qa, ba)
         dense_vals, _ = dense_spectrum(qa @ ba @ qa.T)
         assert_allclose(ef.full_spectrum(), dense_vals, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("core", ["diagonal", "dense"])
+    def test_non_finite_basis_named(self, bad, core):
+        # q_a is scanned only behind the non-finite Gram of E; the error
+        # still names q_a, with a diagonal core (whose eigenvectors hold
+        # zeros, so inf * 0 turns into NaN) as with a dense one
+        rng = np.random.default_rng(32)
+        qa = random_orthonormal(rng, 8, 3)
+        ba = np.diag([3.0, 2.0, 1.0]) if core == "diagonal" else random_symmetric(rng, 3)
+        qa[5, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^q_a contains non-finite entries$"):
+                factor_to_eig(1.0, qa, ba)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_factor_names_q_written_after_construction(self, bad):
+        factor = LowRankFactor(1.0, random_orthonormal(np.random.default_rng(33), 8, 3),
+                               np.diag([3.0, 2.0, 1.0]))
+        factor.Q[2, 0] = bad
+        with pytest.raises(ValueError, match="^q_a contains non-finite entries$"):
+            MetricModel.from_factor(factor)
+
+    def test_scale_error_keeps_its_message(self):
+        # a finite q_a that is not orthonormal reports E, as before
+        qa = 2.0 * np.eye(4)[:, :2]
+        with pytest.raises(ValueError, match="^E does not have orthonormal columns$"):
+            factor_to_eig(1.0, qa, np.eye(2))
 
 
 class TestFastEigh:
@@ -293,3 +326,80 @@ class TestTypes:
         # an OverflowError from the norm of an infinite residual
         with pytest.raises(ValueError, match="orthonormal"):
             LowRankFactor(1.0, np.full((3, 1), 1e200), np.eye(1))
+
+
+class TestFromWeighted:
+    """``from_weighted`` writes X and Y in C order by one product each,
+    ``vectors[kept].T @ diag(sqrt(|w|))``, with no transposing copy."""
+
+    @staticmethod
+    def elementwise(vectors, weights):
+        w = np.asarray(weights, dtype=float)
+        pos, neg = w > 0.0, w < 0.0
+        x = (vectors[pos] * np.sqrt(w[pos])[:, None]).T
+        return x, (vectors[neg] * np.sqrt(-w[neg])[:, None]).T
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_c_order_and_elementwise_values(self, seed):
+        # zero weights among the draws are dropped, as the formula drops them
+        rng = np.random.default_rng([seed, 11])
+        count, m = int(rng.integers(1, 9)), int(rng.integers(1, 300))
+        vectors = rng.standard_normal((count, m)) * 10.0 ** rng.uniform(-150, 150, (count, 1))
+        weights = rng.choice([-2.5, -1.0, 0.0, 0.25, 4.0], count)
+        weights *= 10.0 ** rng.uniform(-5, 5, count)
+        vectors[:, rng.integers(0, m)] = 0.0  # exact zeros stay zeros
+        data = WeightedData.from_weighted(vectors, weights)
+        x, y = self.elementwise(vectors, weights)
+        for got, ref in ((data.X, x), (data.Y, y)):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("weights", [[], [0.0, 0.0]])
+    def test_empty_batches(self, weights):
+        data = WeightedData.from_weighted(np.zeros((len(weights), 5)), weights, dim=5)
+        for block in (data.X, data.Y):
+            assert block.shape == (5, 0) and block.flags.c_contiguous
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sign, name", [(1.0, "X"), (-1.0, "Y")])
+    def test_non_finite_vector_named(self, bad, sign, name):
+        # inf * 0 spreads NaN along the vector's row of X or Y; the check of
+        # that block still names it, and no RuntimeWarning escapes
+        vectors = np.ones((3, 6))
+        vectors[1, 4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+                WeightedData.from_weighted(vectors, [-sign, sign * 4.0, 2.0])
+
+    def test_non_finite_vector_with_zero_weight_dropped(self):
+        vectors = np.ones((2, 4))
+        vectors[0, 1] = np.nan
+        data = WeightedData.from_weighted(vectors, [0.0, 1.0])
+        assert np.array_equal(data.X, vectors[1:].T)
+
+
+class TestSignedCore:
+    """``_signed_core`` fills one preallocated core in place; it equals the
+    ``np.block`` assembly, symmetrized, bit for bit."""
+
+    @staticmethod
+    def block_reference(b, p, r, w):
+        pw = p * w
+        cross = pw @ r.T
+        bc = np.block([[b + pw @ p.T, cross], [cross.T, (r * w) @ r.T]])
+        return (bc + bc.T) / 2.0
+
+    @pytest.mark.parametrize("n, k, kr", [(3, 4, 4), (5, 3, 2), (0, 3, 3), (4, 2, 0),
+                                          (0, 2, 0), (32, 8, 8)])
+    def test_matches_block_assembly(self, n, k, kr):
+        rng = np.random.default_rng([n, k, kr])
+        b = rng.standard_normal((n, n))  # not symmetric: the core symmetrizes it
+        p = rng.standard_normal((n, k))
+        r = np.triu(rng.standard_normal((kr, k)))
+        w = rng.choice([-1.0, 1.0], k)
+        core = _signed_core(b, p, r, w)
+        ref = self.block_reference(b, p, r, w)
+        assert core.shape == (n + kr, n + kr)
+        assert np.array_equal(core, ref)
+        assert np.array_equal(core, core.T)

@@ -317,6 +317,38 @@ class TestUpdateDiagnostics:
         assert stats.path == ("decay" if count == 0 else "dense")
         assert (stats.route, stats.novelty_ratio, stats.dropped) == (None, None, 0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_alpha_condition_and_orthogonality(self, seed):
+        # against the dense matrix each model represents, over a stream that
+        # takes the fast (with and without truncation), decay and dense paths
+        # (the floor keeps the smallest eigenvalue resolvable densely)
+        rng = np.random.default_rng([seed, 44])
+        cfg = UpdateConfig(decay=0.9, gain=0.5, rank_cap=6, floor=0.05)
+        model, paths = self.model(), set()
+        for count in (2, 3, 0, 10, 1, 5, 0, 4):
+            batch = LabeledBatch(rng.standard_normal((count, self.m)),
+                                 rng.choice([-1.0, 1.0], count))
+            model = update(model, batch, cfg)
+            stats = model.stats
+            paths.add((stats.path, stats.truncated))
+            values = np.linalg.eigvalsh(
+                materialize(model.factor.alpha, model.factor, WeightedData.empty(self.m))
+            )
+            assert stats.alpha == model.eigen.alpha == model.factor.alpha
+            implicit = np.count_nonzero(np.isclose(values, stats.alpha, rtol=1e-10, atol=0))
+            assert implicit >= self.m - model.rank
+            full = model.eigen.full_spectrum()
+            assert stats.condition == full[0] / full[-1]
+            assert stats.condition == pytest.approx(values[-1] / values[0], rel=1e-10)
+            if stats.path == "fast":
+                e = model.eigen.E
+                dense = np.linalg.norm(e.T @ e - np.eye(e.shape[1]))
+                assert stats.orthogonality == pytest.approx(dense, rel=1e-12, abs=0)
+                assert stats.orthogonality <= 1e-10 * math.sqrt(e.shape[1])
+            else:
+                assert stats.orthogonality is None
+        assert {("fast", False), ("fast", True), ("decay", False), ("dense", True)} <= paths
+
 
 class TestUpdate:
     def test_empty_batch_identity_decay_is_noop(self):

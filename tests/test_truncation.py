@@ -1,6 +1,7 @@
 """Window selection and geometric-mean truncation against exhaustive scans."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from loweig import (
     truncate,
 )
 
-from loweig.truncation import _select
+from loweig.truncation import _blocks, _select
 
 from helpers import (
     brute_force_feasible_tau,
@@ -25,6 +26,10 @@ from helpers import (
     brute_force_tau,
     brute_truncate_dense,
     positive_eigenfactor,
+    reference_blocks,
+    reference_select,
+    reference_select_tau,
+    tied_spectrum,
 )
 
 
@@ -317,3 +322,54 @@ class TestSelectProperties:
         kept = result.kept_top + result.kept_bottom
         assert [idx for _, idx in kept] == columns.tolist()
         assert_allclose(model.Q, ef.E[:, columns], rtol=0, atol=0)
+
+
+class TestOnePassTieMerge:
+    """``_blocks`` merges exact ties in one pass over the sorted d. On seeded
+    spectra with ties, ``d_i == 0`` and infeasible k, ``_select`` (through
+    ``truncate``, which is ``_select`` plus a gather) and ``select_tau``
+    reproduce the ``np.unique``-based routines kept in ``helpers``: the same
+    blocks, tau, columns and errors.
+
+    The new alpha is the same up to one ulp. The reference took the logs of
+    a reversed view (``np.unique``'s ascending values, flipped), and numpy's
+    strided log loop can round differently from its contiguous one; the
+    values are now contiguous on every path, as ``select_tau``'s always
+    were."""
+
+    def test_matches_reference_on_seeded_spectra(self):
+        rng = np.random.default_rng(8)
+        count = 6000
+        ties = zeros = infeasible = ulps = 0
+        for _ in range(count):
+            alpha, d, m, k = tied_spectrum(rng)
+            ties += bool(np.any(d[1:] == d[:-1]))
+            zeros += bool(np.any(d == 0.0))
+            values, mult, block, a = _blocks(alpha, d, m)
+            ref_values, ref_mult, ref_block = reference_blocks(alpha, d, m)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(mult, ref_mult)
+            assert np.array_equal(block, ref_block)
+            assert a == (None if m == d.size else int(np.flatnonzero(values == alpha)[0]))
+            ef = EigenFactor(alpha, np.eye(m)[:, :d.size], d)
+            assert select_tau(Spectrum.from_eigenfactor(ef), k) == reference_select_tau(
+                alpha, d, m, k
+            )
+            try:
+                ref_alpha, ref_columns, ref_tau = reference_select(alpha, d, m, k)
+            except ValueError as err:
+                infeasible += 1
+                with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                    _select(alpha, d, m, k)
+                continue
+            model, result = truncate(ef, k)
+            columns = [idx for _, idx in result.kept_top + result.kept_bottom]
+            assert result.tau == ref_tau
+            assert columns == ref_columns.tolist()
+            assert abs(model.alpha - ref_alpha) <= np.spacing(ref_alpha)
+            ulps += model.alpha != ref_alpha
+            assert np.array_equal(model.Q, ef.E[:, ref_columns])
+            assert np.array_equal(np.diag(model.B), alpha + d[ref_columns] - model.alpha)
+        # the stream exercises each case many times
+        assert min(ties, zeros, infeasible, count - infeasible) > 500
+        assert ulps <= 3
