@@ -1,6 +1,18 @@
 """Thin eigendecomposition of alpha*I + Q B Q^T + X X^T - Y Y^T in O(m r^2),
 with log-spectrum rank truncation, a streaming metric learner, dense
-reference oracles, and a timing harness."""
+reference oracles, and a timing harness.
+
+``import loweig`` loads only ``kernels`` and ``fast_eigh``, which every
+caller needs. The names of ``truncation``, ``learner``, ``oracle`` and
+``bench`` resolve on first use (PEP 562): the first lookup imports the
+submodule that defines the name and binds the name here, so later lookups
+are plain attribute reads. ``fast_eigh`` stays an eager import: it keeps
+``loweig.fast_eigh`` the function rather than the submodule of that name,
+which the import system would otherwise bind when another submodule
+imports it.
+"""
+
+from importlib import import_module as _import_module
 
 from .kernels import (
     DimensionError,
@@ -20,37 +32,53 @@ from .fast_eigh import (
     fast_eigh,
     svd_route,
 )
-from .truncation import (
-    Spectrum,
-    SpectrumBlock,
-    TruncationResult,
-    select_tau,
-    truncate,
-)
-from .learner import (
-    IRREGULAR,
-    REGULAR,
-    LabeledBatch,
-    MetricModel,
-    UpdateConfig,
-    UpdateStats,
-    classify,
-    distance,
-    update,
-)
-from .oracle import dense_spectrum, materialize
-from .bench import (
-    ALGORITHMS,
-    BenchConfig,
-    BenchRecord,
-    demo_learner,
-    fit_scaling,
-    generate_instance,
-    normalized_flatness,
-    read_records_csv,
-    run_grid,
-    write_records_csv,
-)
+
+# Each name loaded on first use, mapped to the submodule that defines it.
+_LAZY = {
+    name: module
+    for module, names in {
+        "truncation": ("Spectrum", "SpectrumBlock", "TruncationResult", "select_tau", "truncate"),
+        "learner": (
+            "IRREGULAR",
+            "REGULAR",
+            "LabeledBatch",
+            "MetricModel",
+            "UpdateConfig",
+            "UpdateStats",
+            "classify",
+            "distance",
+            "update",
+        ),
+        "oracle": ("dense_spectrum", "materialize"),
+        "bench": (
+            "ALGORITHMS",
+            "BenchConfig",
+            "BenchRecord",
+            "demo_learner",
+            "fit_scaling",
+            "generate_instance",
+            "normalized_flatness",
+            "read_records_csv",
+            "run_grid",
+            "write_records_csv",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "ALGORITHMS",

@@ -163,6 +163,10 @@ class WeightedData:
     def from_weighted(cls, vectors, weights, dim: int | None = None) -> "WeightedData":
         """Build from raw (vector, weight) pairs; zero weights are dropped.
 
+        ``dim``, when given, is the vectors' length, and it sets the row
+        count of an empty batch; vectors of any other length raise
+        ``DimensionError``.
+
         Each of X and Y is written in C order by one product, see
         ``_weighted_columns``; a non-finite vector leaves non-finite entries,
         which the check of X or Y rejects.
@@ -175,6 +179,8 @@ class WeightedData:
             arr = arr.reshape(0, dim)
         if arr.ndim != 2 or w.ndim != 1 or arr.shape[0] != w.shape[0]:
             raise DimensionError("vectors must be (count, m) matching weights (count,)")
+        if dim is not None and arr.shape[1] != dim:
+            raise DimensionError(f"vectors have length {arr.shape[1]}, dim is {dim}")
         pos = w > 0.0
         neg = w < 0.0
         return cls(_weighted_columns(arr[pos], w[pos]), _weighted_columns(arr[neg], -w[neg]))

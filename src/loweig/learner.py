@@ -109,7 +109,9 @@ class UpdateStats:
     the fast path's ``EigenFactor`` measured it; None on the paths that run
     no such check. ``alpha`` is the new base coefficient and ``condition``
     the ratio of the largest to the smallest eigenvalue of the full
-    spectrum, the implicit alpha block included.
+    spectrum, the implicit alpha block included. ``window_log_variance`` is
+    the variance of the log-eigenvalues in the window that truncation
+    replaced by their geometric mean, None when nothing was truncated.
     """
 
     path: str
@@ -122,6 +124,7 @@ class UpdateStats:
     orthogonality: float | None = None
     alpha: float | None = None
     condition: float | None = None
+    window_log_variance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -273,9 +276,9 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
 
     floor = cfg.floor if cfg.floor is not None else 1e-12 * decayed_alpha
     alpha, d, floored = _floor_spectrum(alpha, d, m, floor)
-    columns, tau = np.arange(d.size), None
+    columns, tau, variance = np.arange(d.size), None, None
     if d.size > cfg.rank_cap:
-        new_alpha, columns, tau = _select(alpha, d, m, cfg.rank_cap)
+        new_alpha, columns, tau, variance = _select(alpha, d, m, cfg.rank_cap)
         # truncation re-bases d onto the window's geometric mean, which can
         # round a floored eigenvalue back below the floor by an ulp
         alpha, d, refloored = _floor_spectrum(
@@ -290,5 +293,5 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
         ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)
         route, ratio, dropped = None, None, 0
     stats = UpdateStats(path, floored, tau is not None, tau, route, ratio, dropped,
-                        ef.orthogonality, ef.alpha, _condition(ef.alpha, ef.D, m))
+                        ef.orthogonality, ef.alpha, _condition(ef.alpha, ef.D, m), variance)
     return MetricModel(_unchecked(LowRankFactor, ef.alpha, ef.E, np.diag(ef.D)), ef, stats)

@@ -187,14 +187,17 @@ def select_tau(spectrum: Spectrum, k: int) -> int:
     return _first_min(objectives, tol)
 
 
-def _select(alpha: float, d: np.ndarray, m: int, k: int) -> tuple[float, np.ndarray, int]:
-    """``truncate`` on the values alone: ``(new_alpha, columns, tau)``.
+def _select(
+    alpha: float, d: np.ndarray, m: int, k: int
+) -> tuple[float, np.ndarray, int, float]:
+    """``truncate`` on the values alone: ``(new_alpha, columns, tau, variance)``.
 
     ``d`` is sorted descending and the spectrum is ``alpha + d_i`` plus alpha
     with multiplicity ``m - d.size``. ``columns`` are the indices into ``d``
     of the k kept pairs, ascending, so their values descend: the first tau
     sit above the window and the rest below it. Within a tie block the
     explicit pairs fill the kept positions first, in index order.
+    ``variance`` is the variance of the log-values in the replaced window.
     """
     values, mult, block, a = _blocks(alpha, d, m)
     if not (values > 0.0).all() or not math.isfinite(values[0]):
@@ -222,7 +225,7 @@ def _select(alpha: float, d: np.ndarray, m: int, k: int) -> tuple[float, np.ndar
     below = np.minimum(np.maximum(hi - (tau + length), 0), mult)
     cut = np.searchsorted(block, np.arange(values.size)) + above + below
     columns = np.flatnonzero(np.arange(d.size) < cut[block])
-    return math.exp(log_means[tau]), columns, tau
+    return math.exp(log_means[tau]), columns, tau, float(objectives[tau]) / length
 
 
 def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
@@ -243,7 +246,7 @@ def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
         If any eigenvalue is nonpositive (log undefined) or no feasible
         window exists (a kept position would lack an explicit eigenvector).
     """
-    new_alpha, columns, tau = _select(ef.alpha, ef.D, ef.dim, k)
+    new_alpha, columns, tau, _ = _select(ef.alpha, ef.D, ef.dim, k)
     values = ef.alpha + ef.D[columns]
     kept = list(zip(values.tolist(), columns.tolist()))
     model = _unchecked(

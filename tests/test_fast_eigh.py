@@ -378,6 +378,12 @@ class TestFromWeighted:
         data = WeightedData.from_weighted(vectors, [0.0, 1.0])
         assert np.array_equal(data.X, vectors[1:].T)
 
+    def test_dim_must_match_vector_length(self):
+        with pytest.raises(DimensionError, match="^vectors have length 5, dim is 7$"):
+            WeightedData.from_weighted(np.ones((2, 5)), [1.0, -1.0], dim=7)
+        data = WeightedData.from_weighted(np.ones((2, 5)), [1.0, -1.0], dim=5)
+        assert data.X.shape == data.Y.shape == (5, 1)
+
 
 class TestSignedCore:
     """``_signed_core`` fills one preallocated core in place; it equals the

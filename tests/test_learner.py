@@ -340,6 +340,7 @@ class TestUpdateDiagnostics:
             full = model.eigen.full_spectrum()
             assert stats.condition == full[0] / full[-1]
             assert stats.condition == pytest.approx(values[-1] / values[0], rel=1e-10)
+            assert (stats.window_log_variance is None) == (not stats.truncated)
             if stats.path == "fast":
                 e = model.eigen.E
                 dense = np.linalg.norm(e.T @ e - np.eye(e.shape[1]))
@@ -348,6 +349,31 @@ class TestUpdateDiagnostics:
             else:
                 assert stats.orthogonality is None
         assert {("fast", False), ("fast", True), ("decay", False), ("dense", True)} <= paths
+
+    @pytest.mark.parametrize("route", ["gram", "two-pass", "dense", "decay"])
+    def test_window_log_variance(self, route):
+        # against the window of the expanded dense spectrum the step truncated:
+        # decay*A + gain * sum w x x^T, floored, sorted descending
+        rng = np.random.default_rng(45)
+        cfg = UpdateConfig(decay=0.9, gain=0.5, rank_cap=2 if route == "decay" else 6, floor=0.05)
+        v = rng.standard_normal((10, self.m))
+        vectors, weights = {
+            "gram": (v[:5], [1.0, -1.0, 1.0, 1.0, -1.0]),
+            "two-pass": (v[[0, 1, 2, 3, 0]], [1.0, 1.0, 1.0, 1.0, -1.0]),
+            "dense": (v, [1.0] * 10),
+            "decay": (v[:0], []),
+        }[route]
+        model = self.model()
+        stats = update(model, LabeledBatch(vectors, weights), cfg).stats
+        path = route if route in ("dense", "decay") else "fast"
+        assert (stats.path, stats.route or stats.path, stats.truncated) == (path, route, True)
+        a = materialize(model.factor.alpha, model.factor, WeightedData.empty(self.m))
+        a = cfg.decay * a + cfg.gain * (vectors.T * weights) @ vectors
+        full = np.maximum(np.linalg.eigvalsh(a)[::-1], cfg.floor)
+        window = full[stats.tau:stats.tau + self.m - cfg.rank_cap]
+        assert stats.window_log_variance == pytest.approx(
+            np.var(np.log(window)), rel=1e-9, abs=1e-12
+        )
 
 
 class TestUpdate:

@@ -306,9 +306,11 @@ class TestSelectProperties:
             with pytest.raises(ValueError, match="no feasible window"):
                 _select(ef.alpha, ef.D, ef.dim, k)
             return
-        new_alpha, columns, sel_tau = _select(ef.alpha, ef.D, ef.dim, k)
+        new_alpha, columns, sel_tau, variance = _select(ef.alpha, ef.D, ef.dim, k)
         tied = [t for t in feasible if objectives[t] <= objectives[tau] + 1e-9]
         assert sel_tau == min(tied)
+        window = ef.full_spectrum()[sel_tau:sel_tau + ef.dim - k]
+        assert variance == pytest.approx(np.var(np.log(window)), rel=1e-9, abs=1e-12)
         # explicit d_i == 0 pairs tie with the implicit alpha block; they
         # fill the block's kept positions before any implicit copy would
         assert columns.tolist() == brute_force_kept_columns(ef, sel_tau, k)
