@@ -58,9 +58,7 @@ _LAZY = {
             "fit_scaling",
             "generate_instance",
             "normalized_flatness",
-            "read_records_csv",
             "run_grid",
-            "write_records_csv",
         ),
     }.items()
     for name in names
@@ -112,7 +110,6 @@ __all__ = [
     "materialize",
     "normalized_flatness",
     "orthonormal_residual",
-    "read_records_csv",
     "run_grid",
     "select_tau",
     "svd_route",
@@ -120,7 +117,6 @@ __all__ = [
     "thin_svd",
     "truncate",
     "update",
-    "write_records_csv",
 ]
 
 __version__ = "0.1.0"

@@ -1,29 +1,21 @@
-"""Timing grids over the decomposition routes, plus a learner demo.
+"""Timing grids over the fast path and the SVD route, plus a learner demo.
 
-Cells are timed around the decomposition call only (instance generation and
-I/O excluded) with a monotonic clock, run sequentially to avoid interference.
-Results go to CSV with per-(algorithm, m) median and 10%/90% quantile
-summaries; the normalized column divides wall seconds by m*(n+nx+ny)^2, the
-fast path's expected cost, so its curve flattens when the scaling holds.
+Cells are timed around the decomposition call only (instance generation
+excluded) with a monotonic clock, run sequentially to avoid interference.
+Records stay in memory. ``fit_scaling`` gives the log-log slope of median
+time against m, and ``normalized_flatness`` the last/first ratio of median
+time over m*(n+nx+ny)^2, the fast path's expected cost, which stays near 1
+when the scaling holds.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fast_eigh import (
-    LowRankFactor,
-    WeightedData,
-    dense_fallback,
-    fast_eigh,
-    svd_route,
-)
+from .fast_eigh import LowRankFactor, WeightedData, fast_eigh, svd_route
 from .kernels import thin_svd
 from .learner import (
     IRREGULAR,
@@ -36,9 +28,7 @@ from .learner import (
     update,
 )
 
-ALGORITHMS = ("feigh", "svd", "dense")
-
-CSV_HEADER = ["algorithm", "m", "n", "nx", "ny", "repeat", "seconds", "normalized_seconds"]
+ALGORITHMS = ("feigh", "svd")
 
 # Floor for measured wall time; keeps logs and ratios defined on coarse clocks.
 _MIN_SECONDS = 1e-9
@@ -46,21 +36,20 @@ _MIN_SECONDS = 1e-9
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One grid run: sizes, rank settings, repetition and output policy.
+    """One grid run: sizes, ranks and repetition.
 
-    Rank settings accept a nonnegative int or the token ``"m/3"`` meaning
-    floor(m/3) at each grid point. The first repeat is treated as warm-up and
-    excluded from summaries whenever repeats >= 3.
+    The combined rank n + nx + ny must lie in [1, m_grid[0]]. The first
+    repeat is treated as warm-up and excluded from summaries whenever
+    repeats >= 3.
     """
 
     m_grid: tuple[int, ...]
-    n: int | str = 1
-    nx: int | str = 1
-    ny: int | str = 1
+    n: int = 1
+    nx: int = 1
+    ny: int = 1
     repeats: int = 11
     seed: int = 0
     algorithms: tuple[str, ...] = ("feigh", "svd")
-    out: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
@@ -76,12 +65,13 @@ class BenchConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown or not self.algorithms:
             raise ValueError(f"algorithms must be a nonempty subset of {ALGORITHMS}")
-        for setting in (self.n, self.nx, self.ny):
-            resolve_rank(setting, self.m_grid[0])  # validates the token early
-        for m in self.m_grid:
-            total = sum(resolve_rank(s, m) for s in (self.n, self.nx, self.ny))
-            if total < 1:
-                raise ValueError(f"total rank must be >= 1, got 0 at m={m}")
+        if min(self.n, self.nx, self.ny) < 0:
+            raise ValueError(f"ranks must be >= 0, got {(self.n, self.nx, self.ny)}")
+        total = self.n + self.nx + self.ny
+        if not 1 <= total <= self.m_grid[0]:
+            raise ValueError(
+                f"combined rank must lie in [1, {self.m_grid[0]}] (the smallest m), got {total}"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,27 +85,10 @@ class BenchRecord:
     ny: int
     repeat: int
     seconds: float
-    normalized_seconds: float = field(default=0.0)
 
     def __post_init__(self):
         if self.seconds <= 0.0:
             raise ValueError("seconds must be positive")
-        denom = self.m * (self.n + self.nx + self.ny) ** 2
-        if denom <= 0:
-            raise ValueError("normalization denominator must be positive")
-        object.__setattr__(self, "normalized_seconds", self.seconds / denom)
-
-
-def resolve_rank(setting: int | str, m: int) -> int:
-    """Resolve a rank setting (int or the token ``"m/3"``) at one grid point."""
-    if isinstance(setting, str):
-        if setting.strip() != "m/3":
-            raise ValueError(f"unknown rank token {setting!r}; expected an int or 'm/3'")
-        return m // 3
-    value = int(setting)
-    if value < 0:
-        raise ValueError(f"rank must be >= 0, got {value}")
-    return value
 
 
 def generate_instance(seed, m: int, n: int, nx: int, ny: int):
@@ -138,87 +111,34 @@ def generate_instance(seed, m: int, n: int, nx: int, ny: int):
     return 1.0, LowRankFactor(1.0, q, b), WeightedData(x, y)
 
 
-def _decompose(algorithm: str, alpha, factor, data):
-    if algorithm == "feigh":
-        return fast_eigh(alpha, factor, data)
-    if algorithm == "svd":
-        return svd_route(alpha, data.X)
-    return dense_fallback(alpha, factor, data)
-
-
 def run_grid(cfg: BenchConfig) -> list[BenchRecord]:
     """Time every (algorithm, m, repeat) cell of the grid.
 
     The svd baseline handles nonnegative weights only, so its instances carry
     the whole combined rank in the positive block (n = ny = 0); records state
-    the shapes actually run. Failing cells are reported in the summary file
-    with an error tag and the run continues. Returns the successful records
-    and, when ``cfg.out`` is set, writes them as CSV plus a quantile summary
-    next to it.
+    the shapes actually run. An error in any cell propagates.
     """
     records: list[BenchRecord] = []
-    failures: list[tuple[str, int, int, int, int, str]] = []
     # Cell-major order: repeats of one cell run back to back so the allocator
     # and caches warm up, and the discarded first repeat absorbs the cold run.
     for algorithm in cfg.algorithms:
+        if algorithm == "svd":
+            n, nx, ny = 0, cfg.n + cfg.nx + cfg.ny, 0
+        else:
+            n, nx, ny = cfg.n, cfg.nx, cfg.ny
         for m in cfg.m_grid:
-            n = resolve_rank(cfg.n, m)
-            nx = resolve_rank(cfg.nx, m)
-            ny = resolve_rank(cfg.ny, m)
-            if algorithm == "svd":
-                n, nx, ny = 0, n + nx + ny, 0
             for rep in range(cfg.repeats):
-                try:
-                    alpha, factor, data = generate_instance(
-                        [cfg.seed, m, rep], m, n, nx, ny
-                    )
-                    start = time.perf_counter()
-                    _decompose(algorithm, alpha, factor, data)
-                    elapsed = time.perf_counter() - start
-                except Exception as exc:  # record the cell failure, keep going
-                    failures.append(
-                        (algorithm, m, n, nx, ny, f"{type(exc).__name__}: {exc}")
-                    )
-                    break
+                alpha, factor, data = generate_instance([cfg.seed, m, rep], m, n, nx, ny)
+                start = time.perf_counter()
+                if algorithm == "feigh":
+                    fast_eigh(alpha, factor, data)
+                else:
+                    svd_route(alpha, data.X)
+                elapsed = time.perf_counter() - start
                 records.append(
                     BenchRecord(algorithm, m, n, nx, ny, rep, max(elapsed, _MIN_SECONDS))
                 )
-    if cfg.out is not None:
-        write_records_csv(cfg.out, records)
-        _write_summary(_summary_path(cfg.out), records, failures)
     return records
-
-
-def write_records_csv(path, records: list[BenchRecord]) -> None:
-    rows = sorted(records, key=lambda r: (r.algorithm, r.m, r.repeat))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [r.algorithm, r.m, r.n, r.nx, r.ny, r.repeat,
-                 repr(r.seconds), repr(r.normalized_seconds)]
-            )
-
-
-def read_records_csv(path) -> list[BenchRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(
-                BenchRecord(
-                    row["algorithm"], int(row["m"]), int(row["n"]), int(row["nx"]),
-                    int(row["ny"]), int(row["repeat"]), float(row["seconds"]),
-                )
-            )
-    return records
-
-
-def _summary_path(out) -> Path:
-    p = Path(out)
-    suffix = p.suffix if p.suffix else ".csv"
-    return p.with_name(p.stem + ".summary" + suffix)
 
 
 def _grouped_seconds(records: list[BenchRecord]) -> dict[tuple[str, int], list[float]]:
@@ -234,26 +154,6 @@ def _grouped_seconds(records: list[BenchRecord]) -> dict[tuple[str, int], list[f
             seconds = [s for rep, s in pairs if rep != 0]
         out[key] = seconds
     return out
-
-
-def _write_summary(path, records, failures) -> None:
-    grouped = _grouped_seconds(records)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["algorithm", "m", "n", "nx", "ny", "median_seconds",
-             "q10_seconds", "q90_seconds", "used_repeats", "error"]
-        )
-        shapes = {(r.algorithm, r.m): (r.n, r.nx, r.ny) for r in records}
-        for (algorithm, m), seconds in sorted(grouped.items()):
-            n, nx, ny = shapes[(algorithm, m)]
-            q10, med, q90 = np.quantile(seconds, [0.1, 0.5, 0.9])
-            writer.writerow(
-                [algorithm, m, n, nx, ny, repr(float(med)), repr(float(q10)),
-                 repr(float(q90)), len(seconds), ""]
-            )
-        for algorithm, m, n, nx, ny, message in failures:
-            writer.writerow([algorithm, m, n, nx, ny, "", "", "", 0, message])
 
 
 def _median_curve(records: list[BenchRecord], algorithm: str) -> list[tuple[int, float]]:
@@ -298,16 +198,15 @@ def demo_learner(
     rank_cap: int,
     iters: int,
     seed: int,
-    out: str | None = None,
     decay: float = 0.9,
     gain: float = 0.25,
-    batch_per_class: int = 4,
 ) -> dict:
     """Train the streaming metric on a seeded two-cluster stream.
 
-    Regular points carry weight +1 along one latent direction, irregular
-    points weight -1 along an orthogonal one; both classes have comparable
-    Euclidean norms so the untrained metric cannot separate them. After
+    Each step folds in 4 regular points, weight +1 along one latent
+    direction, and 4 irregular points, weight -1 along an orthogonal one;
+    both classes have comparable Euclidean norms so the untrained metric
+    cannot separate them. After
     training, the threshold is the median training distance and accuracy is
     measured on a fresh test draw. The learning constants are experimental
     knobs with no canonical values; tune them per scenario.
@@ -327,15 +226,16 @@ def demo_learner(
     probe_reg = draw(20, reg_dir)
     probe_irr = draw(20, irr_dir)
 
+    per_class = 4
     model = MetricModel.identity(m, 1.0)
     cfg = UpdateConfig(decay=decay, gain=gain, rank_cap=rank_cap)
     training: list[np.ndarray] = []
     iterations = []
     for step in range(iters):
-        reg = draw(batch_per_class, reg_dir)
-        irr = draw(batch_per_class, irr_dir)
+        reg = draw(per_class, reg_dir)
+        irr = draw(per_class, irr_dir)
         vectors = np.vstack([reg, irr])
-        weights = np.concatenate([np.ones(batch_per_class), -np.ones(batch_per_class)])
+        weights = np.concatenate([np.ones(per_class), -np.ones(per_class)])
         model = update(model, LabeledBatch(vectors, weights), cfg)
         training.extend(vectors)
         iterations.append(
@@ -372,6 +272,4 @@ def demo_learner(
         hits += sum(classify(model, x, threshold) == IRREGULAR for x in test_irr)
         report["threshold"] = threshold
         report["accuracy"] = hits / 200.0
-    if out is not None:
-        Path(out).write_text(json.dumps(report, indent=2))
     return report

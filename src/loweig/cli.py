@@ -1,4 +1,4 @@
-"""Command line front end: timing grids, scaling fits, and the learner demo."""
+"""Command line front end: timing grids with their scaling fit, and the learner demo."""
 
 from __future__ import annotations
 
@@ -6,13 +6,15 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .bench import (
     ALGORITHMS,
     BenchConfig,
+    _grouped_seconds,
     demo_learner,
     fit_scaling,
     normalized_flatness,
-    read_records_csv,
     run_grid,
 )
 
@@ -36,35 +38,31 @@ def parse_m_grid(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def parse_rank(text: str) -> int | str:
-    return text if text.strip() == "m/3" else int(text)
-
-
 def _cmd_run(args) -> int:
     cfg = BenchConfig(
         m_grid=parse_m_grid(args.m_grid),
-        n=parse_rank(args.n),
-        nx=parse_rank(args.nx),
-        ny=parse_rank(args.ny),
+        n=args.n,
+        nx=args.nx,
+        ny=args.ny,
         repeats=args.repeats,
         seed=args.seed,
         algorithms=tuple(args.algorithms.split(",")),
-        out=args.out,
     )
     records = run_grid(cfg)
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
-
-
-def _cmd_fit(args) -> int:
-    records = read_records_csv(args.input)
-    slopes = fit_scaling(records)
-    ratios = normalized_flatness(records)
-    for algorithm in sorted(slopes):
+    for (algorithm, m), seconds in sorted(_grouped_seconds(records).items()):
+        q10, med, q90 = np.quantile(seconds, [0.1, 0.5, 0.9])
         print(
-            f"{algorithm}: log-log slope {slopes[algorithm]:.3f}, "
-            f"normalized last/first ratio {ratios[algorithm]:.3f}"
+            f"{algorithm} m={m}: median {med:.4g} s, q10 {q10:.4g} s, "
+            f"q90 {q90:.4g} s over {len(seconds)} repeats"
         )
+    if len(cfg.m_grid) >= 4:
+        slopes = fit_scaling(records)
+        ratios = normalized_flatness(records)
+        for algorithm in sorted(slopes):
+            print(
+                f"{algorithm}: log-log slope {slopes[algorithm]:.3f}, "
+                f"normalized last/first ratio {ratios[algorithm]:.3f}"
+            )
     return 0
 
 
@@ -74,7 +72,6 @@ def _cmd_demo(args) -> int:
         rank_cap=args.rank_cap,
         iters=args.iters,
         seed=args.seed,
-        out=args.out,
         decay=args.decay,
         gain=args.gain,
     )
@@ -88,6 +85,8 @@ def _cmd_demo(args) -> int:
     else:
         print(json.dumps(report["model"], indent=2))
     if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=2)
         print(f"report written to {args.out}")
     return 0
 
@@ -101,29 +100,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        help="time a grid of decompositions and write CSV",
+        help="time a grid of decompositions and print its quantiles and scaling fit",
         description=(
-            "Time a grid of decompositions and write CSV. The BLAS thread pool "
-            "is sized when numpy loads, so single-threaded timings need "
-            "OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 for "
-            "other BLAS builds) set in the environment before launch."
+            "Time a grid of decompositions and print its quantiles and scaling "
+            "fit. The BLAS thread pool is sized when numpy loads, so single-threaded "
+            "timings need OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or "
+            "MKL_NUM_THREADS=1 for other BLAS builds) set in the environment "
+            "before launch."
         ),
     )
     run.add_argument("--m-grid", default="1024:262144:x2",
                      help="row counts: 'a,b,c' or 'START:STOP:xFACTOR'")
-    run.add_argument("--n", default="1", help="base factor rank (int or 'm/3')")
-    run.add_argument("--nx", default="1", help="positive block rank (int or 'm/3')")
-    run.add_argument("--ny", default="1", help="negative block rank (int or 'm/3')")
+    run.add_argument("--n", type=int, default=1, help="base factor rank")
+    run.add_argument("--nx", type=int, default=1, help="positive block rank")
+    run.add_argument("--ny", type=int, default=1, help="negative block rank")
     run.add_argument("--repeats", type=int, default=11)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--algorithms", default="feigh,svd",
                      help=f"comma list from {','.join(ALGORITHMS)}")
-    run.add_argument("--out", required=True, help="CSV output path")
     run.set_defaults(func=_cmd_run)
-
-    fit = sub.add_parser("fit", help="fit log-log scaling slopes from a results CSV")
-    fit.add_argument("--in", dest="input", required=True, help="CSV written by 'run'")
-    fit.set_defaults(func=_cmd_fit)
 
     demo = sub.add_parser("demo-learner", help="train the metric learner on synthetic clusters")
     demo.add_argument("--m", type=int, default=128)

@@ -161,7 +161,8 @@ class WeightedData:
 
     @classmethod
     def from_weighted(cls, vectors, weights, dim: int | None = None) -> "WeightedData":
-        """Build from raw (vector, weight) pairs; zero weights are dropped.
+        """Build from raw (vector, weight) pairs; zero weights are dropped
+        and a NaN or infinite weight raises ``ValueError``.
 
         ``dim``, when given, is the vectors' length, and it sets the row
         count of an empty batch; vectors of any other length raise
@@ -181,6 +182,8 @@ class WeightedData:
             raise DimensionError("vectors must be (count, m) matching weights (count,)")
         if dim is not None and arr.shape[1] != dim:
             raise DimensionError(f"vectors have length {arr.shape[1]}, dim is {dim}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         pos = w > 0.0
         neg = w < 0.0
         return cls(_weighted_columns(arr[pos], w[pos]), _weighted_columns(arr[neg], -w[neg]))
@@ -232,8 +235,10 @@ class EigenFactor:
         r = self.E.shape[1]
         if self.D.shape != (r,):
             raise DimensionError(f"D must have length {r}, got {self.D.shape}")
-        if r > 1 and (self.D[1:] > self.D[:-1]).any():
-            raise ValueError("D must be sorted descending")
+        # finite ends and a descending order leave no room for NaN or inf
+        d = self.D
+        if r and not (math.isfinite(d[0]) and math.isfinite(d[-1]) and (d[1:] <= d[:-1]).all()):
+            raise ValueError("D must be finite and sorted descending")
         object.__setattr__(self, "orthogonality", _check_orthonormal(self.E, "E"))
 
     @property

@@ -25,6 +25,7 @@ r of about 32 it is most of the step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,12 +63,14 @@ class UpdateConfig:
     def __post_init__(self):
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
-        if self.gain < 0.0:
-            raise ValueError(f"gain must be >= 0, got {self.gain}")
+        if not 0.0 <= self.gain < math.inf:
+            raise ValueError(f"gain must be finite and >= 0, got {self.gain}")
+        if not isinstance(self.rank_cap, numbers.Integral):
+            raise TypeError(f"rank_cap must be an integer, got {self.rank_cap!r}")
         if self.rank_cap < 0:
             raise ValueError(f"rank_cap must be >= 0, got {self.rank_cap}")
-        if self.floor is not None and self.floor <= 0.0:
-            raise ValueError(f"floor must be > 0, got {self.floor}")
+        if self.floor is not None and not 0.0 < self.floor < math.inf:
+            raise ValueError(f"floor must be finite and > 0, got {self.floor}")
 
 
 @dataclass(frozen=True)
@@ -198,8 +201,11 @@ def distance(model: MetricModel, x) -> float:
 def classify(model: MetricModel, x, threshold: float) -> str:
     """``REGULAR`` iff the distance does not exceed the threshold.
 
-    Raises ``ValueError`` for a non-finite ``x``, as ``distance`` does.
+    Raises ``ValueError`` for a non-finite ``x``, as ``distance`` does, and
+    for a NaN ``threshold``.
     """
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     return REGULAR if distance(model, x) <= threshold else IRREGULAR
 
 

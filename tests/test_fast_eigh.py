@@ -321,6 +321,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="^E contains non-finite entries$"):
             EigenFactor(0.0, e, np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize("d", [
+        [np.nan], [np.inf], [2.0, np.nan], [np.nan, 1.0], [3.0, np.nan, 1.0],
+        [np.inf, 1.0, 0.0], [2.0, 1.0, -np.inf],
+    ])
+    def test_eigenfactor_non_finite_d(self, d):
+        # a NaN fails every order comparison, and the ends bound the rest
+        e = random_orthonormal(np.random.default_rng(4), 6, len(d))
+        with pytest.raises(ValueError, match="^D must be finite and sorted descending$"):
+            EigenFactor(0.0, e, np.array(d))
+
     def test_overflowing_gram_is_not_orthonormal(self):
         # finite entries whose Gram overflows: an orthonormality error, not
         # an OverflowError from the norm of an infinite residual
@@ -371,6 +381,12 @@ class TestFromWeighted:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
                 WeightedData.from_weighted(vectors, [-sign, sign * 4.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN is neither > 0 nor < 0, so it would be dropped like a zero weight
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            WeightedData.from_weighted(np.ones((3, 4)), [1.0, bad, -1.0])
 
     def test_non_finite_vector_with_zero_weight_dropped(self):
         vectors = np.ones((2, 4))

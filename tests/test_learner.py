@@ -110,6 +110,11 @@ class TestClassify:
         with pytest.raises(ValueError, match="non-finite"):
             classify(model, np.array([1.0, bad, 0.0, 0.0]), 2.0)
 
+    def test_nan_threshold_rejected(self):
+        model = MetricModel.identity(4, 1.0)
+        with pytest.raises(ValueError, match="threshold"):
+            classify(model, np.zeros(4), np.nan)
+
 
 class TestAlignment:
     """Every model's E starts on a 64-byte boundary, whichever path built it."""
@@ -516,3 +521,18 @@ class TestConfig:
     def test_nonpositive_floor_rejected(self):
         with pytest.raises(ValueError):
             UpdateConfig(decay=1.0, gain=1.0, rank_cap=2, floor=0.0)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("gain", np.nan, ValueError),
+        ("gain", np.inf, ValueError),
+        ("floor", np.nan, ValueError),
+        ("floor", np.inf, ValueError),
+        ("rank_cap", 2.5, TypeError),
+    ])
+    def test_unusable_value_rejected_by_name(self, field, value, error):
+        # a NaN gain would drop every vector, a NaN floor would turn flooring
+        # off, and a fractional rank_cap would fail inside truncation
+        kwargs = dict(decay=1.0, gain=1.0, rank_cap=2, floor=None)
+        kwargs[field] = value
+        with pytest.raises(error, match=f"^{field} must"):
+            UpdateConfig(**kwargs)
