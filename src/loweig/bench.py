@@ -10,6 +10,7 @@ when the scaling holds.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -52,7 +53,13 @@ class BenchConfig:
     algorithms: tuple[str, ...] = ("feigh", "svd")
 
     def __post_init__(self):
-        object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
+        for name in ("n", "nx", "ny", "repeats"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        grid = tuple(self.m_grid)
+        if not all(isinstance(m, numbers.Integral) for m in grid):
+            raise TypeError(f"m_grid entries must be integers, got {grid!r}")
+        object.__setattr__(self, "m_grid", tuple(int(m) for m in grid))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.m_grid:
             raise ValueError("m_grid must not be empty")

@@ -112,9 +112,12 @@ def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
 
 
 # Products over the m rows are taken in row blocks of about this many bytes
-# of operands. With OpenBLAS on an x86-64 Xeon (1 thread), writing
-# Q V1 + X C_x + Y C_y for m = 2^18 and 2 columns each ran in 3 ms in blocks
-# of 4096 rows and in 12 ms as three whole products.
+# of operands, so a block's operands and result stay in cache. With OpenBLAS
+# on an x86-64 Xeon (1 thread), writing Q V1 + X C_x + Y C_y for m = 2^18 and
+# 2 columns each took 12 ms as three whole products, ~3.7 ms as three
+# products per block of 5461 rows, and ~2.6 ms as one product per block from
+# a packed panel (fast_eigh's thin kernels, ``_panels``). Panels of 128 KB
+# instead of 512 KB made that lift ~20% slower.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -123,6 +126,19 @@ def _row_blocks(m: int, width: int) -> list[slice]:
     the first is the largest."""
     rows = max(256, _BLOCK_BYTES // (8 * max(width, 1)))
     return [slice(i, i + rows) for i in range(0, m, rows)]
+
+
+def _panels(parts, width: int):
+    """Yield ``(rows, panel)`` for each of ``_row_blocks(m, width)``: the
+    panel is ``[parts][rows].T``, the row block of every part copied once,
+    transposed, into one reused C-order buffer with a row per column."""
+    m = parts[0].shape[0]
+    blocks = _row_blocks(m, width)
+    buf = np.empty((sum(x.shape[1] for x in parts), min(blocks[0].stop, m)))
+    for rows in blocks:
+        panel = buf[:, :min(rows.stop, m) - rows.start]
+        np.concatenate([x[rows].T for x in parts], out=panel)
+        yield rows, panel
 
 
 def _take_columns(a: np.ndarray, columns: np.ndarray) -> np.ndarray:

@@ -58,6 +58,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="combined rank"):
             BenchConfig(m_grid=(4, 32), n=2, nx=2, ny=2)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("n", {"n": 1.5}),
+        ("nx", {"nx": 1.0}),
+        ("ny", {"ny": np.float64(2.0)}),
+        ("repeats", {"repeats": 2.5}),
+        ("m_grid", {"m_grid": (32.5,)}),
+        ("m_grid", {"m_grid": (32, 64.0)}),
+    ])
+    def test_non_integral_size_rejected_by_name(self, field, kwargs):
+        with pytest.raises(TypeError, match=f"^{field}"):
+            BenchConfig(**{"m_grid": (32,), "repeats": 1, **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        cfg = BenchConfig(m_grid=(np.int64(32),), n=np.int32(1), repeats=np.int64(1))
+        assert cfg.m_grid == (32,) and type(cfg.m_grid[0]) is int
+
 
 class TestRunGrid:
     def test_dense_only_shape(self):

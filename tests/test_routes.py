@@ -9,6 +9,7 @@ usual tolerances. ``TestVerdicts`` checks that invalid input raises the same
 errors on either route, wherever its invariant is now verified.
 """
 
+import importlib
 import math
 import warnings
 
@@ -20,7 +21,7 @@ from numpy.testing import assert_allclose
 
 from loweig import LowRankFactor, WeightedData, dense_fallback, fast_eigh, materialize
 from loweig.fast_eigh import GRAM_MIN_RATIO, _core_eig, _gram, _scaled_gram
-from loweig.kernels import _safe_scale
+from loweig.kernels import _row_blocks, _safe_scale
 
 from helpers import random_orthonormal, random_symmetric
 
@@ -190,46 +191,66 @@ def route_instance(route, m=20, n=3, nx=2, ny=2, seed=0):
     return factor, data
 
 
+# (m, n, nx, ny) on each side of the panel kernels' width limit: the default
+# shape is thin, TALL_THIN also spans several row blocks and ends in a partial
+# one, and WIDE keeps the per-block products. The bad entries below go in row
+# m - 13, inside the last row block (row 7 of the default shape).
+TALL_THIN = (3 * _row_blocks(1, 6)[0].stop + 17, 2, 2, 2)
+WIDE = (40, 8, 3, 3)
+ROUTES_AND_SHAPES = [
+    pytest.param("gram", (20, 3, 2, 2), id="gram"),
+    pytest.param("two-pass", (20, 3, 2, 2), id="two-pass"),
+    pytest.param("gram", TALL_THIN, id="gram-tall-thin"),
+    pytest.param("two-pass", TALL_THIN, id="two-pass-tall-thin"),
+    pytest.param("gram", WIDE, id="gram-wide"),
+    pytest.param("two-pass", WIDE, id="two-pass-wide"),
+]
+
+
 class TestVerdicts:
     """Each invariant is verified once, mostly off a Gram the call computes
     anyway, and every invalid input still gets the error it got when every
     array was scanned on its own."""
 
-    @pytest.mark.parametrize("route", ["gram", "two-pass"])
+    @pytest.mark.parametrize("route, shape", ROUTES_AND_SHAPES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("array", ["Q", "X", "Y"])
-    def test_non_finite_at_construction(self, array, bad, route):
-        factor, data = route_instance(route)
+    def test_non_finite_at_construction(self, array, bad, route, shape):
+        factor, data = route_instance(route, *shape)
         arrays = {"Q": factor.Q.copy(), "X": data.X.copy(), "Y": data.Y.copy()}
-        arrays[array][7, 1] = bad
-        with pytest.raises(ValueError, match=f"^{array} contains non-finite entries$"):
-            fast_eigh(1.0, LowRankFactor(1.0, arrays["Q"], factor.B),
-                      WeightedData(arrays["X"], arrays["Y"]))
+        arrays[array][shape[0] - 13, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^{array} contains non-finite entries$"):
+                fast_eigh(1.0, LowRankFactor(1.0, arrays["Q"], factor.B),
+                          WeightedData(arrays["X"], arrays["Y"]))
 
-    @pytest.mark.parametrize("route", ["gram", "two-pass"])
+    @pytest.mark.parametrize("route, shape", ROUTES_AND_SHAPES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("array", ["Q", "X", "Y"])
-    def test_non_finite_written_after_construction(self, array, bad, route):
+    def test_non_finite_written_after_construction(self, array, bad, route, shape):
         # the entry bypasses the constructors' checks; the Gram of [Q X Y]
         # is then not finite, and the scans behind it name the array
-        factor, data = route_instance(route)
-        {"Q": factor.Q, "X": data.X, "Y": data.Y}[array][7, 1] = bad
+        factor, data = route_instance(route, *shape)
+        {"Q": factor.Q, "X": data.X, "Y": data.Y}[array][shape[0] - 13, 1] = bad
         name = "q" if array == "Q" else "x"
-        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
-            fast_eigh(1.0, factor, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+                fast_eigh(1.0, factor, data)
 
-    @pytest.mark.parametrize("route", ["gram", "two-pass"])
+    @pytest.mark.parametrize("route, shape", ROUTES_AND_SHAPES)
     @pytest.mark.parametrize(
         "kind, amount",
         [("scale", 1.5), ("scale", 1.0 + 1e-6), ("scale", 1e-100), ("scale", 1e50),
          ("scale", 1e300), ("rotate", 0.3), ("rotate", 1e-6)],
     )
-    def test_non_orthonormal_q_written_after_construction(self, kind, amount, route):
+    def test_non_orthonormal_q_written_after_construction(self, kind, amount, route, shape):
         # the dropped Gram of Q is made up for by the Gram of E: every column
         # of the lift is kept, and E^T E - I = W^T (Q^T Q - I) W
         # (large scalings break ||Q^T Z|| <= ||Z|| first, before anything
         # built from Q overflows)
-        factor, data = route_instance(route)
+        factor, data = route_instance(route, *shape)
         q = factor.Q
         if kind == "scale":
             q *= amount
@@ -292,3 +313,65 @@ class TestVerdicts:
         if got is not None:
             np.testing.assert_array_equal(got[0], ref[0] * scale)
             np.testing.assert_array_equal(got[1], ref[1] * scale)
+
+
+FAST_EIGH = importlib.import_module("loweig.fast_eigh")
+
+
+def laid_out(rng, m, k, layout):
+    """An m-by-k standard normal matrix in C order, F order or as a view
+    strided in both rows and columns."""
+    if layout == "strided":
+        a = np.empty((2 * m, 2 * k + 1))[::2, 1::2]
+        a[...] = rng.standard_normal((m, k))
+        return a
+    return np.asarray(rng.standard_normal((m, k)), order=layout)
+
+
+class TestPanelKernels:
+    """``_block_gram`` and ``_rotate`` pack ``[Q X Y]`` into thin panels up
+    to ``_PANEL_MAX_WIDTH`` columns and take per-block products above it; the
+    two kernels round differently but agree to a few ulps of the sums of
+    absolute terms, whatever the layout of the inputs."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("m, n, nx, ny", [
+        (100, 2, 2, 2), TALL_THIN, (300, 0, 3, 3), (300, 3, 0, 3), (300, 3, 3, 0),
+        (2 * _row_blocks(1, 24)[0].stop + 5, 4, 4, 4), (3000, 6, 5, 5), (700, 8, 8, 8),
+    ])
+    def test_kernels_agree(self, monkeypatch, m, n, nx, ny, layout):
+        rng = np.random.default_rng([m, n, nx, ny])
+        q = random_orthonormal(rng, m, n)
+        if layout != "C":
+            q = np.asfortranarray(q) if layout == "F" else laid_out(rng, m, n, layout)
+        x, y = laid_out(rng, m, nx, layout), laid_out(rng, m, ny, layout)
+        k = n + nx + ny
+        coef = rng.standard_normal((k, k))
+        got = {}
+        for limit in (0, k):
+            monkeypatch.setattr(FAST_EIGH, "_PANEL_MAX_WIDTH", limit)
+            p, zz = FAST_EIGH._block_gram(q, [x, y])
+            e = FAST_EIGH._rotate(q, coef[:n], [x, y], [coef[n:n + nx], coef[n + nx:]])
+            assert np.array_equal(zz, zz.T)
+            assert not e.flags.writeable and e.flags.c_contiguous and e.ctypes.data % 64 == 0
+            got[limit] = np.vstack([p, zz]), e
+        # numpy multiplies strided operands without BLAS, summing in order,
+        # so there the per-block products' rounding grows like sqrt(m) ulps
+        ulp = np.finfo(float).eps * (16 if layout != "strided" else max(16, math.sqrt(m)))
+        a = np.abs(np.hstack([q, x, y]))
+        (g_blocks, e_blocks), (g_panel, e_panel) = got[0], got[k]
+        assert np.all(np.abs(g_panel - g_blocks) <= ulp * (a.T @ a[:, n:]))
+        assert np.all(np.abs(e_panel - e_blocks) <= ulp * (a @ np.abs(coef)))
+        assert_allclose(g_panel, np.hstack([q, x, y]).T @ np.hstack([x, y]), rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("k, panel", [(6, True), (12, True), (13, False), (40, False)])
+    def test_width_selects_the_kernel(self, monkeypatch, k, panel):
+        calls = []
+        real = FAST_EIGH._panels
+        monkeypatch.setattr(FAST_EIGH, "_panels", lambda *a: calls.append(1) or real(*a))
+        rng = np.random.default_rng(k)
+        n = k // 2
+        factor = LowRankFactor(1.0, random_orthonormal(rng, 64, n), random_symmetric(rng, n))
+        data = WeightedData(rng.standard_normal((64, k - n - 1)), rng.standard_normal((64, 1)))
+        assert_matches_dense(1.0, factor, data, scale=64.0)
+        assert bool(calls) == panel
