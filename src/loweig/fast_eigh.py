@@ -31,8 +31,8 @@ always-correct path.
 transposed and no transposing copy is made. On the Gram route a call then
 costs four O(m r^2) kernels (the block Gram, the r-by-r ``eigh``, the lift
 and the Gram of E in the ``EigenFactor`` check) and a fixed cost on r-sized
-arrays: the core is filled in place, the lift slices its coefficients, and
-each small reduction of the checks is computed once.
+arrays: the core is filled in place, the lift stacks ``[V1 - P C; C]`` once
+for ``[Q X Y]``, and each small reduction of the checks is computed once.
 
 The block Gram and the lift run over row blocks (``kernels._row_blocks``)
 with one of two kernels, chosen by the width of ``[Q X Y]`` alone:
@@ -47,10 +47,13 @@ with one of two kernels, chosen by the width of ``[Q X Y]`` alone:
   traffic.
 
 At m = 4096 to 2^18 (x86-64, OpenBLAS, 1 thread) panels won on both kernels
-up to 12 columns, were mixed at 16 and lost on the Gram at 24. At m = 2^18
-with 2 + 2 + 2 columns the panels take ~1.8 ms for the Gram and ~2.6 ms for
-the lift, against ~4.6 and ~3.7 ms per pair; with 1 + 1 + 1 columns the lift
-takes ~2 ms against ~10.
+up to 12 columns, were mixed at 16 and lost on the Gram at 24. The per-block
+lift keeps the edge above that: the panel lift took 0.91-1.12x its time at
+24 columns, 1.22-1.89x at 40 (the learner) and 0.95-1.32x at 64 (slower in
+5 of 6 readings at m = 4096, 2^15 and 2^18). At m = 2^18 with 2 + 2 + 2
+columns the panels take ~1.8 ms for the Gram and ~2.6 ms for the lift,
+against ~4.6 and ~3.7 ms per pair; with 1 + 1 + 1 columns the lift takes
+~2 ms against ~10.
 
 Each invariant is verified once per array, where the array enters, and is
 read off a Gram the call computes anyway where one exists:
@@ -421,8 +424,13 @@ def _scaled_gram(q, blocks):
         finite = bool(np.isfinite(p).all())
     # An orthonormal q has ||Q^T Z||_F <= ||Z||_F (Bessel). A q scaled up in
     # place after its factor was built breaks that, and by 1e50 or so the
-    # core overflows before the check of E could name q.
-    if not (finite and _fro(p) <= 2.0 * math.sqrt(zz.trace())):
+    # core overflows before the check of E could name q. P is finite here,
+    # and by the band above an unscaled norm that overflows or underflows
+    # lands on the same side of the bound as the true one.
+    if finite:
+        with np.errstate(over="ignore"):
+            finite = float(np.linalg.norm(p)) <= 2.0 * math.sqrt(zz.trace())
+    if not finite:
         raise ValueError("q does not have orthonormal columns")
     return p, zz, scale
 
@@ -438,7 +446,10 @@ def _block_gram(q, blocks) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         if width > _PANEL_MAX_WIDTH:
             return _pairwise_gram(parts, n)
-        g = sum(panel @ panel[n:].T for _, panel in _panels(parts, width))
+        grams = (panel @ panel[n:].T for _, panel in _panels(parts, width))
+        g = next(grams)
+        for block in grams:
+            g += block
         # gemm need not round (i, j) and (j, i) alike; the mean of the two is
         # exactly symmetric and leaves the diagonal as it is
         zz = g[n:] + g[n:].T
@@ -486,38 +497,35 @@ class _Core:
 
     def lift(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``[Q U] @ v`` for core eigenvectors v, in a 64-byte-aligned array."""
-        n = q.shape[1]
-        v1, c = v[:n], v[n:]
         if self.r is not None:
-            c = np.linalg.solve(self.r, c)  # R is triangular, so LU does not pivot
-            v1 = v1 - self.p @ c
-        coeffs, start = [], 0
-        for x in self.blocks:
-            coeffs.append(c[start:start + x.shape[1]])
-            start += x.shape[1]
-        return _rotate(q, v1, self.blocks, coeffs)
+            n = q.shape[1]
+            c = np.linalg.solve(self.r, v[n:])  # R is triangular, so LU does not pivot
+            v = np.concatenate([v[:n] - self.p @ c, c])
+        return _rotate([q, *self.blocks], v)
 
 
-def _rotate(q: np.ndarray, v1: np.ndarray, blocks=(), coeffs=()) -> np.ndarray:
-    """``q @ v1 + sum_i blocks[i] @ coeffs[i]`` written once into a fresh
-    64-byte-aligned array, without concatenating the blocks: thin inputs are
-    packed one row block at a time (see the module docstring). The result is
-    read-only, so a basis checked once cannot change before it is used."""
-    m = q.shape[0]
-    out = _aligned_empty((m, v1.shape[1]))
-    terms = [(x, c) for x, c in zip(blocks, coeffs, strict=True) if x.shape[1]]
-    width = q.shape[1] + sum(x.shape[1] for x, _ in terms)
-    if terms and width <= _PANEL_MAX_WIDTH:
-        coef = np.concatenate([v1, *(c for _, c in terms)])
-        for r, panel in _panels([q, *(x for x, _ in terms)], width + v1.shape[1]):
+def _rotate(parts, coef: np.ndarray) -> np.ndarray:
+    """``[parts] @ coef`` written once into a fresh 64-byte-aligned array,
+    without concatenating the parts: thin inputs are packed one row block at
+    a time (see the module docstring). The result is read-only, so a basis
+    checked once cannot change before it is used."""
+    q, n, (width, k) = parts[0], parts[0].shape[1], coef.shape
+    out = _aligned_empty((q.shape[0], k))
+    if n < width <= _PANEL_MAX_WIDTH:  # thin, with columns besides q's
+        for r, panel in _panels(parts, width + k):
             np.matmul(panel.T, coef, out=out[r])
     else:
-        rows = _row_blocks(m, width + v1.shape[1])
+        terms, start = [], n
+        for x in parts[1:]:
+            if x.shape[1]:
+                terms.append((x, coef[start:start + x.shape[1]]))
+            start += x.shape[1]
+        rows = _row_blocks(q.shape[0], width + k)
         # one row block of a product, kept in cache until it is added
         tmp = np.empty_like(out[rows[0]]) if rows else None
         for r in rows:
             o = out[r]
-            np.matmul(q[r], v1, out=o)
+            np.matmul(q[r], coef[:n], out=o)
             for x, c in terms:
                 t = tmp[:o.shape[0]]
                 np.matmul(x[r], c, out=t)
@@ -537,7 +545,7 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
     q_a = _as_2d(q_a, "q_a")
     eig = symmetric_eig(b_a)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _rotate(q_a, eig.E)
+        e = _rotate([q_a], eig.E)
     try:
         return EigenFactor(alpha, e, eig.D)
     except ValueError:

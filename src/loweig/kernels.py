@@ -157,19 +157,20 @@ def _check_orthonormal(a: np.ndarray, name: str) -> float:
 
     Finiteness is read off the Gram: its diagonal entry ``sum_i a_ij^2`` is
     finite exactly when column j is finite and no square overflowed. So the
-    O(m n) scan runs only when the Gram is not finite, and raises the same
-    message as ``_as_matrix``.
+    O(m n) scan runs only when the norm of the Gram minus I is not finite,
+    and raises the same message as ``_as_matrix``.
     """
     n = a.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         dev = a.T @ a
-    dev.reshape(-1)[::n + 1] -= 1.0  # the Gram minus I, in place
-    if not np.isfinite(dev).all():
+        dev.reshape(-1)[::n + 1] -= 1.0  # the Gram minus I, in place
+        # unscaled: a norm that overflows is inf, over the tolerance like the
+        # true one; one that underflows is within it, like the true one
+        norm = float(np.linalg.norm(dev))
+    if norm <= 1e-10 * math.sqrt(max(1, n)):
+        return norm
+    if not math.isfinite(norm):
         _check_finite(a, name)
-    else:
-        norm = _fro(dev)
-        if norm <= 1e-10 * math.sqrt(max(1, n)):
-            return norm
     raise ValueError(f"{name} does not have orthonormal columns")
 
 
@@ -231,7 +232,7 @@ def symmetric_eig(b) -> SymEig:
             raise ValueError("input is not symmetric within tolerance")
         b = (b + b.T) / 2.0
     d, e = np.linalg.eigh(-b)
-    return SymEig(e, -d)
+    return _unchecked(SymEig, e, -d)  # eigh's d ascends, so -d descends
 
 
 def orthonormal_residual(q, x) -> tuple[np.ndarray, np.ndarray]:

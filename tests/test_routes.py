@@ -351,7 +351,7 @@ class TestPanelKernels:
         for limit in (0, k):
             monkeypatch.setattr(FAST_EIGH, "_PANEL_MAX_WIDTH", limit)
             p, zz = FAST_EIGH._block_gram(q, [x, y])
-            e = FAST_EIGH._rotate(q, coef[:n], [x, y], [coef[n:n + nx], coef[n + nx:]])
+            e = FAST_EIGH._rotate([q, x, y], coef)
             assert np.array_equal(zz, zz.T)
             assert not e.flags.writeable and e.flags.c_contiguous and e.ctypes.data % 64 == 0
             got[limit] = np.vstack([p, zz]), e
