@@ -98,6 +98,7 @@ from .kernels import (
     _as_matrix,
     _check_finite,
     _check_orthonormal,
+    _check_symmetric,
     _checked_blocks,
     _fro,
     _panels,
@@ -148,8 +149,7 @@ class LowRankFactor:
         if self.B.shape != (n, n):
             raise DimensionError(f"B must be {n} x {n}, got {self.B.shape}")
         _check_orthonormal(self.Q, "Q")
-        if _fro(self.B - self.B.T) > 1e-12 * max(1.0, _fro(self.B)):
-            raise ValueError("B is not symmetric within tolerance")
+        _check_symmetric(self.B, "B")
 
     @classmethod
     def identity(cls, m: int, alpha: float) -> "LowRankFactor":
@@ -359,11 +359,14 @@ def _two_pass(q, b, blocks, w):
     at or below ``RANK_EPS`` of the scale are dropped with their directions."""
     p, res = _project(q, blocks)
     svd = thin_svd(res)
-    smax = float(svd.S[0]) if svd.S.size else 0.0
-    eps_rank = RANK_EPS * max(smax, math.hypot(*(_fro(x) for x in blocks)))
-    kp = int(np.count_nonzero(svd.S > eps_rank))
+    kp = _rank_cut(svd.S, math.hypot(*(_fro(x) for x in blocks)))
     r = svd.S[:kp, None] * svd.V[:, :kp].T
     return svd.U[:, :kp], _signed_core(b, p, r, w), svd.S.size - kp
+
+
+def _rank_cut(s: np.ndarray, norm: float) -> int:
+    """Count of s above ``RANK_EPS * max(s_max, norm)``, norm the data's."""
+    return int(np.count_nonzero(s > RANK_EPS * max(s.max(initial=0.0), norm)))
 
 
 def _gram(q, b, blocks, w):
@@ -612,9 +615,7 @@ def svd_route(alpha: float, x) -> EigenFactor:
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     svd = thin_svd(x)
-    smax = float(svd.S[0]) if svd.S.size else 0.0
-    eps_rank = RANK_EPS * max(smax, _fro(np.asarray(x, dtype=float)))
-    kp = int(np.count_nonzero(svd.S > eps_rank))
+    kp = _rank_cut(svd.S, _fro(np.asarray(x, dtype=float)))
     return _unchecked(EigenFactor, alpha, svd.U[:, :kp], svd.S[:kp] ** 2)
 
 

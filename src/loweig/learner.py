@@ -1,9 +1,9 @@
 """Streaming Mahalanobis-style metric over an implicit low-rank matrix.
 
-The model keeps ``A = alpha*I + Q B Q^T`` positive definite, scores points by
-``sqrt(x^T A^{-1} x)`` in O(m n), and folds signed-weight batches in as
-``decay*A + gain * sum_i w_i x_i x_i^T`` followed by eigenvalue flooring and
-rank truncation. Model snapshots are immutable; updates return new ones.
+The model stores ``A = alpha*I + E diag(D) E^T``, positive definite, once as
+that eigen form. It scores points by ``sqrt(x^T A^{-1} x)`` in O(m n), folds
+in signed-weight batches as ``decay*A + gain * sum_i w_i x_i x_i^T``, then
+floors and truncates. Snapshots are immutable; updates return new ones.
 
 In ``update`` the values decide and E is written once. The batch becomes
 ``WeightedData`` by one product per sign, ``vectors[kept].T @
@@ -12,7 +12,7 @@ copy. Flooring, window selection and re-flooring all run on
 ``(alpha, d, m)``; flooring keeps the order of d, so their result is the
 index array of the kept columns of the step's eigenvectors. On the fast path
 those are the small core's eigenvectors V, and the model's E is
-``Q @ V[:n, kept] + U @ V[n:, kept]``, written straight into a
+``Q @ V[:n, kept] + U @ V[n:, kept]``, Q the previous E, written into a
 64-byte-aligned array; the decay-only and dense paths gather their kept
 columns once into such an array.
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,9 +95,6 @@ class LabeledBatch:
     def empty(cls, m: int) -> "LabeledBatch":
         return cls(np.zeros((0, m)), np.zeros(0))
 
-    def __len__(self) -> int:
-        return self.weights.shape[0]
-
 
 @dataclass(frozen=True)
 class UpdateStats:
@@ -132,25 +130,25 @@ class UpdateStats:
 
 @dataclass(frozen=True)
 class MetricModel:
-    """Immutable snapshot: the factored matrix plus its eigen form.
+    """Immutable snapshot ``alpha*I + E diag(D) E^T``, stored as its eigen form.
 
-    The cached eigen form makes distance evaluation O(m n) and is refreshed by
-    every update. Both fields represent the same matrix; positive definiteness
-    (all eigenvalues > 0) is an invariant. ``_weights`` holds the scoring
-    weights ``1/(alpha + d_i) - 1/alpha`` of ``distance``, computed once.
-    """
+    The eigen form, all an update reads, scores in O(m n). ``factor`` is a view
+    of it built on first use: ``LowRankFactor(alpha, E, diag(D))``, Q being E.
+    Positive definiteness is an invariant. ``_weights`` holds the scoring
+    weights ``1/(alpha + d_i) - 1/alpha`` of ``distance``, computed once."""
 
-    factor: LowRankFactor
     eigen: EigenFactor
     stats: UpdateStats | None = None
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.eigen.alpha <= 0.0:
-            raise ValueError("model must be positive definite: alpha <= 0")
-        if self.eigen.D.size and float(self.eigen.alpha + self.eigen.D[-1]) <= 0.0:
-            raise ValueError("model must be positive definite: nonpositive eigenvalue")
         ef = self.eigen
+        if not isinstance(ef, EigenFactor):
+            raise TypeError(f"eigen must be an EigenFactor, got {type(ef).__name__}")
+        if ef.alpha <= 0.0:
+            raise ValueError("model must be positive definite: alpha <= 0")
+        if ef.D.size and float(ef.alpha + ef.D[-1]) <= 0.0:
+            raise ValueError("model must be positive definite: nonpositive eigenvalue")
         object.__setattr__(self, "_weights", 1.0 / (ef.alpha + ef.D) - 1.0 / ef.alpha)
 
     @classmethod
@@ -159,15 +157,19 @@ class MetricModel:
 
     @classmethod
     def from_factor(cls, factor: LowRankFactor) -> "MetricModel":
-        return cls(factor, factor_to_eig(factor.alpha, factor.Q, factor.B))
+        return cls(factor_to_eig(factor.alpha, factor.Q, factor.B))
+
+    @cached_property
+    def factor(self) -> LowRankFactor:
+        return _unchecked(LowRankFactor, self.eigen.alpha, self.eigen.E, np.diag(self.eigen.D))
 
     @property
     def dim(self) -> int:
-        return self.factor.dim
+        return self.eigen.dim
 
     @property
     def rank(self) -> int:
-        return self.factor.rank
+        return self.eigen.rank
 
 
 def distance(model: MetricModel, x) -> float:
@@ -256,24 +258,17 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
     decay and skips the decomposition entirely. Every decision is made on the
     eigenvalues; the new E is then written once, with only the kept columns.
     """
-    m = model.dim
-    if batch.vectors.shape[1:] != (m,) and len(batch) > 0:
-        raise DimensionError(
-            f"batch vectors have dimension {batch.vectors.shape[1]}, model has {m}"
-        )
-    decayed_alpha = float(cfg.decay * model.factor.alpha)
+    prev, m = model.eigen, model.dim
+    decayed_alpha = float(cfg.decay * prev.alpha)
     data = WeightedData.from_weighted(batch.vectors, cfg.gain * batch.weights, dim=m)
     nx, ny = data.X.shape[1], data.Y.shape[1]
 
     if nx + ny == 0:
-        path, alpha, d, basis = "decay", decayed_alpha, cfg.decay * model.eigen.D, model.eigen.E
+        path, alpha, d, basis = "decay", decayed_alpha, cfg.decay * prev.D, prev.E
     else:
-        decayed = _unchecked(
-            LowRankFactor, decayed_alpha, model.factor.Q, cfg.decay * model.factor.B
-        )
-        if model.rank + nx + ny <= m:
-            path, alpha = "fast", decayed_alpha
-            core = _core_eig(decayed, data)
+        decayed = _unchecked(LowRankFactor, decayed_alpha, prev.E, np.diag(cfg.decay * prev.D))
+        if prev.rank + nx + ny <= m:
+            path, alpha, core = "fast", decayed_alpha, _core_eig(decayed, data)
             d = core.eig.D
         else:
             path = "dense"
@@ -293,11 +288,11 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
         floored += refloored
 
     if path == "fast":
-        ef = EigenFactor(alpha, core.lift(model.factor.Q, core.eig.E[:, columns]), d)
+        ef = EigenFactor(alpha, core.lift(prev.E, core.eig.E[:, columns]), d)
         route, ratio, dropped = core.route, core.novelty_ratio, core.dropped
     else:
         ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)
         route, ratio, dropped = None, None, 0
     stats = UpdateStats(path, floored, tau is not None, tau, route, ratio, dropped,
                         ef.orthogonality, ef.alpha, _condition(ef.alpha, ef.D, m), variance)
-    return MetricModel(_unchecked(LowRankFactor, ef.alpha, ef.E, np.diag(ef.D)), ef, stats)
+    return MetricModel(ef, stats)

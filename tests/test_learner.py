@@ -126,11 +126,18 @@ class TestAlignment:
 
     def test_from_factor(self):
         rng = np.random.default_rng(13)
-        factor = LowRankFactor(1.0, random_factor(rng, 40, 3).Q, np.eye(3))
-        model = MetricModel.from_factor(factor)
-        self.assert_aligned(model)
-        # checked once, so it must not change before the next step uses it
-        assert not model.eigen.E.flags.writeable
+        q = random_factor(rng, 40, 3).Q
+        for b in (np.eye(3), np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 0.5]])):
+            model = MetricModel.from_factor(LowRankFactor(1.0, q, b))
+            self.assert_aligned(model)
+            # checked once, so it must not change before the next step uses it
+            assert not model.eigen.E.flags.writeable
+            # the snapshot stores only its eigen form; factor is a view of it
+            assert model.factor.Q is model.eigen.E
+            assert np.array_equal(model.factor.B, np.diag(model.eigen.D))
+            # a factor is no eigen form: the old MetricModel(factor, eigen) call fails
+            with pytest.raises(TypeError, match="^eigen must be an EigenFactor, got LowRankFactor$"):
+                MetricModel(model.factor, model.eigen)
 
     @pytest.mark.parametrize("rank_cap", [1, 8])
     @pytest.mark.parametrize("count", [0, 3, 6])
@@ -472,9 +479,15 @@ class TestUpdate:
 
     def test_dimension_mismatch_rejected(self):
         model = MetricModel.identity(4, 1.0)
-        batch = LabeledBatch(np.ones((1, 5)), np.array([1.0]))
-        with pytest.raises(DimensionError):
-            update(model, batch, UpdateConfig(decay=1.0, gain=1.0, rank_cap=2))
+        # a wrong width is rejected even at gain 0, and so are 3-D vectors
+        for vectors, gain in ((np.ones((1, 5)), 1.0), (np.ones((1, 5)), 0.0),
+                              (np.ones((1, 2, 2)), 1.0)):
+            batch = LabeledBatch(vectors, np.array([1.0]))
+            with pytest.raises(DimensionError):
+                update(model, batch, UpdateConfig(decay=1.0, gain=gain, rank_cap=2))
+        # an empty batch of any width is pure decay
+        empty = LabeledBatch(np.zeros((0, 5)), np.zeros(0))
+        assert update(model, empty, UpdateConfig(decay=1.0, gain=1.0, rank_cap=2)).stats.path == "decay"
 
     @pytest.mark.parametrize("seed", [10, 11])
     def test_five_steps_match_dense_simulator(self, seed):
