@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fast_eigh import LowRankFactor, WeightedData, fast_eigh, svd_route
-from .kernels import thin_svd
+from .kernels import _ValueRecord, thin_svd
 from .learner import (
     IRREGULAR,
     REGULAR,
@@ -35,8 +34,7 @@ ALGORITHMS = ("feigh", "svd")
 _MIN_SECONDS = 1e-9
 
 
-@dataclass(frozen=True)
-class BenchConfig:
+class BenchConfig(_ValueRecord):
     """One grid run: sizes, ranks and repetition.
 
     The combined rank n + nx + ny must lie in [1, m_grid[0]]. The first
@@ -44,58 +42,62 @@ class BenchConfig:
     repeats >= 3.
     """
 
-    m_grid: tuple[int, ...]
-    n: int = 1
-    nx: int = 1
-    ny: int = 1
-    repeats: int = 11
-    seed: int = 0
-    algorithms: tuple[str, ...] = ("feigh", "svd")
+    _fields = ("m_grid", "n", "nx", "ny", "repeats", "seed", "algorithms")
 
-    def __post_init__(self):
-        for name in ("n", "nx", "ny", "repeats"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        grid = tuple(self.m_grid)
+    def __init__(
+        self,
+        m_grid: tuple[int, ...],
+        n: int = 1,
+        nx: int = 1,
+        ny: int = 1,
+        repeats: int = 11,
+        seed: int = 0,
+        algorithms: tuple[str, ...] = ("feigh", "svd"),
+    ):
+        for name, value in (("n", n), ("nx", nx), ("ny", ny), ("repeats", repeats)):
+            if not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        grid = tuple(m_grid)
         if not all(isinstance(m, numbers.Integral) for m in grid):
             raise TypeError(f"m_grid entries must be integers, got {grid!r}")
-        object.__setattr__(self, "m_grid", tuple(int(m) for m in grid))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if not self.m_grid:
+        m_grid = tuple(int(m) for m in grid)
+        algorithms = tuple(algorithms)
+        if not m_grid:
             raise ValueError("m_grid must not be empty")
-        if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
+        if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
             raise ValueError("m_grid must be strictly ascending")
-        if self.m_grid[0] < 1:
+        if m_grid[0] < 1:
             raise ValueError("m_grid entries must be positive")
-        if self.repeats < 1:
+        if repeats < 1:
             raise ValueError("repeats must be >= 1")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
-        if unknown or not self.algorithms:
+        unknown = set(algorithms) - set(ALGORITHMS)
+        if unknown or not algorithms:
             raise ValueError(f"algorithms must be a nonempty subset of {ALGORITHMS}")
-        if min(self.n, self.nx, self.ny) < 0:
-            raise ValueError(f"ranks must be >= 0, got {(self.n, self.nx, self.ny)}")
-        total = self.n + self.nx + self.ny
-        if not 1 <= total <= self.m_grid[0]:
+        if min(n, nx, ny) < 0:
+            raise ValueError(f"ranks must be >= 0, got {(n, nx, ny)}")
+        total = n + nx + ny
+        if not 1 <= total <= m_grid[0]:
             raise ValueError(
-                f"combined rank must lie in [1, {self.m_grid[0]}] (the smallest m), got {total}"
+                f"combined rank must lie in [1, {m_grid[0]}] (the smallest m), got {total}"
             )
+        self.__dict__.update(
+            m_grid=m_grid, n=n, nx=nx, ny=ny, repeats=repeats, seed=seed, algorithms=algorithms
+        )
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(_ValueRecord):
     """One timed cell."""
 
-    algorithm: str
-    m: int
-    n: int
-    nx: int
-    ny: int
-    repeat: int
-    seconds: float
+    _fields = ("algorithm", "m", "n", "nx", "ny", "repeat", "seconds")
 
-    def __post_init__(self):
-        if self.seconds <= 0.0:
+    def __init__(
+        self, algorithm: str, m: int, n: int, nx: int, ny: int, repeat: int, seconds: float
+    ):
+        if seconds <= 0.0:
             raise ValueError("seconds must be positive")
+        self.__dict__.update(
+            algorithm=algorithm, m=m, n=n, nx=nx, ny=ny, repeat=repeat, seconds=seconds
+        )
 
 
 def generate_instance(seed, m: int, n: int, nx: int, ny: int):

@@ -86,13 +86,13 @@ checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import (
     DimensionError,
     SymEig,
+    _Record,
     _aligned_empty,
     _as_2d,
     _as_matrix,
@@ -126,30 +126,28 @@ GRAM_MIN_RATIO = 1e-2
 _PANEL_MAX_WIDTH = 12
 
 
-@dataclass(frozen=True)
-class LowRankFactor:
+class LowRankFactor(_Record):
     """Implicit symmetric matrix ``alpha*I + Q B Q^T``.
 
     Q is m-by-n with orthonormal columns, B is n-by-n symmetric, n <= m.
     """
 
-    alpha: float
-    Q: np.ndarray
-    B: np.ndarray
+    _fields = ("alpha", "Q", "B")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "Q", _as_2d(self.Q, "Q"))
-        object.__setattr__(self, "B", _as_matrix(self.B, "B"))
-        if not math.isfinite(self.alpha) or self.alpha < 0.0:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        m, n = self.Q.shape
+    def __init__(self, alpha: float, Q: np.ndarray, B: np.ndarray):
+        alpha = float(alpha)
+        Q = _as_2d(Q, "Q")
+        B = _as_matrix(B, "B")
+        if not math.isfinite(alpha) or alpha < 0.0:
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+        m, n = Q.shape
         if n > m:
             raise DimensionError(f"Q must be tall, got {m} x {n}")
-        if self.B.shape != (n, n):
-            raise DimensionError(f"B must be {n} x {n}, got {self.B.shape}")
-        _check_orthonormal(self.Q, "Q")
-        _check_symmetric(self.B, "B")
+        if B.shape != (n, n):
+            raise DimensionError(f"B must be {n} x {n}, got {B.shape}")
+        _check_orthonormal(Q, "Q")
+        _check_symmetric(B, "B")
+        self.__dict__.update(alpha=alpha, Q=Q, B=B)
 
     @classmethod
     def identity(cls, m: int, alpha: float) -> "LowRankFactor":
@@ -165,8 +163,7 @@ class LowRankFactor:
         return self.Q.shape[1]
 
 
-@dataclass(frozen=True)
-class WeightedData:
+class WeightedData(_Record):
     """Signed-weight batch, pre-split into positive and negative parts.
 
     X holds columns ``sqrt(w_i) * x_i`` for positive weights, Y holds
@@ -174,16 +171,14 @@ class WeightedData:
     ``X X^T - Y Y^T``.
     """
 
-    X: np.ndarray
-    Y: np.ndarray
+    _fields = ("X", "Y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "X", _as_matrix(self.X, "X"))
-        object.__setattr__(self, "Y", _as_matrix(self.Y, "Y"))
-        if self.X.shape[0] != self.Y.shape[0]:
-            raise DimensionError(
-                f"X and Y row counts differ: {self.X.shape[0]} vs {self.Y.shape[0]}"
-            )
+    def __init__(self, X: np.ndarray, Y: np.ndarray):
+        X = _as_matrix(X, "X")
+        Y = _as_matrix(Y, "Y")
+        if X.shape[0] != Y.shape[0]:
+            raise DimensionError(f"X and Y row counts differ: {X.shape[0]} vs {Y.shape[0]}")
+        self.__dict__.update(X=X, Y=Y)
 
     @classmethod
     def from_weighted(cls, vectors, weights, dim: int | None = None) -> "WeightedData":
@@ -236,36 +231,31 @@ def _weighted_columns(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         return rows.T @ np.diag(np.sqrt(w))
 
 
-@dataclass(frozen=True)
-class EigenFactor:
+class EigenFactor(_Record):
     """Thin eigendecomposition ``alpha*I + E diag(D) E^T``.
 
     E is m-by-r with orthonormal columns and D is sorted descending; the full
     spectrum is {alpha + d_i} plus alpha with multiplicity m - r.
-    ``orthogonality`` is ``||E^T E - I||_F`` as the check in ``__post_init__``
+    ``orthogonality`` is ``||E^T E - I||_F`` as the check in ``__init__``
     measured it, and None for a factor the library built without that check.
     """
 
-    alpha: float
-    E: np.ndarray
-    D: np.ndarray
+    _fields = ("alpha", "E", "D")
+    orthogonality = None  # not a field: set by the check, so not in the repr
 
-    orthogonality = None  # not a field: set by the check, so never compared
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "E", _as_2d(self.E, "E"))
-        object.__setattr__(self, "D", np.asarray(self.D, dtype=float))
-        if not math.isfinite(self.alpha):
+    def __init__(self, alpha: float, E: np.ndarray, D: np.ndarray):
+        alpha = float(alpha)
+        E = _as_2d(E, "E")
+        D = np.asarray(D, dtype=float)
+        if not math.isfinite(alpha):
             raise ValueError("alpha must be finite")
-        r = self.E.shape[1]
-        if self.D.shape != (r,):
-            raise DimensionError(f"D must have length {r}, got {self.D.shape}")
+        r = E.shape[1]
+        if D.shape != (r,):
+            raise DimensionError(f"D must have length {r}, got {D.shape}")
         # finite ends and a descending order leave no room for NaN or inf
-        d = self.D
-        if r and not (math.isfinite(d[0]) and math.isfinite(d[-1]) and (d[1:] <= d[:-1]).all()):
+        if r and not (math.isfinite(D[0]) and math.isfinite(D[-1]) and (D[1:] <= D[:-1]).all()):
             raise ValueError("D must be finite and sorted descending")
-        object.__setattr__(self, "orthogonality", _check_orthonormal(self.E, "E"))
+        self.__dict__.update(alpha=alpha, E=E, D=D, orthogonality=_check_orthonormal(E, "E"))
 
     @property
     def dim(self) -> int:
@@ -481,8 +471,7 @@ def _pairwise_gram(parts, n):
     return g[:n], g[n:]
 
 
-@dataclass(frozen=True)
-class _Core:
+class _Core(_Record):
     """Eigendecomposition of the core and what lifts its eigenvectors to R^m.
 
     An eigenvector ``v = [v1; v2]`` of the core lifts to ``Q v1 + U v2``. The
@@ -490,13 +479,22 @@ class _Core:
     with ``C = R^-1 v2`` the lift is ``Q (v1 - P C) + X C_x + Y C_y``.
     """
 
-    route: str
-    eig: SymEig
-    blocks: tuple
-    p: np.ndarray | None = None
-    r: np.ndarray | None = None
-    novelty_ratio: float | None = None
-    dropped: int = 0
+    _fields = ("route", "eig", "blocks", "p", "r", "novelty_ratio", "dropped")
+
+    def __init__(
+        self,
+        route: str,
+        eig: SymEig,
+        blocks: tuple,
+        p: np.ndarray | None = None,
+        r: np.ndarray | None = None,
+        novelty_ratio: float | None = None,
+        dropped: int = 0,
+    ):
+        self.__dict__.update(
+            route=route, eig=eig, blocks=blocks, p=p, r=r, novelty_ratio=novelty_ratio,
+            dropped=dropped,
+        )
 
     def lift(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``[Q U] @ v`` for core eigenvectors v, in a 64-byte-aligned array."""

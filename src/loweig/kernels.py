@@ -12,7 +12,6 @@ orthonormal V for the SVD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,40 +20,78 @@ class DimensionError(ValueError):
     """Input shapes violate an operation's dimensional preconditions."""
 
 
-@dataclass(frozen=True)
-class ThinSvd:
+class _Record:
+    """Base of the library's immutable records.
+
+    A subclass names its fields in ``_fields`` and sets them once, in its own
+    ``__init__``, through ``self.__dict__``; assignment and deletion raise
+    ``AttributeError``. The repr lists the fields as ``Name(f=value, ...)``.
+    Records compare and hash by identity: most hold arrays, for which
+    field-wise ``==`` has no single truth value. Plain classes rather than
+    frozen dataclasses, because generating a dataclass's methods compiles and
+    runs source code for each class when its module is imported.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class _ValueRecord(_Record):
+    """A record without arrays, equal to another of its class when every
+    field is, and hashed by its fields (a list field makes it unhashable)."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class ThinSvd(_Record):
     """Thin SVD ``A = U @ diag(S) @ V.T`` of an m-by-k matrix, m >= k.
 
     U is m-by-k with orthonormal columns, S is nonnegative and sorted
     descending, V is k-by-k orthogonal.
     """
 
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
+    _fields = ("U", "S", "V")
 
-    def __post_init__(self):
-        if self.U.shape[1] != self.S.shape[0] or self.V.shape != (self.S.shape[0],) * 2:
+    def __init__(self, U: np.ndarray, S: np.ndarray, V: np.ndarray):
+        if U.shape[1] != S.shape[0] or V.shape != (S.shape[0],) * 2:
             raise DimensionError("inconsistent thin-SVD factor shapes")
-        if self.S.size and (np.any(self.S < 0.0) or np.any(np.diff(self.S) > 0.0)):
+        if S.size and (np.any(S < 0.0) or np.any(np.diff(S) > 0.0)):
             raise ValueError("singular values must be nonnegative and descending")
+        self.__dict__.update(U=U, S=S, V=V)
 
 
-@dataclass(frozen=True)
-class SymEig:
+class SymEig(_Record):
     """Eigendecomposition ``B = E @ diag(D) @ E.T`` of a symmetric matrix.
 
     E is orthogonal, D is sorted descending.
     """
 
-    E: np.ndarray
-    D: np.ndarray
+    _fields = ("E", "D")
 
-    def __post_init__(self):
-        if self.E.shape != (self.D.shape[0],) * 2:
+    def __init__(self, E: np.ndarray, D: np.ndarray):
+        if E.shape != (D.shape[0],) * 2:
             raise DimensionError("inconsistent eigendecomposition shapes")
-        if self.D.size > 1 and (self.D[1:] > self.D[:-1]).any():
+        if D.size > 1 and (D[1:] > D[:-1]).any():
             raise ValueError("eigenvalues must be sorted descending")
+        self.__dict__.update(E=E, D=D)
 
 
 def _as_2d(a, name: str) -> np.ndarray:
@@ -184,11 +221,11 @@ def _check_symmetric(b: np.ndarray, name: str) -> bool:
 
 
 def _unchecked(cls, *values):
-    """``cls(*values)`` for a frozen dataclass, skipping ``__post_init__``: for
-    results the library computes from inputs it has already validated."""
+    """``cls(*values)`` for a record, skipping the conversions and checks of
+    its ``__init__``: for results the library computes from inputs it has
+    already validated."""
     obj = object.__new__(cls)
-    for field, value in zip(fields(cls), values, strict=True):
-        object.__setattr__(obj, field.name, value)
+    obj.__dict__.update(zip(cls._fields, values, strict=True))
     return obj
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,14 +39,14 @@ from .fast_eigh import (
     dense_fallback,
     factor_to_eig,
 )
-from .kernels import _take_columns, _unchecked
+from .kernels import _Record, _ValueRecord, _take_columns, _unchecked
 from .truncation import _select
 
 REGULAR = "regular"
 IRREGULAR = "irregular"
 
-@dataclass(frozen=True)
-class UpdateConfig:
+
+class UpdateConfig(_ValueRecord):
     """Knobs of one streaming update.
 
     decay scales the previous matrix (in (0, 1]); gain scales the batch
@@ -56,48 +55,42 @@ class UpdateConfig:
     (defaults to 1e-12 times the decayed base coefficient when None).
     """
 
-    decay: float
-    gain: float
-    rank_cap: int
-    floor: float | None = None
+    _fields = ("decay", "gain", "rank_cap", "floor")
 
-    def __post_init__(self):
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
-        if not 0.0 <= self.gain < math.inf:
-            raise ValueError(f"gain must be finite and >= 0, got {self.gain}")
-        if not isinstance(self.rank_cap, numbers.Integral):
-            raise TypeError(f"rank_cap must be an integer, got {self.rank_cap!r}")
-        if self.rank_cap < 0:
-            raise ValueError(f"rank_cap must be >= 0, got {self.rank_cap}")
-        if self.floor is not None and not 0.0 < self.floor < math.inf:
-            raise ValueError(f"floor must be finite and > 0, got {self.floor}")
+    def __init__(self, decay: float, gain: float, rank_cap: int, floor: float | None = None):
+        if not 0.0 < decay <= 1.0:
+            raise ValueError(f"decay must lie in (0, 1], got {decay}")
+        if not 0.0 <= gain < math.inf:
+            raise ValueError(f"gain must be finite and >= 0, got {gain}")
+        if not isinstance(rank_cap, numbers.Integral):
+            raise TypeError(f"rank_cap must be an integer, got {rank_cap!r}")
+        if rank_cap < 0:
+            raise ValueError(f"rank_cap must be >= 0, got {rank_cap}")
+        if floor is not None and not 0.0 < floor < math.inf:
+            raise ValueError(f"floor must be finite and > 0, got {floor}")
+        self.__dict__.update(decay=decay, gain=gain, rank_cap=rank_cap, floor=floor)
 
 
-@dataclass(frozen=True)
-class LabeledBatch:
+class LabeledBatch(_Record):
     """Vectors with signed weights: positive marks regular, negative irregular."""
 
-    vectors: np.ndarray
-    weights: np.ndarray
+    _fields = ("vectors", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", np.atleast_2d(np.asarray(self.vectors, dtype=float)))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.vectors.shape[0] != self.weights.shape[0]:
-            raise DimensionError(
-                f"{self.vectors.shape[0]} vectors but {self.weights.shape[0]} weights"
-            )
-        if self.weights.size and not np.all(np.isfinite(self.weights)):
+    def __init__(self, vectors: np.ndarray, weights: np.ndarray):
+        vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+        weights = np.asarray(weights, dtype=float)
+        if vectors.shape[0] != weights.shape[0]:
+            raise DimensionError(f"{vectors.shape[0]} vectors but {weights.shape[0]} weights")
+        if weights.size and not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
+        self.__dict__.update(vectors=vectors, weights=weights)
 
     @classmethod
     def empty(cls, m: int) -> "LabeledBatch":
         return cls(np.zeros((0, m)), np.zeros(0))
 
 
-@dataclass(frozen=True)
-class UpdateStats:
+class UpdateStats(_ValueRecord):
     """What the last update did and had to intervene on.
 
     ``path`` is the decomposition that ran: ``"fast"``, ``"dense"`` (the
@@ -115,41 +108,52 @@ class UpdateStats:
     replaced by their geometric mean, None when nothing was truncated.
     """
 
-    path: str
-    floored: int
-    truncated: bool
-    tau: int | None = None
-    route: str | None = None
-    novelty_ratio: float | None = None
-    dropped: int = 0
-    orthogonality: float | None = None
-    alpha: float | None = None
-    condition: float | None = None
-    window_log_variance: float | None = None
+    _fields = (
+        "path", "floored", "truncated", "tau", "route", "novelty_ratio", "dropped",
+        "orthogonality", "alpha", "condition", "window_log_variance",
+    )
+
+    def __init__(
+        self,
+        path: str,
+        floored: int,
+        truncated: bool,
+        tau: int | None = None,
+        route: str | None = None,
+        novelty_ratio: float | None = None,
+        dropped: int = 0,
+        orthogonality: float | None = None,
+        alpha: float | None = None,
+        condition: float | None = None,
+        window_log_variance: float | None = None,
+    ):
+        self.__dict__.update(
+            path=path, floored=floored, truncated=truncated, tau=tau, route=route,
+            novelty_ratio=novelty_ratio, dropped=dropped, orthogonality=orthogonality,
+            alpha=alpha, condition=condition, window_log_variance=window_log_variance,
+        )
 
 
-@dataclass(frozen=True)
-class MetricModel:
+class MetricModel(_Record):
     """Immutable snapshot ``alpha*I + E diag(D) E^T``, stored as its eigen form.
 
     The eigen form, all an update reads, scores in O(m n). ``factor`` is a view
     of it built on first use: ``LowRankFactor(alpha, E, diag(D))``, Q being E.
     Positive definiteness is an invariant. ``_weights`` holds the scoring
-    weights ``1/(alpha + d_i) - 1/alpha`` of ``distance``, computed once."""
+    weights ``1/(alpha + d_i) - 1/alpha`` of ``distance``, computed once; it
+    is not a field, so the repr leaves it out."""
 
-    eigen: EigenFactor
-    stats: UpdateStats | None = None
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("eigen", "stats")
 
-    def __post_init__(self):
-        ef = self.eigen
-        if not isinstance(ef, EigenFactor):
-            raise TypeError(f"eigen must be an EigenFactor, got {type(ef).__name__}")
-        if ef.alpha <= 0.0:
+    def __init__(self, eigen: EigenFactor, stats: UpdateStats | None = None):
+        if not isinstance(eigen, EigenFactor):
+            raise TypeError(f"eigen must be an EigenFactor, got {type(eigen).__name__}")
+        if eigen.alpha <= 0.0:
             raise ValueError("model must be positive definite: alpha <= 0")
-        if ef.D.size and float(ef.alpha + ef.D[-1]) <= 0.0:
+        if eigen.D.size and float(eigen.alpha + eigen.D[-1]) <= 0.0:
             raise ValueError("model must be positive definite: nonpositive eigenvalue")
-        object.__setattr__(self, "_weights", 1.0 / (ef.alpha + ef.D) - 1.0 / ef.alpha)
+        weights = 1.0 / (eigen.alpha + eigen.D) - 1.0 / eigen.alpha
+        self.__dict__.update(eigen=eigen, stats=stats, _weights=weights)
 
     @classmethod
     def identity(cls, m: int, alpha: float = 1.0) -> "MetricModel":

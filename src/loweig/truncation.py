@@ -17,16 +17,14 @@ sit in the alpha block. ``truncate`` is ``_select`` plus one gather.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fast_eigh import EigenFactor, LowRankFactor
-from .kernels import _take_columns, _unchecked
+from .kernels import _ValueRecord, _take_columns, _unchecked
 
 
-@dataclass(frozen=True)
-class SpectrumBlock:
+class SpectrumBlock(_ValueRecord):
     """A maximal run of equal eigenvalues.
 
     ``indices`` are the explicit eigenvector column indices carried by this
@@ -34,41 +32,39 @@ class SpectrumBlock:
     block) and have no representable eigenvector.
     """
 
-    value: float
-    multiplicity: int
-    indices: tuple[int, ...] = ()
+    _fields = ("value", "multiplicity", "indices")
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
+    def __init__(self, value: float, multiplicity: int, indices: tuple[int, ...] = ()):
+        if multiplicity < 1:
             raise ValueError("block multiplicity must be positive")
-        if len(self.indices) > self.multiplicity:
+        if len(indices) > multiplicity:
             raise ValueError("more eigenvector indices than multiplicity")
+        self.__dict__.update(value=value, multiplicity=multiplicity, indices=indices)
 
     @property
     def implicit(self) -> int:
         return self.multiplicity - len(self.indices)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_ValueRecord):
     """Full sorted spectrum as (value, multiplicity) blocks, descending.
 
     All values must be strictly positive; the truncation objective lives in
     log space.
     """
 
-    blocks: tuple[SpectrumBlock, ...]
-    total: int
+    _fields = ("blocks", "total")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if sum(b.multiplicity for b in self.blocks) != self.total:
+    def __init__(self, blocks: tuple[SpectrumBlock, ...], total: int):
+        blocks = tuple(blocks)
+        if sum(b.multiplicity for b in blocks) != total:
             raise ValueError("block multiplicities do not sum to the total")
-        values = [b.value for b in self.blocks]
+        values = [b.value for b in blocks]
         if any(v <= 0.0 or not math.isfinite(v) for v in values):
             raise ValueError("spectrum values must be finite and strictly positive")
         if any(values[i] <= values[i + 1] for i in range(len(values) - 1)):
             raise ValueError("block values must be strictly descending")
+        self.__dict__.update(blocks=blocks, total=total)
 
     @classmethod
     def from_eigenfactor(cls, ef: EigenFactor) -> "Spectrum":
@@ -111,8 +107,7 @@ def _blocks(alpha: float, d: np.ndarray, m: int):
     return values, mult, np.concatenate((block[:at], block[at + 1:])), a
 
 
-@dataclass(frozen=True)
-class TruncationResult:
+class TruncationResult(_ValueRecord):
     """Outcome of one truncation: the new base coefficient and the kept pairs.
 
     ``kept_top`` / ``kept_bottom`` list (eigenvalue, eigenvector index) pairs
@@ -120,10 +115,18 @@ class TruncationResult:
     eigenfactor.
     """
 
-    new_alpha: float
-    kept_top: list[tuple[float, int]]
-    kept_bottom: list[tuple[float, int]]
-    tau: int
+    _fields = ("new_alpha", "kept_top", "kept_bottom", "tau")
+
+    def __init__(
+        self,
+        new_alpha: float,
+        kept_top: list[tuple[float, int]],
+        kept_bottom: list[tuple[float, int]],
+        tau: int,
+    ):
+        self.__dict__.update(
+            new_alpha=new_alpha, kept_top=kept_top, kept_bottom=kept_bottom, tau=tau
+        )
 
 
 def _windows(values: np.ndarray, mult: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -179,11 +179,11 @@ class TestTrustedConstruction:
         calls = {LowRankFactor: 0, EigenFactor: 0}
         for cls in calls:
 
-            def counting(self, cls=cls, original=cls.__post_init__):
+            def counting(self, *args, cls=cls, original=cls.__init__):
                 calls[cls] += 1
-                original(self)
+                original(self, *args)
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         out = update(model, batch, cfg)
         assert (calls[LowRankFactor], calls[EigenFactor]) == expected
         assert out.stats.truncated == truncated

@@ -24,11 +24,20 @@ def run_fresh(code):
 
 
 def test_import_loads_only_the_fast_path():
-    out = run_fresh(
-        "import loweig; "
-        f"print(*[m for m in {LAZY_MODULES + ('csv', 'json')!r} if m in sys.modules])"
-    )
+    unwanted = LAZY_MODULES + ("csv", "json", "dataclasses")
+    out = run_fresh(f"import loweig; print(*[m for m in {unwanted!r} if m in sys.modules])")
     assert out.split() == []
+
+
+def test_no_submodule_loads_dataclasses():
+    # the records are plain classes: building a dataclass compiles and runs
+    # generated source for each class at import
+    out = run_fresh(
+        "import loweig; loweig.update; loweig.truncate; loweig.materialize; loweig.run_grid; "
+        f"print(*[m for m in {LAZY_MODULES!r} if m not in sys.modules], "
+        "'dataclasses' in sys.modules)"
+    )
+    assert out.split() == ["False"]
 
 
 def test_first_use_loads_the_owning_submodule():
