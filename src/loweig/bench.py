@@ -10,6 +10,7 @@ when the scaling holds.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 
@@ -37,9 +38,9 @@ _MIN_SECONDS = 1e-9
 class BenchConfig(_ValueRecord):
     """One grid run: sizes, ranks and repetition.
 
-    The combined rank n + nx + ny must lie in [1, m_grid[0]]. The first
-    repeat is treated as warm-up and excluded from summaries whenever
-    repeats >= 3.
+    The combined rank n + nx + ny must lie in [1, m_grid[0]], and seed is a
+    nonnegative integer. The first repeat is treated as warm-up and excluded
+    from summaries whenever repeats >= 3.
     """
 
     _fields = ("m_grid", "n", "nx", "ny", "repeats", "seed", "algorithms")
@@ -54,7 +55,8 @@ class BenchConfig(_ValueRecord):
         seed: int = 0,
         algorithms: tuple[str, ...] = ("feigh", "svd"),
     ):
-        for name, value in (("n", n), ("nx", nx), ("ny", ny), ("repeats", repeats)):
+        for name, value in (("n", n), ("nx", nx), ("ny", ny), ("repeats", repeats),
+                            ("seed", seed)):
             if not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         grid = tuple(m_grid)
@@ -70,6 +72,8 @@ class BenchConfig(_ValueRecord):
             raise ValueError("m_grid entries must be positive")
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         unknown = set(algorithms) - set(ALGORITHMS)
         if unknown or not algorithms:
             raise ValueError(f"algorithms must be a nonempty subset of {ALGORITHMS}")
@@ -93,8 +97,8 @@ class BenchRecord(_ValueRecord):
     def __init__(
         self, algorithm: str, m: int, n: int, nx: int, ny: int, repeat: int, seconds: float
     ):
-        if seconds <= 0.0:
-            raise ValueError("seconds must be positive")
+        if not 0.0 < seconds < math.inf:
+            raise ValueError(f"seconds must be positive and finite, got {seconds}")
         self.__dict__.update(
             algorithm=algorithm, m=m, n=n, nx=nx, ny=ny, repeat=repeat, seconds=seconds
         )

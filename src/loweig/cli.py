@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ def parse_m_grid(text: str) -> tuple[int, ...]:
             raise ValueError(f"bad grid {text!r}; expected START:STOP:xFACTOR")
         start, stop = int(parts[0]), int(parts[1])
         factor = float(parts[2][1:])
-        if start < 1 or stop < start or factor <= 1.0:
+        if start < 1 or stop < start or not 1.0 < factor < math.inf:
             raise ValueError(f"bad grid bounds in {text!r}")
         grid = []
         m = start

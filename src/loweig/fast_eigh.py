@@ -9,19 +9,21 @@ into a 64-byte-aligned result; ``[X Y]`` and ``[Q U]`` are never built.
 only the columns it keeps. P and R come from one of two routes:
 
 - The Gram route, tried first. One Gram of ``[Q X Y]``, summed block by
-  block, gives ``P = Q^T Z`` and ``Z^T Z``; R is the Cholesky factor of
-  ``Z^T Z - P^T P``, the small-matrix step of CholeskyQR (Fukaya,
-  Nakatsukasa, Yanagisawa & Yamamoto 2014, "CholeskyQR2"). U is never
-  formed: with ``C = R^-1 V2`` the lift is ``Q (V1 - P C) + X C_x + Y C_y``.
-  That is two passes over the m-row data.
+  block, gives ``P = Q^T Z`` and ``Z^T Z``. One ``eigh`` of
+  ``S = Z^T Z - P^T P = V diag(lam) V^T`` gives ``R = diag(sqrt(lam)) V^T``,
+  ``sigma_min(R) = sqrt(lam_min)`` and ``R^-1 = V diag(lam^-1/2)``: the SVQR
+  step (Stathopoulos & Wu 2002), where CholeskyQR (Fukaya et al. 2014,
+  "CholeskyQR2") takes the Cholesky factor of S. U is never formed: with
+  ``C = R^-1 V2`` the lift is ``Q (V1 - P C) + X C_x + Y C_y``, two passes
+  over the m-row data in all.
 - The two-pass route: Z is projected out of span(Q) twice and the residual
   goes through a thin SVD, which drops directions at or below ``RANK_EPS``.
 
-The Gram route loses orthogonality as ``eps * kappa(R)^2`` (Yamamoto et al.
-2015, ETNA 44), so it is taken only when the Cholesky succeeds and
-``sigma_min(R) >= GRAM_MIN_RATIO * ||Z||_F``; novelty near span(Q), exact
-cancellation (``X == Y``) and rank-deficient Z go the two-pass way. The
-public ``augment``, which returns ``[Q U]``, is always two-pass.
+Like CholeskyQR, SVQR starts from S, so the Gram route loses orthogonality
+as ``eps * kappa(R)^2`` (Yamamoto et al. 2015, ETNA 44); it is taken only when
+``lam_min >= GRAM_MIN_RATIO^2 * ||Z||_F^2 > 0``. Novelty near span(Q), exact
+cancellation (``X == Y``) and rank-deficient or zero Z go the two-pass way.
+The public ``augment``, which returns ``[Q U]``, is always two-pass.
 ``factor_to_eig`` lifts a basis given whole. ``svd_route`` and
 ``dense_fallback`` are the nonnegative-weight baseline and the O(m^3)
 always-correct path.
@@ -43,17 +45,11 @@ with one of two kernels, chosen by the width of ``[Q X Y]`` alone:
   Gram, ``out[rows] = panel.T @ [V1; C_x; C_y]`` for the lift (Goto & van de
   Geijn 2008, "Anatomy of high-performance matrix multiplication").
 - Wider, each block takes one product per pair of arrays, summed in place;
-  there the products are wide enough for BLAS and a packing copy only adds
-  traffic.
+  a packing copy would only add traffic.
 
 At m = 4096 to 2^18 (x86-64, OpenBLAS, 1 thread) panels won on both kernels
-up to 12 columns, were mixed at 16 and lost on the Gram at 24. The per-block
-lift keeps the edge above that: the panel lift took 0.91-1.12x its time at
-24 columns, 1.22-1.89x at 40 (the learner) and 0.95-1.32x at 64 (slower in
-5 of 6 readings at m = 4096, 2^15 and 2^18). At m = 2^18 with 2 + 2 + 2
-columns the panels take ~1.8 ms for the Gram and ~2.6 ms for the lift,
-against ~4.6 and ~3.7 ms per pair; with 1 + 1 + 1 columns the lift takes
-~2 ms against ~10.
+up to 12 columns and lost on the Gram at 24; the per-block lift kept the
+edge above that (the README has the figures).
 
 Each invariant is verified once per array, where the array enters, and is
 read off a Gram the call computes anyway where one exists:
@@ -71,11 +67,13 @@ E finite and orthonormal       ``EigenFactor``      the Gram ``E^T E``
 
 A Gram's diagonal entry ``sum_i a_ij^2`` is finite exactly when column j is
 finite and no square overflowed, so the O(m r) finiteness scans run only
-behind a non-finite Gram, to name the array. The fast path does not test Q
-again: the ``EigenFactor`` check of E also catches a Q changed after its
-factor was built. Every column of the lift is kept, and on the Gram route
-``E^T E - I = W^T (Q^T Q - I) W`` with ``W = [I, -P R^-1] V``, whose
-singular values are all >= 1, so ``||E^T E - I|| >= ||Q^T Q - I||``. Bases
+behind a non-finite Gram, to name the array; a B changed after its factor
+was built is likewise scanned only behind a non-finite core. The fast path
+does not test Q again: the ``EigenFactor`` check of E also catches a Q
+changed after its factor was built. Every column of the lift is kept, and
+on the Gram route ``E^T E - I = W^T (Q^T Q - I) W`` with
+``W = [I, -P R^-1] V``, whose singular values are all >= 1, so
+``||E^T E - I|| >= ||Q^T Q - I||``. Bases
 the library builds (the lifted E, ``factor_to_eig``'s E and the learner's
 gathered columns) are read-only, so the learner's next-step Q, checked as
 the previous step's E, cannot change before it is used. The public
@@ -297,22 +295,24 @@ def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked(q, b, blocks, sign):
-    """The core and signs of one augmentation of ``Z = [blocks]`` onto q, whose
-    arrays the caller has checked: b finite, one sign of +-1 per column,
-    rank <= m. Returns ``(b, w)`` with w the sign vector."""
+    """``(b, w)`` for ``augment``'s raw b and sign: b finite, w one sign of +-1
+    per column of ``Z = [blocks]``, and a combined rank of at most m."""
     b = _as_matrix(b, "b")
-    m, n = q.shape
     k = sum(x.shape[1] for x in blocks)
     w = np.asarray(sign, dtype=float)
     if w.ndim == 0:
         w = np.full(k, w)
     if w.shape != (k,) or (np.abs(w) != 1.0).any():
         raise ValueError(f"sign must be +1, -1 or {k} values of +-1, got {sign}")
-    if n + k > m:
-        raise DimensionError(
-            f"combined rank {n + k} exceeds dimension {m}; use dense_fallback"
-        )
+    _check_rank(q.shape, k)
     return b, w
+
+
+def _check_rank(q_shape, k) -> None:
+    """``DimensionError`` unless q's n columns and k more fit in its m rows."""
+    m, n = q_shape
+    if n + k > m:
+        raise DimensionError(f"combined rank {n + k} exceeds dimension {m}; use dense_fallback")
 
 
 def _signed_core(b, p, r, w) -> np.ndarray:
@@ -362,24 +362,23 @@ def _rank_cut(s: np.ndarray, norm: float) -> int:
 def _gram(q, b, blocks, w):
     """``(P, R, core, ratio)`` of the Gram route, or None where it is unsafe.
 
-    ``P = Q^T Z`` and ``Z^T Z`` come from ``_scaled_gram``; R is the Cholesky
-    factor of ``Z^T Z - P^T P``. P and R are scaled back exactly. None when Z
-    is empty, the Cholesky fails or ``sigma_min(R) < GRAM_MIN_RATIO * ||Z||_F``.
+    ``P = Q^T Z`` and ``Z^T Z`` come from ``_scaled_gram``; the eigenpairs of
+    ``Z^T Z - P^T P`` give ``R = diag(sqrt(lam)) V^T`` and the ratio
+    ``sigma_min(R) / ||Z||_F``. P and R are scaled back exactly. None when Z
+    is empty or zero, or the ratio is below ``GRAM_MIN_RATIO``.
     """
     if w.size == 0:
         return None
     p, zz, scale = _scaled_gram(q, blocks)
-    try:
-        r = np.linalg.cholesky(zz - p.T @ p).T
-    except np.linalg.LinAlgError:
+    lam, v = np.linalg.eigh(zz - p.T @ p)
+    trace = float(zz.trace())
+    # a product, not lam_min / trace, which is 0 / 0 for a zero Z
+    if not (trace > 0.0 and lam[0] >= GRAM_MIN_RATIO**2 * trace):
         return None
-    # sigma_min of the k-by-k R, not min R_ii, which only bounds it from above
-    ratio = float(np.linalg.svd(r, compute_uv=False)[-1]) / math.sqrt(zz.trace())
-    if not ratio >= GRAM_MIN_RATIO:
-        return None
+    r = np.sqrt(lam)[:, None] * v.T
     if scale != 1.0:
         p, r = p * scale, r * scale
-    return p, r, _signed_core(b, p, r, w), ratio
+    return p, r, _signed_core(b, p, r, w), math.sqrt(lam[0] / trace)
 
 
 # _scaled_gram keeps the unscaled Gram when the largest diagonal entry d of
@@ -476,7 +475,9 @@ class _Core(_Record):
 
     An eigenvector ``v = [v1; v2]`` of the core lifts to ``Q v1 + U v2``. The
     two-pass route holds U, the only block. The Gram route never forms U:
-    with ``C = R^-1 v2`` the lift is ``Q (v1 - P C) + X C_x + Y C_y``.
+    with ``C = R^-1 v2`` the lift is ``Q (v1 - P C) + X C_x + Y C_y``. Its R
+    is ``diag(sqrt(lam)) V^T``, whose rows are orthogonal with squared norms
+    lam, so ``R^-1 = R^T diag(1 / lam)`` needs no solve.
     """
 
     _fields = ("route", "eig", "blocks", "p", "r", "novelty_ratio", "dropped")
@@ -500,7 +501,7 @@ class _Core(_Record):
         """``[Q U] @ v`` for core eigenvectors v, in a 64-byte-aligned array."""
         if self.r is not None:
             n = q.shape[1]
-            c = np.linalg.solve(self.r, v[n:])  # R is triangular, so LU does not pivot
+            c = self.r.T @ (v[n:] / np.square(self.r).sum(axis=1)[:, None])
             v = np.concatenate([v[:n] - self.p @ c, c])
         return _rotate([q, *self.blocks], v)
 
@@ -556,31 +557,30 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
 
 def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     """``fast_eigh`` before its lift: the route taken and the core's
-    eigendecomposition, whose eigenvectors lift to R^m by ``_Core.lift``."""
+    eigendecomposition, whose eigenvectors lift to R^m by ``_Core.lift``.
+    The records have checked their arrays, so only the rank is tested."""
     m = factor.dim
     if data.dim != m:
         raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
-    nx = data.X.shape[1]
-    sign = np.empty(nx + data.Y.shape[1])
-    sign[:nx] = 1.0
-    sign[nx:] = -1.0
-    q, blocks = factor.Q, (data.X, data.Y)
-    b, w = _checked(q, factor.B, blocks, sign)
+    q, b, blocks = factor.Q, factor.B, (data.X, data.Y)
+    w = np.array([1.0] * data.X.shape[1] + [-1.0] * data.Y.shape[1])
+    _check_rank(q.shape, w.size)
     gram = _gram(q, b, blocks, w)
     if gram is not None:
         p, r, bc, ratio = gram
-        return _Core("gram", _core_symmetric_eig(bc), blocks, p, r, ratio)
+        return _Core("gram", _core_symmetric_eig(b, bc), blocks, p, r, ratio)
     u, bc, dropped = _two_pass(q, b, blocks, w)
-    return _Core("two-pass", _core_symmetric_eig(bc), (u,), dropped=dropped)
+    return _Core("two-pass", _core_symmetric_eig(b, bc), (u,), dropped=dropped)
 
 
-def _core_symmetric_eig(bc: np.ndarray) -> SymEig:
-    """``symmetric_eig`` of a core ``_signed_core`` built. Its scan of the
-    core is the finiteness test; only on failure does ``_finite_core`` name
-    the overflow."""
+def _core_symmetric_eig(b: np.ndarray, bc: np.ndarray) -> SymEig:
+    """``symmetric_eig`` of a core ``_signed_core`` built from b. Its scan of
+    the core is the finiteness test; only on failure are b (changed after its
+    factor was built) and then ``_finite_core`` (an overflow) named."""
     try:
         return symmetric_eig(bc)
     except ValueError:
+        _check_finite(b, "b")
         _finite_core(bc)
         raise
 

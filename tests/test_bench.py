@@ -74,6 +74,23 @@ class TestConfig:
         cfg = BenchConfig(m_grid=(np.int64(32),), n=np.int32(1), repeats=np.int64(1))
         assert cfg.m_grid == (32,) and type(cfg.m_grid[0]) is int
 
+    @pytest.mark.parametrize("seed, error", [
+        ("x", TypeError), (1.5, TypeError), (None, TypeError), (-1, ValueError),
+    ])
+    def test_bad_seed_rejected_by_name(self, seed, error):
+        with pytest.raises(error, match="^seed"):
+            BenchConfig(m_grid=(32,), seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert BenchConfig(m_grid=(32,), seed=np.int64(7)).seed == 7
+
+
+class TestRecord:
+    @pytest.mark.parametrize("seconds", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+    def test_bad_seconds_rejected(self, seconds):
+        with pytest.raises(ValueError, match="^seconds must be positive"):
+            BenchRecord("feigh", 8, 1, 1, 1, 0, seconds)
+
 
 class TestRunGrid:
     def test_dense_only_shape(self):
@@ -180,6 +197,11 @@ class TestCli:
 
     def test_bad_config_exits_nonzero(self):
         assert main(["run", "--m-grid", "64:32:x2"]) == 1
+
+    @pytest.mark.parametrize("factor", ["xinf", "xnan"])
+    def test_non_finite_grid_factor_exits_nonzero(self, factor, capsys):
+        assert main(["run", "--m-grid", f"1:4:{factor}"]) == 1
+        assert capsys.readouterr().err.startswith("error: bad grid bounds")
         assert main(["run", "--m-grid", "4,32", "--n", "2", "--nx", "2", "--ny", "2"]) == 1
 
     def test_parse_m_grid(self):
@@ -187,3 +209,8 @@ class TestCli:
         assert parse_m_grid("64,128") == (64, 128)
         with pytest.raises(ValueError):
             parse_m_grid("64:128")
+
+    @pytest.mark.parametrize("factor", ["xinf", "x-inf", "xnan", "x1"])
+    def test_parse_m_grid_rejects_bad_factor(self, factor):
+        with pytest.raises(ValueError, match="bad grid bounds"):
+            parse_m_grid(f"1:4:{factor}")

@@ -1,11 +1,12 @@
 """The fast path's two routes against the dense oracle.
 
 ``fast_eigh`` takes the Gram route (P and R from one Gram of ``[Q X Y]`` and
-a Cholesky factor) when ``sigma_min(R) >= GRAM_MIN_RATIO * ||Z||_F``, and the
-two-pass route (two projections and an SVD of the residual) otherwise. Each
-test states which route its instance must take, from a dense computation of
-the novelty, and checks the result against ``dense_fallback`` at the suite's
-usual tolerances. ``TestVerdicts`` checks that invalid input raises the same
+one ``eigh`` of ``Z^T Z - P^T P``, the SVQR step) when
+``sigma_min(R) >= GRAM_MIN_RATIO * ||Z||_F``, and the two-pass route (two
+projections and an SVD of the residual) otherwise. Each test states which
+route its instance must take, from a dense computation of the novelty, and
+checks the result against ``dense_fallback`` at the suite's usual
+tolerances. ``TestVerdicts`` checks that invalid input raises the same
 errors on either route, wherever its invariant is now verified.
 """
 
@@ -207,6 +208,20 @@ ROUTES_AND_SHAPES = [
 ]
 
 
+@pytest.mark.parametrize("shape", [(20, 3, 2, 2), TALL_THIN, WIDE])
+def test_gram_route_factors_once(monkeypatch, shape):
+    # one eigh of Z^T Z - P^T P gives R, sigma_min(R) and R^-1; the other eigh
+    # is the core's
+    factor, data = route_instance("gram", *shape)
+    calls = []
+    for name in ("eigh", "cholesky", "svd", "solve", "qr"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _real=real, **k:
+                            calls.append(_name) or _real(*a, **k))
+    fast_eigh(1.0, factor, data)
+    assert calls == ["eigh", "eigh"]
+
+
 class TestVerdicts:
     """Each invariant is verified once, mostly off a Gram the call computes
     anyway, and every invalid input still gets the error it got when every
@@ -227,13 +242,17 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("route, shape", ROUTES_AND_SHAPES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("array", ["Q", "X", "Y"])
+    @pytest.mark.parametrize("array", ["Q", "X", "Y", "B"])
     def test_non_finite_written_after_construction(self, array, bad, route, shape):
         # the entry bypasses the constructors' checks; the Gram of [Q X Y]
-        # is then not finite, and the scans behind it name the array
+        # (for B, the core) is then not finite, and the scans behind it name
+        # the array
         factor, data = route_instance(route, *shape)
-        {"Q": factor.Q, "X": data.X, "Y": data.Y}[array][shape[0] - 13, 1] = bad
-        name = "q" if array == "Q" else "x"
+        if array == "B":
+            factor.B[1, 1] = bad
+        else:
+            {"Q": factor.Q, "X": data.X, "Y": data.Y}[array][shape[0] - 13, 1] = bad
+        name = {"Q": "q", "B": "b"}.get(array, "x")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
