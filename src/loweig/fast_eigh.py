@@ -9,24 +9,21 @@ into a 64-byte-aligned result; ``[X Y]`` and ``[Q U]`` are never built.
 only the columns it keeps. P and R come from one of two routes:
 
 - The Gram route, tried first. One Gram of ``[Q X Y]``, summed block by
-  block, gives ``P = Q^T Z`` and ``Z^T Z``. One ``eigh`` of
-  ``S = Z^T Z - P^T P = V diag(lam) V^T`` gives ``R = diag(sqrt(lam)) V^T``,
-  ``sigma_min(R) = sqrt(lam_min)`` and ``R^-1 = V diag(lam^-1/2)``: the SVQR
-  step (Stathopoulos & Wu 2002), where CholeskyQR (Fukaya et al. 2014,
-  "CholeskyQR2") takes the Cholesky factor of S. U is never formed: with
-  ``C = R^-1 V2`` the lift is ``Q (V1 - P C) + X C_x + Y C_y``, two passes
-  over the m-row data in all.
+  block, gives ``P = Q^T Z`` and ``Z^T Z``; ``R = diag(sqrt(lam)) V^T`` from
+  one ``eigh`` of ``S = Z^T Z - P^T P = V diag(lam) V^T`` is the SVQR step
+  (Stathopoulos & Wu 2002; CholeskyQR2, Fukaya et al. 2014, takes the
+  Cholesky factor of S). U is never formed: with ``C = R^-1 V2`` the lift is
+  ``Q (V1 - P C) + X C_x + Y C_y``, the second pass over the m-row data.
 - The two-pass route: Z is projected out of span(Q) twice and the residual
   goes through a thin SVD, which drops directions at or below ``RANK_EPS``.
 
-Like CholeskyQR, SVQR starts from S, so the Gram route loses orthogonality
-as ``eps * kappa(R)^2`` (Yamamoto et al. 2015, ETNA 44); it is taken only when
+From the same S as CholeskyQR, the Gram route loses orthogonality as
+``eps * kappa(R)^2`` (Yamamoto et al. 2015, ETNA 44): it runs only when
 ``lam_min >= GRAM_MIN_RATIO^2 * ||Z||_F^2 > 0``. Novelty near span(Q), exact
-cancellation (``X == Y``) and rank-deficient or zero Z go the two-pass way.
-The public ``augment``, which returns ``[Q U]``, is always two-pass.
-``factor_to_eig`` lifts a basis given whole. ``svd_route`` and
-``dense_fallback`` are the nonnegative-weight baseline and the O(m^3)
-always-correct path.
+cancellation (``X == Y``) and rank-deficient or zero Z go the two-pass way,
+as does the public ``augment``, which returns ``[Q U]``. ``factor_to_eig``
+lifts a basis given whole. ``svd_route`` and ``dense_fallback`` are the
+nonnegative-weight baseline and the O(m^3) always-correct path.
 
 ``WeightedData.from_weighted`` writes X and Y in C order, one product
 ``vectors[kept].T @ diag(sqrt(|w|))`` each, so BLAS reads the vectors
@@ -45,11 +42,17 @@ with one of two kernels, chosen by the width of ``[Q X Y]`` alone:
   Gram, ``out[rows] = panel.T @ [V1; C_x; C_y]`` for the lift (Goto & van de
   Geijn 2008, "Anatomy of high-performance matrix multiplication").
 - Wider, each block takes one product per pair of arrays, summed in place;
-  a packing copy would only add traffic.
+  there the products are wide enough for BLAS and a packing copy only adds
+  traffic.
 
 At m = 4096 to 2^18 (x86-64, OpenBLAS, 1 thread) panels won on both kernels
-up to 12 columns and lost on the Gram at 24; the per-block lift kept the
-edge above that (the README has the figures).
+up to 12 columns, were mixed at 16 and lost on the Gram at 24. The per-block
+lift keeps the edge above that: the panel lift took 0.91-1.12x its time at
+24 columns, 1.22-1.89x at 40 (the learner) and 0.95-1.32x at 64 (slower in
+5 of 6 readings at m = 4096, 2^15 and 2^18). At m = 2^18 with 2 + 2 + 2
+columns the panels take ~1.8 ms for the Gram and ~2.6 ms for the lift,
+against ~4.6 and ~3.7 ms per pair; with 1 + 1 + 1 columns the lift takes
+~2 ms against ~10.
 
 Each invariant is verified once per array, where the array enters, and is
 read off a Gram the call computes anyway where one exists:
@@ -73,12 +76,11 @@ does not test Q again: the ``EigenFactor`` check of E also catches a Q
 changed after its factor was built. Every column of the lift is kept, and
 on the Gram route ``E^T E - I = W^T (Q^T Q - I) W`` with
 ``W = [I, -P R^-1] V``, whose singular values are all >= 1, so
-``||E^T E - I|| >= ||Q^T Q - I||``. Bases
-the library builds (the lifted E, ``factor_to_eig``'s E and the learner's
-gathered columns) are read-only, so the learner's next-step Q, checked as
-the previous step's E, cannot change before it is used. The public
-``augment`` and ``orthonormal_residual`` take raw arrays and keep their own
-checks.
+``||E^T E - I|| >= ||Q^T Q - I||``. Bases the library builds (the lifted E,
+``factor_to_eig``'s E and the learner's gathered columns) are read-only, so
+the learner's next-step Q, checked as the previous step's E, cannot change
+before it is used. The public ``augment`` and ``orthonormal_residual`` take
+raw arrays and keep their own checks.
 """
 
 from __future__ import annotations
@@ -304,13 +306,12 @@ def _checked(q, b, blocks, sign):
         w = np.full(k, w)
     if w.shape != (k,) or (np.abs(w) != 1.0).any():
         raise ValueError(f"sign must be +1, -1 or {k} values of +-1, got {sign}")
-    _check_rank(q.shape, k)
+    _check_rank(*q.shape, k)
     return b, w
 
 
-def _check_rank(q_shape, k) -> None:
-    """``DimensionError`` unless q's n columns and k more fit in its m rows."""
-    m, n = q_shape
+def _check_rank(m, n, k) -> None:
+    """``DimensionError`` unless n columns and k more fit in m rows."""
     if n + k > m:
         raise DimensionError(f"combined rank {n + k} exceeds dimension {m}; use dense_fallback")
 
@@ -360,13 +361,11 @@ def _rank_cut(s: np.ndarray, norm: float) -> int:
 
 
 def _gram(q, b, blocks, w):
-    """``(P, R, core, ratio)`` of the Gram route, or None where it is unsafe.
-
-    ``P = Q^T Z`` and ``Z^T Z`` come from ``_scaled_gram``; the eigenpairs of
-    ``Z^T Z - P^T P`` give ``R = diag(sqrt(lam)) V^T`` and the ratio
-    ``sigma_min(R) / ||Z||_F``. P and R are scaled back exactly. None when Z
-    is empty or zero, or the ratio is below ``GRAM_MIN_RATIO``.
-    """
+    """``(P, R, core, ratio)`` of the Gram route, P and R scaled back exactly,
+    or None when Z is empty or zero or ``ratio = sigma_min(R) / ||Z||_F`` is
+    below ``GRAM_MIN_RATIO``. ``P = Q^T Z`` and ``Z^T Z`` come from
+    ``_scaled_gram``; R is ``diag(sqrt(lam)) V^T`` for the eigenpairs
+    ``V diag(lam) V^T`` of ``Z^T Z - P^T P``."""
     if w.size == 0:
         return None
     p, zz, scale = _scaled_gram(q, blocks)
@@ -475,9 +474,7 @@ class _Core(_Record):
 
     An eigenvector ``v = [v1; v2]`` of the core lifts to ``Q v1 + U v2``. The
     two-pass route holds U, the only block. The Gram route never forms U:
-    with ``C = R^-1 v2`` the lift is ``Q (v1 - P C) + X C_x + Y C_y``. Its R
-    is ``diag(sqrt(lam)) V^T``, whose rows are orthogonal with squared norms
-    lam, so ``R^-1 = R^T diag(1 / lam)`` needs no solve.
+    with ``C = R^-1 v2`` the lift is ``Q (v1 - P C) + X C_x + Y C_y``.
     """
 
     _fields = ("route", "eig", "blocks", "p", "r", "novelty_ratio", "dropped")
@@ -501,7 +498,11 @@ class _Core(_Record):
         """``[Q U] @ v`` for core eigenvectors v, in a 64-byte-aligned array."""
         if self.r is not None:
             n = q.shape[1]
-            c = self.r.T @ (v[n:] / np.square(self.r).sum(axis=1)[:, None])
+            # R's rows are orthogonal, so R^-1 = R^T diag(||R_i||^-2), here
+            # summed over R / t, t a power of 2, lest the squares underflow
+            t = _safe_scale(self.r)
+            r = self.r / t
+            c = r.T @ (v[n:] / np.square(r).sum(axis=1)[:, None]) / t
             v = np.concatenate([v[:n] - self.p @ c, c])
         return _rotate([q, *self.blocks], v)
 
@@ -557,14 +558,13 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
 
 def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     """``fast_eigh`` before its lift: the route taken and the core's
-    eigendecomposition, whose eigenvectors lift to R^m by ``_Core.lift``.
-    The records have checked their arrays, so only the rank is tested."""
+    eigendecomposition, whose eigenvectors lift to R^m by ``_Core.lift``."""
     m = factor.dim
     if data.dim != m:
         raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
     q, b, blocks = factor.Q, factor.B, (data.X, data.Y)
     w = np.array([1.0] * data.X.shape[1] + [-1.0] * data.Y.shape[1])
-    _check_rank(q.shape, w.size)
+    _check_rank(m, q.shape[1], w.size)
     gram = _gram(q, b, blocks, w)
     if gram is not None:
         p, r, bc, ratio = gram
@@ -574,9 +574,8 @@ def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
 
 
 def _core_symmetric_eig(b: np.ndarray, bc: np.ndarray) -> SymEig:
-    """``symmetric_eig`` of a core ``_signed_core`` built from b. Its scan of
-    the core is the finiteness test; only on failure are b (changed after its
-    factor was built) and then ``_finite_core`` (an overflow) named."""
+    """``symmetric_eig`` of a core built from b. Its scan is the finiteness
+    test, behind which b and then ``_finite_core``'s overflow are named."""
     try:
         return symmetric_eig(bc)
     except ValueError:

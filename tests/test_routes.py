@@ -182,6 +182,19 @@ class TestRouting:
         assert np.linalg.norm(rs / s - r) <= 1e-12 * np.linalg.norm(r)
         assert ratio_s == pytest.approx(ratio, rel=1e-12)
 
+    @pytest.mark.parametrize("exponent", [-154, -160, -165, -200])
+    def test_tiny_data_under_order_one_core(self, exponent):
+        # B of order 1, X and Y scaled down: R's entries stay normal, but
+        # their squares go subnormal or to 0, so the lift must not take them
+        rng = np.random.default_rng(-exponent)
+        factor, data = near_span_instance(rng, 1.0, m=20, n=3, nx=2, ny=2)
+        s = 10.0**exponent
+        tiny = WeightedData(data.X * s, data.Y * s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _core_eig(factor, tiny).route == "gram"
+            assert_matches_dense(1.0, factor, tiny)
+
 
 def route_instance(route, m=20, n=3, nx=2, ny=2, seed=0):
     """A near-span instance that takes ``route``: novelty of relative size 1
