@@ -29,18 +29,20 @@ nonnegative-weight baseline and the O(m^3) always-correct path.
 ``vectors[kept].T @ diag(sqrt(|w|))`` each, so BLAS reads the vectors
 transposed and no transposing copy is made. On the Gram route a call then
 costs four O(m r^2) kernels (the block Gram, the r-by-r ``eigh``, the lift
-and the Gram of E in the ``EigenFactor`` check) and a fixed cost on r-sized
-arrays: the core is filled in place, the lift stacks ``[V1 - P C; C]`` once
-for ``[Q X Y]``, and each small reduction of the checks is computed once.
+and ``kernels._self_gram`` of E in the ``EigenFactor`` check) and a fixed
+cost on r-sized arrays: the core is filled in place, the lift stacks
+``[V1 - P C; C]`` once for ``[Q X Y]``, and each small reduction of the
+checks is computed once.
 
 The block Gram and the lift run over row blocks (``kernels._row_blocks``)
 with one of two kernels, chosen by the width of ``[Q X Y]`` alone:
 
-- Up to ``_PANEL_MAX_WIDTH`` columns, each row block of Q, X and Y is copied
-  once into a reused ``(width, rows)`` C-order panel (``kernels._panels``),
-  and one BLAS call per block does the work: ``panel @ panel[n:].T`` for the
-  Gram, ``out[rows] = panel.T @ [V1; C_x; C_y]`` for the lift (Goto & van de
-  Geijn 2008, "Anatomy of high-performance matrix multiplication").
+- Up to ``kernels._PANEL_MAX_WIDTH`` (12) columns, each row block of Q, X
+  and Y is copied once into a reused ``(width, rows)`` C-order panel
+  (``kernels._panels``), and one BLAS call per block does the work:
+  ``panel @ panel[n:].T`` for the Gram, ``out[rows] = panel.T @ [V1; C_x;
+  C_y]`` for the lift (Goto & van de Geijn 2008, "Anatomy of
+  high-performance matrix multiplication").
 - Wider, each block takes one product per pair of arrays, summed in place;
   there the products are wide enough for BLAS and a packing copy only adds
   traffic.
@@ -54,18 +56,23 @@ columns the panels take ~1.8 ms for the Gram and ~2.6 ms for the lift,
 against ~4.6 and ~3.7 ms per pair; with 1 + 1 + 1 columns the lift takes
 ~2 ms against ~10.
 
+The orthonormality checks take their Gram ``A^T A`` from
+``kernels._self_gram``, with the same row blocks and the same limit: up to
+``_PANEL_MAX_WIDTH`` columns, one ``gemm`` per block against a copy of the
+block, since numpy's ``A.T @ A`` calls ``syrk``, slow on a few columns.
+
 Each invariant is verified once per array, where the array enters, and is
 read off a Gram the call computes anyway where one exists:
 
 =============================  ===================  =========================
 check                          where it runs        what supplies it
 =============================  ===================  =========================
-Q finite and orthonormal       ``LowRankFactor``    the Gram ``Q^T Q``
+Q finite and orthonormal       ``LowRankFactor``    ``_self_gram(Q)``
 B finite and symmetric         ``LowRankFactor``    a scan of B
 X, Y finite                    ``WeightedData``     a scan of X and Y
 Q, X, Y finite; Z's scale      ``_scaled_gram``     the Gram of ``[Q X Y]``
 core finite (no overflow)      ``_core_eig``        ``symmetric_eig``'s scan
-E finite and orthonormal       ``EigenFactor``      the Gram ``E^T E``
+E finite and orthonormal       ``EigenFactor``      ``_self_gram(E)``
 =============================  ===================  =========================
 
 A Gram's diagonal entry ``sum_i a_ij^2`` is finite exactly when column j is
@@ -92,6 +99,7 @@ import numpy as np
 from .kernels import (
     DimensionError,
     SymEig,
+    _PANEL_MAX_WIDTH,
     _Record,
     _aligned_empty,
     _as_2d,
@@ -120,10 +128,6 @@ RANK_EPS = 1e-12
 # Its orthogonality loss grows as eps * kappa(R)^2 (Yamamoto et al. 2015), so
 # nearer to span(Q) the two-pass route with its SVD is used instead.
 GRAM_MIN_RATIO = 1e-2
-
-# _block_gram and _rotate pack the row blocks of [Q X Y] into one panel when
-# it is at most this many columns wide (the crossover in the module docstring).
-_PANEL_MAX_WIDTH = 12
 
 
 class LowRankFactor(_Record):

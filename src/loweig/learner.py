@@ -17,9 +17,11 @@ those are the small core's eigenvectors V, and the model's E is
 columns once into such an array.
 
 A fast step pays for four O(m r^2) kernels, r = n + nx + ny: the block Gram
-of ``[Q X Y]``, the r-by-r ``eigh``, the lift and the Gram of the new E.
-Everything else works on r-sized arrays and costs the same at any m; below
-r of about 32 it is most of the step.
+of ``[Q X Y]``, the r-by-r ``eigh``, the lift and the Gram of the new E in
+its check (``kernels._self_gram``: one ``gemm`` per row block up to 12
+columns, numpy's ``syrk`` above, as at a rank cap of 32). Everything else
+works on r-sized arrays and costs the same at any m; below r of about 32 it
+is most of the step.
 """
 
 from __future__ import annotations

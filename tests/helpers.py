@@ -24,6 +24,16 @@ def random_orthonormal(rng, m, n):
     return thin_svd(rng.standard_normal((m, n))).U
 
 
+def laid_out(rng, m, k, layout):
+    """An m-by-k standard normal matrix in C order, F order or as a view
+    strided in both rows and columns."""
+    if layout == "strided":
+        a = np.empty((2 * m, 2 * k + 1))[::2, 1::2]
+        a[...] = rng.standard_normal((m, k))
+        return a
+    return np.asarray(rng.standard_normal((m, k)), order=layout)
+
+
 def random_symmetric(rng, n, scale=1.0):
     g = scale * rng.standard_normal((n, n))
     return (g + g.T) / 2.0

@@ -13,9 +13,17 @@ from loweig import (
     thin_svd,
 )
 
-from loweig.kernels import _as_matrix, _fro, _residual, _safe_scale
+from loweig.kernels import (
+    _as_matrix,
+    _check_orthonormal,
+    _fro,
+    _residual,
+    _row_blocks,
+    _safe_scale,
+    _self_gram,
+)
 
-from helpers import cofactor_det, random_orthonormal
+from helpers import cofactor_det, laid_out, random_orthonormal
 
 
 class TestThinSvd:
@@ -257,3 +265,68 @@ class TestBlockResidual:
         p_ref, res_ref = orthonormal_residual(q, np.hstack([x, y]))
         assert_allclose(p, p_ref, rtol=0, atol=1e-13)
         assert_allclose(res, res_ref, rtol=0, atol=1e-13)
+
+
+def block_edges(k):
+    """Row counts around the row blocks of a k-column array: none, one, a
+    few, exactly one block, one block and a row, and several blocks with a
+    short tail."""
+    rows = _row_blocks(1, k)[0].stop
+    return [0, 1, 64, rows, rows + 1, 3 * rows + 5]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSelfGram:
+    """``_self_gram`` is ``a.T @ a`` up to rounding, whichever product
+    computes it, and ``_check_orthonormal`` keeps its verdicts and messages
+    on the thin path."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_matches_numpy_gram(self, k, layout):
+        rng = np.random.default_rng(k)
+        for m in block_edges(k):
+            a = laid_out(rng, m, k, layout)
+            g = _self_gram(a)
+            assert g.shape == (k, k)
+            # each is a sum of m products, within m eps of the sum of |terms|
+            abs_gram = np.abs(a).T @ np.abs(a)
+            bound = 2.0 * max(m, 1) * np.finfo(float).eps * abs_gram
+            assert np.all(np.abs(g - a.T @ a) <= bound)
+
+    @pytest.mark.parametrize("k", [2, 6, 12, 13])
+    def test_orthonormal_accepted(self, k):
+        rng = np.random.default_rng(k)
+        for m in block_edges(k)[2:]:
+            q = random_orthonormal(rng, m, k)
+            norm = _check_orthonormal(q, "E")
+            assert norm == pytest.approx(np.linalg.norm(q.T @ q - np.eye(k)), abs=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [2, 6, 12, 13])
+    def test_non_finite_in_last_partial_block(self, k, bad):
+        rows = _row_blocks(1, k)[0].stop
+        q = random_orthonormal(np.random.default_rng(k), 2 * rows + 7, k)
+        q[-3, k - 1] = bad
+        with pytest.raises(ValueError, match="^E contains non-finite entries$"):
+            _check_orthonormal(q, "E")
+
+    @pytest.mark.parametrize("columns", ["all", "last"])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("k", [2, 6, 12, 13])
+    def test_overflow_and_underflow_rejected(self, k, scale, columns):
+        # the squares overflow to inf or flush to 0: either way not orthonormal
+        rows = _row_blocks(1, k)[0].stop
+        q = random_orthonormal(np.random.default_rng(k), 2 * rows + 7, k)
+        q[:, -1 if columns == "last" else slice(None)] *= scale
+        with pytest.raises(ValueError, match="^E does not have orthonormal columns$"):
+            _check_orthonormal(q, "E")
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 12, 13])
+    def test_no_rows_rejected(self, k):
+        with pytest.raises(ValueError, match="^q does not have orthonormal columns$"):
+            _check_orthonormal(np.zeros((0, k)), "q")
+
+    @pytest.mark.parametrize("m", block_edges(2))
+    def test_no_columns_accepted(self, m):
+        assert _check_orthonormal(np.zeros((m, 0)), "Q") == 0.0

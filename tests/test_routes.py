@@ -24,7 +24,7 @@ from loweig import LowRankFactor, WeightedData, dense_fallback, fast_eigh, mater
 from loweig.fast_eigh import GRAM_MIN_RATIO, _core_eig, _gram, _scaled_gram
 from loweig.kernels import _row_blocks, _safe_scale
 
-from helpers import random_orthonormal, random_symmetric
+from helpers import laid_out, random_orthonormal, random_symmetric
 
 
 def dense_novelty(q, z):
@@ -348,16 +348,6 @@ class TestVerdicts:
 
 
 FAST_EIGH = importlib.import_module("loweig.fast_eigh")
-
-
-def laid_out(rng, m, k, layout):
-    """An m-by-k standard normal matrix in C order, F order or as a view
-    strided in both rows and columns."""
-    if layout == "strided":
-        a = np.empty((2 * m, 2 * k + 1))[::2, 1::2]
-        a[...] = rng.standard_normal((m, k))
-        return a
-    return np.asarray(rng.standard_normal((m, k)), order=layout)
 
 
 class TestPanelKernels:
