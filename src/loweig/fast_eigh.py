@@ -29,10 +29,15 @@ nonnegative-weight baseline and the O(m^3) always-correct path.
 ``vectors[kept].T @ diag(sqrt(|w|))`` each, so BLAS reads the vectors
 transposed and no transposing copy is made. On the Gram route a call then
 costs four O(m r^2) kernels (the block Gram, the r-by-r ``eigh``, the lift
-and ``kernels._self_gram`` of E in the ``EigenFactor`` check) and a fixed
-cost on r-sized arrays: the core is filled in place, the lift stacks
-``[V1 - P C; C]`` once for ``[Q X Y]``, and each small reduction of the
-checks is computed once.
+and ``kernels._self_gram`` of E in the check of the result) and a fixed
+cost on r-sized arrays, kept to few numpy calls: the core is filled in
+place, the lift stacks ``[V1 - P C; C]`` once for ``[Q X Y]``, the Gram
+route runs under one ``np.errstate``, Z's scale and finiteness are read off
+the trace of ``Z^T Z`` and the norm of P, and ``_lifted`` builds the result
+without re-checking the shapes and order that ``symmetric_eig`` guarantees.
+Small ops cost more after an m-row pass has evicted the caches, so at
+m = 2^15 to 2^18 this fixed cost is ~0.2-0.45 ms, not the ~0.13 ms of a
+warm call at m = 64.
 
 The block Gram and the lift run over row blocks (``kernels._row_blocks``)
 with one of two kernels, chosen by the width of ``[Q X Y]`` alone:
@@ -72,15 +77,18 @@ B finite and symmetric         ``LowRankFactor``    a scan of B
 X, Y finite                    ``WeightedData``     a scan of X and Y
 Q, X, Y finite; Z's scale      ``_scaled_gram``     the Gram of ``[Q X Y]``
 core finite (no overflow)      ``_core_eig``        ``symmetric_eig``'s scan
-E finite and orthonormal       ``EigenFactor``      ``_self_gram(E)``
+E finite and orthonormal       the result           ``_self_gram(E)``
 =============================  ===================  =========================
+
+The result's check runs in ``_lifted`` for ``fast_eigh`` and
+``factor_to_eig``, and in ``EigenFactor`` for ``learner.update``.
 
 A Gram's diagonal entry ``sum_i a_ij^2`` is finite exactly when column j is
 finite and no square overflowed, so the O(m r) finiteness scans run only
 behind a non-finite Gram, to name the array; a B changed after its factor
 was built is likewise scanned only behind a non-finite core. The fast path
-does not test Q again: the ``EigenFactor`` check of E also catches a Q
-changed after its factor was built. Every column of the lift is kept, and
+does not test Q again: the check of E also catches a Q changed after its
+factor was built. Every column of the lift is kept, and
 on the Gram route ``E^T E - I = W^T (Q^T Q - I) W`` with
 ``W = [I, -P R^-1] V``, whose singular values are all >= 1, so
 ``||E^T E - I|| >= ||Q^T Q - I||``. Bases the library builds (the lifted E,
@@ -109,6 +117,7 @@ from .kernels import (
     _check_symmetric,
     _checked_blocks,
     _fro,
+    _norm,
     _panels,
     _project,
     _row_blocks,
@@ -276,6 +285,19 @@ class EigenFactor(_Record):
         return np.sort(values)[::-1]
 
 
+def _lifted(alpha, e: np.ndarray, d: np.ndarray) -> EigenFactor:
+    """``EigenFactor(alpha, e, d)`` for a basis e the library lifted and the
+    eigenvalues d of a ``symmetric_eig``: alpha and the orthonormality of e
+    are checked as there, while d and e's shape are right by construction
+    (eigenvalues of a finite matrix, sorted descending)."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    ef = _unchecked(EigenFactor, alpha, e, d)
+    ef.__dict__["orthogonality"] = _check_orthonormal(e, "E")
+    return ef
+
+
 def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
     """Absorb signed outer products: ``Q B Q^T + x W x^T = Qc Bc Qc^T``.
 
@@ -324,19 +346,19 @@ def _signed_core(b, p, r, w) -> np.ndarray:
     """The core ``[[B + P W P^T, P W R^T], [R W P^T, R W R^T]]`` of
     ``Z = Q P + U R`` with column signs w, symmetrized, hence exactly
     symmetric. Each block is written in place into one array. It may
-    overflow without a warning; ``_core_symmetric_eig`` tests it."""
+    overflow, silently under the caller's ``np.errstate``;
+    ``_core_symmetric_eig`` tests it."""
     n = p.shape[0]
     pw = p * w
     bc = np.empty((n + r.shape[0],) * 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        top = bc[:n, :n]
-        np.matmul(pw, p.T, out=top)
-        top += b
-        np.matmul(pw, r.T, out=bc[:n, n:])
-        bc[n:, :n] = bc[:n, n:].T
-        np.matmul(r * w, r.T, out=bc[n:, n:])
-        core = bc + bc.T
-        core /= 2.0
+    top = bc[:n, :n]
+    np.matmul(pw, p.T, out=top)
+    top += b
+    np.matmul(pw, r.T, out=bc[:n, n:])
+    bc[n:, :n] = bc[:n, n:].T
+    np.matmul(r * w, r.T, out=bc[n:, n:])
+    core = bc + bc.T
+    core /= 2.0
     return core
 
 
@@ -356,7 +378,9 @@ def _two_pass(q, b, blocks, w):
     svd = thin_svd(res)
     kp = _rank_cut(svd.S, math.hypot(*(_fro(x) for x in blocks)))
     r = svd.S[:kp, None] * svd.V[:, :kp].T
-    return svd.U[:, :kp], _signed_core(b, p, r, w), svd.S.size - kp
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = _signed_core(b, p, r, w)
+    return svd.U[:, :kp], core, svd.S.size - kp
 
 
 def _rank_cut(s: np.ndarray, norm: float) -> int:
@@ -369,23 +393,25 @@ def _gram(q, b, blocks, w):
     or None when Z is empty or zero or ``ratio = sigma_min(R) / ||Z||_F`` is
     below ``GRAM_MIN_RATIO``. ``P = Q^T Z`` and ``Z^T Z`` come from
     ``_scaled_gram``; R is ``diag(sqrt(lam)) V^T`` for the eigenpairs
-    ``V diag(lam) V^T`` of ``Z^T Z - P^T P``."""
+    ``V diag(lam) V^T`` of ``Z^T Z - P^T P``. Products that overflow on
+    extreme data raise no warning here; the checks name them."""
     if w.size == 0:
         return None
-    p, zz, scale = _scaled_gram(q, blocks)
-    lam, v = np.linalg.eigh(zz - p.T @ p)
-    trace = float(zz.trace())
-    # a product, not lam_min / trace, which is 0 / 0 for a zero Z
-    if not (trace > 0.0 and lam[0] >= GRAM_MIN_RATIO**2 * trace):
-        return None
-    r = np.sqrt(lam)[:, None] * v.T
-    if scale != 1.0:
-        p, r = p * scale, r * scale
-    return p, r, _signed_core(b, p, r, w), math.sqrt(lam[0] / trace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, zz, trace, scale = _scaled_gram(q, blocks)
+        lam, v = np.linalg.eigh(zz - p.T @ p)
+        # a product, not lam_min / trace, which is 0 / 0 for a zero Z
+        if not (trace > 0.0 and lam[0] >= GRAM_MIN_RATIO**2 * trace):
+            return None
+        r = np.sqrt(lam)[:, None] * v.T
+        if scale != 1.0:
+            p, r = p * scale, r * scale
+        return p, r, _signed_core(b, p, r, w), math.sqrt(lam[0] / trace)
 
 
-# _scaled_gram keeps the unscaled Gram when the largest diagonal entry d of
-# Z^T Z lies in [m * _GRAM_LOW, _GRAM_HIGH]: then max|z| lies inside
+# _scaled_gram keeps the unscaled Gram when the trace t of the k-by-k Z^T Z
+# lies in [k * m * _GRAM_LOW, _GRAM_HIGH]. Its largest diagonal entry d, from
+# t / k to t, then lies in [m * _GRAM_LOW, _GRAM_HIGH], so max|z| lies inside
 # _safe_scale's [1e-70, 1e70] band, whose scale is 1.0, and no entry of Z^T Z
 # (each bounded by the diagonal) overflowed. The factor 2 on each side covers
 # the Gram's rounding.
@@ -394,61 +420,62 @@ _GRAM_HIGH = 0.5e140
 
 
 def _scaled_gram(q, blocks):
-    """``(P, Z^T Z, scale)`` for ``Z = [blocks] / scale``, ``P = Q^T Z`` and
-    ``scale = _safe_scale(*blocks)``, an exact power of 2 that keeps the
-    products from overflowing or going subnormal.
+    """``(P, Z^T Z, trace, scale)`` for ``Z = [blocks] / scale``,
+    ``P = Q^T Z``, the trace of ``Z^T Z`` and ``scale =
+    _safe_scale(*blocks)``, an exact power of 2 that keeps the products from
+    overflowing or going subnormal.
 
-    The unscaled Gram comes first, and its finiteness and diagonal decide
-    the scale: a finite Gram whose largest diagonal entry lies in the band
-    above has scale 1.0, and q and the blocks are finite. Any other input
-    (zero, extreme or non-finite) gets ``_as_matrix``'s scans, which raise
-    its message on a non-finite entry, and ``_safe_scale``; the Gram is
-    redone on the scaled blocks. The orthonormality of q was tested where its
+    The unscaled Gram comes first, and its trace and the norm of P decide
+    the scale: a finite norm and a trace in the band above give scale 1.0,
+    and then q and the blocks are finite (a non-finite entry of Z makes the
+    trace NaN or inf, one of q a norm of P that is). Any other input (zero,
+    extreme or non-finite) gets ``_as_matrix``'s scans, which raise its
+    message on a non-finite entry, and ``_safe_scale``; the Gram is redone
+    on the scaled blocks. The orthonormality of q was tested where its
     factor was built; here P gives only the bound ``||Q^T Z||_F <= ||Z||_F``
-    for free.
+    for free. It runs under the caller's ``np.errstate``.
     """
     m = q.shape[0]
     p, zz = _block_gram(q, blocks)
-    finite = bool(np.isfinite(p).all())
-    scale = 1.0
-    if not (finite and m * _GRAM_LOW <= zz.diagonal().max() <= _GRAM_HIGH):
+    trace = float(zz.trace())
+    norm = _norm(p)
+    if not (math.isfinite(norm) and m * zz.shape[0] * _GRAM_LOW <= trace <= _GRAM_HIGH):
         q, blocks = _checked_blocks(q, blocks)
         scale = _safe_scale(*blocks)
         if scale != 1.0:
             p, zz = _block_gram(q, [x / scale for x in blocks])
-        finite = bool(np.isfinite(p).all())
+            trace = float(zz.trace())
+        norm = _norm(p) if np.isfinite(p).all() else math.nan
+    else:
+        scale = 1.0
     # An orthonormal q has ||Q^T Z||_F <= ||Z||_F (Bessel). A q scaled up in
     # place after its factor was built breaks that, and by 1e50 or so the
-    # core overflows before the check of E could name q. P is finite here,
-    # and by the band above an unscaled norm that overflows or underflows
-    # lands on the same side of the bound as the true one.
-    if finite:
-        with np.errstate(over="ignore"):
-            finite = float(np.linalg.norm(p)) <= 2.0 * math.sqrt(zz.trace())
-    if not finite:
+    # core overflows before the check of E could name q. By the band above,
+    # the norm of a finite P that overflows or underflows lands on the same
+    # side of the bound as the true one.
+    if not norm <= 2.0 * math.sqrt(trace):
         raise ValueError("q does not have orthonormal columns")
-    return p, zz, scale
+    return p, zz, trace, scale
 
 
 def _block_gram(q, blocks) -> tuple[np.ndarray, np.ndarray]:
     """``(Q^T Z, Z^T Z)`` for ``Z = [blocks]``, without concatenating the
     blocks, summed over row blocks: one product of each thin panel with its
     Z rows, or else each block product into a view of the result taken once.
-    Non-finite results raise no warning; the caller tests them."""
+    Non-finite results are the caller's to test, under its ``np.errstate``."""
     parts = [q, *blocks]
     n = q.shape[1]
     width = n + sum(x.shape[1] for x in blocks)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if width > _PANEL_MAX_WIDTH:
-            return _pairwise_gram(parts, n)
-        grams = (panel @ panel[n:].T for _, panel in _panels(parts, width))
-        g = next(grams)
-        for block in grams:
-            g += block
-        # gemm need not round (i, j) and (j, i) alike; the mean of the two is
-        # exactly symmetric and leaves the diagonal as it is
-        zz = g[n:] + g[n:].T
-        zz /= 2.0
+    if width > _PANEL_MAX_WIDTH:
+        return _pairwise_gram(parts, n)
+    grams = (panel @ panel[n:].T for _, panel in _panels(parts, width))
+    g = next(grams)
+    for block in grams:
+        g += block
+    # gemm need not round (i, j) and (j, i) alike; the mean of the two is
+    # exactly symmetric and leaves the diagonal as it is
+    zz = g[n:] + g[n:].T
+    zz /= 2.0
     return g[:n], zz
 
 
@@ -505,8 +532,10 @@ class _Core(_Record):
             # R's rows are orthogonal, so R^-1 = R^T diag(||R_i||^-2), here
             # summed over R / t, t a power of 2, lest the squares underflow
             t = _safe_scale(self.r)
-            r = self.r / t
-            c = r.T @ (v[n:] / np.square(r).sum(axis=1)[:, None]) / t
+            r = self.r if t == 1.0 else self.r / t
+            c = r.T @ (v[n:] / np.square(r).sum(axis=1)[:, None])
+            if t != 1.0:
+                c /= t
             v = np.concatenate([v[:n] - self.p @ c, c])
         return _rotate([q, *self.blocks], v)
 
@@ -546,15 +575,15 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
 
     Diagonalizes the small core and rotates its eigenvectors up through the
     orthonormal basis. A non-finite ``q_a`` makes E non-finite, which the
-    ``EigenFactor`` check reads off its Gram, so ``q_a`` is scanned only
-    then, to name it.
+    check of E reads off its Gram, so ``q_a`` is scanned only then, to name
+    it.
     """
     q_a = _as_2d(q_a, "q_a")
     eig = symmetric_eig(b_a)
     with np.errstate(over="ignore", invalid="ignore"):
         e = _rotate([q_a], eig.E)
     try:
-        return EigenFactor(alpha, e, eig.D)
+        return _lifted(alpha, e, eig.D)
     except ValueError:
         _check_finite(q_a, "q_a")
         raise
@@ -601,7 +630,7 @@ def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenF
         If n + nx + ny > m; use ``dense_fallback`` there instead.
     """
     core = _core_eig(factor, data)
-    return EigenFactor(alpha, core.lift(factor.Q, core.eig.E), core.eig.D)
+    return _lifted(alpha, core.lift(factor.Q, core.eig.E), core.eig.D)
 
 
 def svd_route(alpha: float, x) -> EigenFactor:

@@ -126,6 +126,14 @@ def _safe_scale(*arrays: np.ndarray) -> float:
     return 2.0 ** math.floor(math.log2(amax))
 
 
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)``, its sum of squares rounded alike, without its
+    Python-level dispatch. Unscaled: it overflows or underflows where the
+    squares do, with numpy's warning unless the caller silences it."""
+    x = a.ravel(order="K")
+    return math.sqrt(x @ x)
+
+
 def _fro(a: np.ndarray) -> float:
     scale = _safe_scale(a)
     if scale == 1.0:
@@ -181,10 +189,11 @@ def _panels(parts, width: int):
     panel is ``[parts][rows].T``, the row block of every part copied once,
     transposed, into one reused C-order buffer with a row per column."""
     m = parts[0].shape[0]
-    blocks = _row_blocks(m, width)
-    buf = np.empty((sum(x.shape[1] for x in parts), min(blocks[0].stop, m)))
-    for rows in blocks:
-        panel = buf[:, :min(rows.stop, m) - rows.start]
+    step = _block_rows(width)
+    buf = np.empty((sum(x.shape[1] for x in parts), min(step, m)))
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        panel = buf[:, :min(step, m - start)]
         np.concatenate([x[rows].T for x in parts], out=panel)
         yield rows, panel
 
@@ -208,9 +217,9 @@ def _self_gram(a: np.ndarray) -> np.ndarray:
     rows = _block_rows(k)
     if m <= rows:
         return a.T @ a.copy()
-    buf = np.empty((rows, k))
-    g = np.zeros((k, k))
-    for start in range(0, m, rows):
+    buf = a[:rows].copy()
+    g = a[:rows].T @ buf
+    for start in range(rows, m, rows):
         block = a[start:start + rows]
         copy = buf[:block.shape[0]]
         np.copyto(copy, block)
@@ -245,7 +254,7 @@ def _check_orthonormal(a: np.ndarray, name: str) -> float:
         dev.reshape(-1)[::n + 1] -= 1.0  # the Gram minus I, in place
         # unscaled: a norm that overflows is inf, over the tolerance like the
         # true one; one that underflows is within it, like the true one
-        norm = float(np.linalg.norm(dev))
+        norm = _norm(dev)
     if norm <= 1e-10 * math.sqrt(max(1, n)):
         return norm
     if not math.isfinite(norm):

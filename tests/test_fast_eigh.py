@@ -337,6 +337,26 @@ class TestTypes:
         with pytest.raises(ValueError, match="orthonormal"):
             LowRankFactor(1.0, np.full((3, 1), 1e200), np.eye(1))
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # fast_eigh and factor_to_eig check alpha as the EigenFactor they
+        # return would
+        _, factor, data = random_instance(np.random.default_rng(5), 30, 2, 2, 1)
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            fast_eigh(alpha, factor, data)
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            factor_to_eig(alpha, factor.Q, factor.B)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_results_are_checked_eigenfactors(self, seed):
+        # the results carry what EigenFactor's own checks measure
+        alpha, factor, data = random_instance(np.random.default_rng(seed), 40, 3, 2, 2)
+        for ef in (fast_eigh(alpha, factor, data), factor_to_eig(alpha, factor.Q, factor.B)):
+            ref = EigenFactor(ef.alpha, ef.E, ef.D)
+            assert type(ef) is EigenFactor and type(ef.alpha) is float
+            assert ef.orthogonality == ref.orthogonality
+            assert repr(ef) == repr(ref)
+
 
 class TestFromWeighted:
     """``from_weighted`` writes X and Y in C order by one product each,

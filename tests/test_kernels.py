@@ -17,6 +17,7 @@ from loweig.kernels import (
     _as_matrix,
     _check_orthonormal,
     _fro,
+    _norm,
     _residual,
     _row_blocks,
     _safe_scale,
@@ -273,6 +274,28 @@ def block_edges(k):
     short tail."""
     rows = _row_blocks(1, k)[0].stop
     return [0, 1, 64, rows, rows + 1, 3 * rows + 5]
+
+
+class TestNorm:
+    """``_norm`` is ``np.linalg.norm`` to the last bit, whatever the layout,
+    and overflows and underflows where it does."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (4, 3), (7, 40), (300, 2)])
+    def test_equals_numpy_norm(self, shape, layout):
+        rng = np.random.default_rng(shape)
+        a = laid_out(rng, *shape, layout)
+        assert _norm(a) == float(np.linalg.norm(a))
+
+    @pytest.mark.parametrize("value, expected", [
+        (1e200, math.inf), (1e-200, 0.0), (np.nan, math.nan), (np.inf, math.inf),
+    ])
+    def test_extremes_unscaled(self, value, expected):
+        a = np.full((2, 2), value)
+        with np.errstate(over="ignore"):
+            got, ref = _norm(a), float(np.linalg.norm(a))
+        assert got == ref or (math.isnan(got) and math.isnan(ref))
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -333,10 +333,10 @@ class TestVerdicts:
         scale = _safe_scale(*blocks)
         if case.startswith("1e"):
             assert (scale == 1.0) == (abs(math.log10(float(case))) <= 70.5)
-        p, zz, got_scale = _scaled_gram(factor.Q, blocks)
+        p, zz, _, got_scale = _scaled_gram(factor.Q, blocks)
         assert got_scale == scale
         prescaled = [b / scale for b in blocks]
-        p_ref, zz_ref, ref_scale = _scaled_gram(factor.Q, prescaled)
+        p_ref, zz_ref, _, ref_scale = _scaled_gram(factor.Q, prescaled)
         assert ref_scale == 1.0 or case == "zero"
         np.testing.assert_array_equal(p, p_ref)
         np.testing.assert_array_equal(zz, zz_ref)
