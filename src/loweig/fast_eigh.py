@@ -28,43 +28,34 @@ nonnegative-weight baseline and the O(m^3) always-correct path.
 ``WeightedData.from_weighted`` writes X and Y in C order, one product
 ``vectors[kept].T @ diag(sqrt(|w|))`` each, so BLAS reads the vectors
 transposed and no transposing copy is made. On the Gram route a call then
-costs four O(m r^2) kernels (the block Gram, the r-by-r ``eigh``, the lift
-and ``kernels._self_gram`` of E in the check of the result) and a fixed
-cost on r-sized arrays, kept to few numpy calls: the core is filled in
-place, the lift stacks ``[V1 - P C; C]`` once for ``[Q X Y]``, the Gram
-route runs under one ``np.errstate``, Z's scale and finiteness are read off
-the trace of ``Z^T Z`` and the norm of P, and ``_lifted`` builds the result
-without re-checking the shapes and order that ``symmetric_eig`` guarantees.
-Small ops cost more after an m-row pass has evicted the caches, so at
-m = 2^15 to 2^18 this fixed cost is ~0.2-0.45 ms, not the ~0.13 ms of a
-warm call at m = 64.
+makes two O(m r^2) passes over the m-row data, the block Gram and the lift,
+which also sums the Gram of E for its check (a third pass for an E wider
+than ``_PANEL_MAX_WIDTH``), one r-by-r ``eigh`` and a fixed cost on r-sized
+arrays, kept to few numpy calls: the core is filled in place, the lift
+stacks ``[V1 - P C; C]`` once for ``[Q X Y]``, the Gram route runs under one
+``np.errstate``, Z's scale and finiteness are read off the trace of
+``Z^T Z`` and the norm of P, and ``_lifted`` skips the shape and order
+checks that ``symmetric_eig`` guarantees. Small ops cost more once an m-row
+pass has evicted the caches, so the fixed cost grows with m.
 
 The block Gram and the lift run over row blocks (``kernels._row_blocks``)
-with one of two kernels, chosen by the width of ``[Q X Y]`` alone:
+with one of two kernels, chosen by the width of ``[Q X Y]`` alone (Goto &
+van de Geijn 2008, "Anatomy of high-performance matrix multiplication"):
 
 - Up to ``kernels._PANEL_MAX_WIDTH`` (12) columns, each row block of Q, X
   and Y is copied once into a reused ``(width, rows)`` C-order panel
   (``kernels._panels``), and one BLAS call per block does the work:
   ``panel @ panel[n:].T`` for the Gram, ``out[rows] = panel.T @ [V1; C_x;
-  C_y]`` for the lift (Goto & van de Geijn 2008, "Anatomy of
-  high-performance matrix multiplication").
+  C_y]`` for the lift. At m = 4096 to 2^18 (x86-64, OpenBLAS, 1 thread)
+  panels won on both kernels up to 12 columns and lost on the Gram at 24.
 - Wider, each block takes one product per pair of arrays, summed in place;
   there the products are wide enough for BLAS and a packing copy only adds
   traffic.
 
-At m = 4096 to 2^18 (x86-64, OpenBLAS, 1 thread) panels won on both kernels
-up to 12 columns, were mixed at 16 and lost on the Gram at 24. The per-block
-lift keeps the edge above that: the panel lift took 0.91-1.12x its time at
-24 columns, 1.22-1.89x at 40 (the learner) and 0.95-1.32x at 64 (slower in
-5 of 6 readings at m = 4096, 2^15 and 2^18). At m = 2^18 with 2 + 2 + 2
-columns the panels take ~1.8 ms for the Gram and ~2.6 ms for the lift,
-against ~4.6 and ~3.7 ms per pair; with 1 + 1 + 1 columns the lift takes
-~2 ms against ~10.
-
-The orthonormality checks take their Gram ``A^T A`` from
-``kernels._self_gram``, with the same row blocks and the same limit: up to
-``_PANEL_MAX_WIDTH`` columns, one ``gemm`` per block against a copy of the
-block, since numpy's ``A.T @ A`` calls ``syrk``, slow on a few columns.
+An orthonormality check's Gram ``A^T A`` is summed over the same row blocks
+up to the same width by ``kernels._add_gram``, one ``gemm`` per block (numpy's
+``syrk`` is slow on a few columns): for E inside the lift, each block just
+after it is written, and for Q and any other E by ``kernels._self_gram``.
 
 Each invariant is verified once per array, where the array enters, and is
 read off a Gram the call computes anyway where one exists:
@@ -77,25 +68,24 @@ B finite and symmetric         ``LowRankFactor``    a scan of B
 X, Y finite                    ``WeightedData``     a scan of X and Y
 Q, X, Y finite; Z's scale      ``_scaled_gram``     the Gram of ``[Q X Y]``
 core finite (no overflow)      ``_core_eig``        ``symmetric_eig``'s scan
-E finite and orthonormal       the result           ``_self_gram(E)``
+E finite and orthonormal       ``_lifted``          ``_rotate``'s Gram of E
 =============================  ===================  =========================
 
-The result's check runs in ``_lifted`` for ``fast_eigh`` and
-``factor_to_eig``, and in ``EigenFactor`` for ``learner.update``.
-
-A Gram's diagonal entry ``sum_i a_ij^2`` is finite exactly when column j is
-finite and no square overflowed, so the O(m r) finiteness scans run only
-behind a non-finite Gram, to name the array; a B changed after its factor
-was built is likewise scanned only behind a non-finite core. The fast path
-does not test Q again: the check of E also catches a Q changed after its
-factor was built. Every column of the lift is kept, and
-on the Gram route ``E^T E - I = W^T (Q^T Q - I) W`` with
-``W = [I, -P R^-1] V``, whose singular values are all >= 1, so
-``||E^T E - I|| >= ||Q^T Q - I||``. Bases the library builds (the lifted E,
-``factor_to_eig``'s E and the learner's gathered columns) are read-only, so
-the learner's next-step Q, checked as the previous step's E, cannot change
-before it is used. The public ``augment`` and ``orthonormal_residual`` take
-raw arrays and keep their own checks.
+``_lifted`` builds the result of ``fast_eigh``, ``factor_to_eig`` and the
+learner's fast step (which also checks its floored D). A Gram's diagonal
+entry ``sum_i a_ij^2`` is finite exactly when column j is finite and no
+square overflowed, so the O(m r) finiteness scans run only behind a
+non-finite Gram, to name the array; a B changed after its factor was built
+is likewise scanned only behind a non-finite core. The fast path does not
+test Q again: the check of E also catches a Q changed after its factor was
+built. Every column of the lift is kept, and on the Gram route
+``E^T E - I = W^T (Q^T Q - I) W`` with ``W = [I, -P R^-1] V``, whose
+singular values are all >= 1, so ``||E^T E - I|| >= ||Q^T Q - I||``. Bases
+the library builds (the lifted E, ``factor_to_eig``'s E and the learner's
+gathered columns) are read-only, so the learner's next-step Q, checked as
+the previous step's E, cannot change before it is used. The public
+``augment`` and ``orthonormal_residual`` take raw arrays and keep their own
+checks.
 """
 
 from __future__ import annotations
@@ -112,7 +102,9 @@ from .kernels import (
     _aligned_empty,
     _as_2d,
     _as_matrix,
+    _add_gram,
     _check_finite,
+    _check_gram,
     _check_orthonormal,
     _check_symmetric,
     _checked_blocks,
@@ -122,6 +114,7 @@ from .kernels import (
     _project,
     _row_blocks,
     _safe_scale,
+    _self_gram,
     _unchecked,
     symmetric_eig,
     thin_svd,
@@ -249,8 +242,8 @@ class EigenFactor(_Record):
 
     E is m-by-r with orthonormal columns and D is sorted descending; the full
     spectrum is {alpha + d_i} plus alpha with multiplicity m - r.
-    ``orthogonality`` is ``||E^T E - I||_F`` as the check in ``__init__``
-    measured it, and None for a factor the library built without that check.
+    ``orthogonality`` is ``||E^T E - I||_F`` as the check in ``__init__`` or
+    ``_lifted`` measured it, and None for a factor built without that check.
     """
 
     _fields = ("alpha", "E", "D")
@@ -265,9 +258,7 @@ class EigenFactor(_Record):
         r = E.shape[1]
         if D.shape != (r,):
             raise DimensionError(f"D must have length {r}, got {D.shape}")
-        # finite ends and a descending order leave no room for NaN or inf
-        if r and not (math.isfinite(D[0]) and math.isfinite(D[-1]) and (D[1:] <= D[:-1]).all()):
-            raise ValueError("D must be finite and sorted descending")
+        _check_descending(D)
         self.__dict__.update(alpha=alpha, E=E, D=D, orthogonality=_check_orthonormal(E, "E"))
 
     @property
@@ -285,16 +276,21 @@ class EigenFactor(_Record):
         return np.sort(values)[::-1]
 
 
-def _lifted(alpha, e: np.ndarray, d: np.ndarray) -> EigenFactor:
-    """``EigenFactor(alpha, e, d)`` for a basis e the library lifted and the
-    eigenvalues d of a ``symmetric_eig``: alpha and the orthonormality of e
-    are checked as there, while d and e's shape are right by construction
-    (eigenvalues of a finite matrix, sorted descending)."""
+def _check_descending(d: np.ndarray) -> None:
+    """``ValueError`` unless d is finite and descending, read off its ends."""
+    if d.size and not (math.isfinite(d[0]) and math.isfinite(d[-1]) and (d[1:] <= d[:-1]).all()):
+        raise ValueError("D must be finite and sorted descending")
+
+
+def _lifted(alpha, e: np.ndarray, gram: np.ndarray, d: np.ndarray) -> EigenFactor:
+    """``EigenFactor(alpha, e, d)`` for e and its Gram as ``_rotate`` returns
+    them: alpha is checked as there, e's orthonormality from the Gram, and d
+    is the caller's to check (a ``symmetric_eig``'s is finite, descending)."""
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     ef = _unchecked(EigenFactor, alpha, e, d)
-    ef.__dict__["orthogonality"] = _check_orthonormal(e, "E")
+    ef.__dict__["orthogonality"] = _check_gram(gram, e, "E")
     return ef
 
 
@@ -525,8 +521,8 @@ class _Core(_Record):
             dropped=dropped,
         )
 
-    def lift(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``[Q U] @ v`` for core eigenvectors v, in a 64-byte-aligned array."""
+    def lift(self, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_rotate`` of ``[Q U] @ v`` for core eigenvectors v: E, E^T E."""
         if self.r is not None:
             n = q.shape[1]
             # R's rows are orthogonal, so R^-1 = R^T diag(||R_i||^-2), here
@@ -540,34 +536,46 @@ class _Core(_Record):
         return _rotate([q, *self.blocks], v)
 
 
-def _rotate(parts, coef: np.ndarray) -> np.ndarray:
-    """``[parts] @ coef`` written once into a fresh 64-byte-aligned array,
-    without concatenating the parts: thin inputs are packed one row block at
-    a time (see the module docstring). The result is read-only, so a basis
-    checked once cannot change before it is used."""
+def _rotate(parts, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(E, E^T E)`` for ``E = [parts] @ coef``, written once into a fresh
+    64-byte-aligned read-only array (a basis checked once cannot change before
+    it is used), without concatenating the parts: thin inputs are packed one
+    row block at a time (see the module docstring). For 2 to
+    ``_PANEL_MAX_WIDTH`` columns, each block of E is added to the Gram while
+    in cache, copied into its panel (E has no more columns than the parts) or
+    the per-block products' buffer; any other E takes ``_self_gram``. Nothing
+    that overflows warns: the check of the Gram names it."""
     q, n, (width, k) = parts[0], parts[0].shape[1], coef.shape
     out = _aligned_empty((q.shape[0], k))
-    if n < width <= _PANEL_MAX_WIDTH:  # thin, with columns besides q's
-        for r, panel in _panels(parts, width + k):
-            np.matmul(panel.T, coef, out=out[r])
-    else:
-        terms, start = [], n
-        for x in parts[1:]:
-            if x.shape[1]:
-                terms.append((x, coef[start:start + x.shape[1]]))
-            start += x.shape[1]
-        rows = _row_blocks(q.shape[0], width + k)
-        # one row block of a product, kept in cache until it is added
-        tmp = np.empty_like(out[rows[0]]) if rows else None
-        for r in rows:
-            o = out[r]
-            np.matmul(q[r], coef[:n], out=o)
-            for x, c in terms:
+    fuse, gram = 1 < k <= _PANEL_MAX_WIDTH, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n < width <= _PANEL_MAX_WIDTH:  # thin, with columns besides q's
+            for r, panel in _panels(parts, width + k):
+                o = out[r]
+                np.matmul(panel.T, coef, out=o)
+                if fuse:
+                    gram = _add_gram(gram, o, panel[:k].reshape(o.shape))
+        else:
+            terms, start = [], n
+            for x in parts[1:]:
+                if x.shape[1]:
+                    terms.append((x, coef[start:start + x.shape[1]]))
+                start += x.shape[1]
+            rows = _row_blocks(q.shape[0], width + k)
+            # one row block of a product, kept in cache until it is added
+            tmp = np.empty_like(out[rows[0]]) if rows else None
+            for r in rows:
+                o = out[r]
                 t = tmp[:o.shape[0]]
-                np.matmul(x[r], c, out=t)
-                o += t
+                np.matmul(q[r], coef[:n], out=o)
+                for x, c in terms:
+                    np.matmul(x[r], c, out=t)
+                    o += t
+                if fuse:
+                    gram = _add_gram(gram, o, t)
+        gram = _self_gram(out) if gram is None else gram
     out.flags.writeable = False
-    return out
+    return out, gram
 
 
 def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
@@ -580,10 +588,9 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
     """
     q_a = _as_2d(q_a, "q_a")
     eig = symmetric_eig(b_a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = _rotate([q_a], eig.E)
+    e, gram = _rotate([q_a], eig.E)
     try:
-        return _lifted(alpha, e, eig.D)
+        return _lifted(alpha, e, gram, eig.D)
     except ValueError:
         _check_finite(q_a, "q_a")
         raise
@@ -630,7 +637,7 @@ def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenF
         If n + nx + ny > m; use ``dense_fallback`` there instead.
     """
     core = _core_eig(factor, data)
-    return _lifted(alpha, core.lift(factor.Q, core.eig.E), core.eig.D)
+    return _lifted(alpha, *core.lift(factor.Q, core.eig.E), core.eig.D)
 
 
 def svd_route(alpha: float, x) -> EigenFactor:

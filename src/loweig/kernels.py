@@ -157,18 +157,15 @@ def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
 
 
 # Products over the m rows are taken in row blocks of about this many bytes
-# of operands, so a block's operands and result stay in cache. With OpenBLAS
-# on an x86-64 Xeon (1 thread), writing Q V1 + X C_x + Y C_y for m = 2^18 and
-# 2 columns each took 12 ms as three whole products, ~3.7 ms as three
-# products per block of 5461 rows, and ~2.6 ms as one product per block from
-# a packed panel (fast_eigh's thin kernels, ``_panels``). Panels of 128 KB
-# instead of 512 KB made that lift ~20% slower.
+# of operands, so a block's operands and result stay in cache: at m = 2^18
+# (x86-64, OpenBLAS, 1 thread) a thin lift so blocked took a quarter to a
+# third of the time of whole products, and 128 KB blocks made it ~20% slower.
 _BLOCK_BYTES = 1 << 19
 
 
 # An array of at most this many columns is thin: fast_eigh's block Gram and
-# lift pack it into panels, and _self_gram takes its Gram by gemm (the
-# crossovers are in the fast_eigh module docstring and _self_gram's).
+# lift pack it into panels, and its Gram is summed by gemm (the crossovers
+# are in the fast_eigh module docstring and _self_gram's).
 _PANEL_MAX_WIDTH = 12
 
 
@@ -185,45 +182,40 @@ def _row_blocks(m: int, width: int) -> list[slice]:
 
 
 def _panels(parts, width: int):
-    """Yield ``(rows, panel)`` for each of ``_row_blocks(m, width)``: the
-    panel is ``[parts][rows].T``, the row block of every part copied once,
-    transposed, into one reused C-order buffer with a row per column."""
+    """Yield ``(rows, panel)`` for each of ``_row_blocks(m, width)``, the panel
+    ``[parts][rows].T`` copied into the start of one reused flat buffer: it is
+    C-contiguous, and free for other use once read, until the next block."""
     m = parts[0].shape[0]
     step = _block_rows(width)
-    buf = np.empty((sum(x.shape[1] for x in parts), min(step, m)))
+    total = sum(x.shape[1] for x in parts)
+    buf = np.empty(total * min(step, m))
     for start in range(0, m, step):
         rows = slice(start, start + step)
-        panel = buf[:, :min(step, m - start)]
+        panel = buf[:total * min(step, m - start)].reshape(total, -1)
         np.concatenate([x[rows].T for x in parts], out=panel)
         yield rows, panel
 
 
-def _self_gram(a: np.ndarray) -> np.ndarray:
-    """``a^T a``, equal to ``a.T @ a`` up to rounding.
+def _add_gram(g, block: np.ndarray, copy: np.ndarray) -> np.ndarray:
+    """``g + block^T block`` (g None for 0) by one ``gemm`` of the block with
+    its copy, written into ``copy``, a buffer of its shape: numpy sends
+    ``block.T @ block``, one buffer, to ``syrk``, slow on a few columns."""
+    np.copyto(copy, block)
+    return block.T @ copy if g is None else np.add(g, block.T @ copy, out=g)
 
-    numpy sends ``a.T @ a`` to BLAS ``syrk``, because both operands share one
-    buffer, and OpenBLAS runs ``syrk`` slowly on a few columns. A thin ``a``
-    (2 to ``_PANEL_MAX_WIDTH`` columns, at least one row) is multiplied by a
-    copy of itself instead, one ``_row_blocks`` block at a time through one
-    reused buffer, so numpy calls ``gemm``; an array that fits in one block
-    is copied whole. With OpenBLAS on an x86-64 Xeon (1 thread) at m = 4096,
-    2^15 and 2^18, gemm took 0.40-0.85x syrk's time from 2 to 8 columns,
-    0.80-1.23x at 12 and 1.2-1.7x from 16 up; at 2^18 rows, ~1.8-2.0 ms
-    against ~3.1-3.4 ms at 6 columns and ~0.8 against ~1.3-1.5 ms at 2.
-    """
+
+def _self_gram(a: np.ndarray) -> np.ndarray:
+    """``a^T a`` up to rounding: ``_add_gram`` over row blocks for 2 to
+    ``_PANEL_MAX_WIDTH`` columns and at least one row, else numpy's ``syrk``.
+    (x86-64, OpenBLAS, 1 thread, m = 4096 to 2^18: gemm took 0.40-0.85x
+    syrk's time at 2 to 8 columns, 0.80-1.23x at 12 and 1.2-1.7x from 16.)"""
     m, k = a.shape
     if not (m and 1 < k <= _PANEL_MAX_WIDTH):
         return a.T @ a
     rows = _block_rows(k)
-    if m <= rows:
-        return a.T @ a.copy()
-    buf = a[:rows].copy()
-    g = a[:rows].T @ buf
-    for start in range(rows, m, rows):
-        block = a[start:start + rows]
-        copy = buf[:block.shape[0]]
-        np.copyto(copy, block)
-        g += block.T @ copy
+    buf, g = np.empty((min(rows, m), k)), None
+    for start in range(0, m, rows):
+        g = _add_gram(g, a[start:start + rows], buf[:m - start])
     return g
 
 
@@ -238,23 +230,23 @@ def _take_columns(a: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 
 def _check_orthonormal(a: np.ndarray, name: str) -> float:
-    """``||a^T a - I||_F``, or ``ValueError`` unless the columns of ``a`` are
-    finite and orthonormal.
-
-    The Gram is ``_self_gram(a)``: ``gemm`` over row blocks on a thin ``a``,
-    numpy's ``a.T @ a`` otherwise. Finiteness is read off it: its diagonal
-    entry ``sum_i a_ij^2`` is finite exactly when column j is finite and no
-    square overflowed, however the sum is split into blocks. So the O(m n)
-    scan runs only when the norm of the Gram minus I is not finite, and
-    raises the same message as ``_as_matrix``.
-    """
-    n = a.shape[1]
+    """``||a^T a - I||_F``, or ``ValueError`` unless a has finite orthonormal
+    columns: ``_check_gram`` of ``_self_gram(a)``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = _self_gram(a)
-        dev.reshape(-1)[::n + 1] -= 1.0  # the Gram minus I, in place
+        return _check_gram(_self_gram(a), a, name)
+
+
+def _check_gram(gram: np.ndarray, a: np.ndarray, name: str) -> float:
+    """``_check_orthonormal(a, name)`` from ``gram = a^T a``, however summed,
+    which becomes the Gram minus I. A diagonal entry ``sum_i a_ij^2`` is finite
+    exactly when column j is finite and no square overflowed, so a scan names
+    a (as ``_as_matrix`` does) only behind a norm that is not finite."""
+    n = gram.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram.reshape(-1)[::n + 1] -= 1.0
         # unscaled: a norm that overflows is inf, over the tolerance like the
         # true one; one that underflows is within it, like the true one
-        norm = _norm(dev)
+        norm = _norm(gram)
     if norm <= 1e-10 * math.sqrt(max(1, n)):
         return norm
     if not math.isfinite(norm):
@@ -263,8 +255,7 @@ def _check_orthonormal(a: np.ndarray, name: str) -> float:
 
 
 def _check_symmetric(b: np.ndarray, name: str) -> bool:
-    """True if exactly symmetric (~4-5 us at k = 2..40; the tolerance test takes
-    ~16-23 us), False if only within 1e-12 relative, else ``ValueError``."""
+    """True if exactly symmetric, False if within 1e-12 relative, else ``ValueError``."""
     exact = bool((b == b.T).all())
     if not exact and _fro(b - b.T) > 1e-12 * max(1.0, _fro(b)):
         raise ValueError(f"{name} is not symmetric within tolerance")

@@ -16,12 +16,11 @@ those are the small core's eigenvectors V, and the model's E is
 64-byte-aligned array; the decay-only and dense paths gather their kept
 columns once into such an array.
 
-A fast step pays for four O(m r^2) kernels, r = n + nx + ny: the block Gram
-of ``[Q X Y]``, the r-by-r ``eigh``, the lift and the Gram of the new E in
-its check (``kernels._self_gram``: one ``gemm`` per row block up to 12
-columns, numpy's ``syrk`` above, as at a rank cap of 32). Everything else
-works on r-sized arrays and costs the same at any m; below r of about 32 it
-is most of the step.
+A fast step makes two passes over m-row data, r = n + nx + ny: the block
+Gram of ``[Q X Y]`` and the lift, which sums the Gram of the new E for its
+check up to 12 kept columns; more, as at a rank cap of 32, take a third
+pass, numpy's ``syrk``. The rest works on r-sized arrays and costs the same
+at any m; below r of about 32 it is most of the step.
 """
 
 from __future__ import annotations
@@ -37,7 +36,9 @@ from .fast_eigh import (
     EigenFactor,
     LowRankFactor,
     WeightedData,
+    _check_descending,
     _core_eig,
+    _lifted,
     dense_fallback,
     factor_to_eig,
 )
@@ -294,7 +295,8 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
         floored += refloored
 
     if path == "fast":
-        ef = EigenFactor(alpha, core.lift(prev.E, core.eig.E[:, columns]), d)
+        _check_descending(d)
+        ef = _lifted(alpha, *core.lift(prev.E, core.eig.E[:, columns]), d)
         route, ratio, dropped = core.route, core.novelty_ratio, core.dropped
     else:
         ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)

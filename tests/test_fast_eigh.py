@@ -24,6 +24,7 @@ from loweig import (
 )
 
 from loweig.fast_eigh import _signed_core
+from loweig.kernels import _row_blocks
 
 from helpers import random_instance, random_orthonormal, random_symmetric
 
@@ -160,6 +161,24 @@ class TestFactorToEig:
         factor.Q[2, 0] = bad
         with pytest.raises(ValueError, match="^q_a contains non-finite entries$"):
             MetricModel.from_factor(factor)
+
+    @pytest.mark.parametrize("k", [2, 12])
+    def test_multi_block_thin_basis(self, k):
+        # q_a over several row blocks: the lift sums E's Gram block by block,
+        # and its check reads the same E^T E as a separate pass would
+        m = 3 * _row_blocks(1, 2 * k)[0].stop + 17
+        rng = np.random.default_rng(k)
+        qa = random_orthonormal(rng, m, k)
+        ba = random_symmetric(rng, k)
+        ef = factor_to_eig(1.0, qa, ba)
+        eig = np.linalg.eigh(ba)
+        assert_allclose(ef.D, eig.eigenvalues[::-1], rtol=1e-12, atol=1e-12)
+        assert_allclose(ef.E @ (ef.D[:, None] * (ef.E.T @ qa)), qa @ ba, atol=1e-12)
+        assert ef.orthogonality == pytest.approx(
+            np.linalg.norm(ef.E.T @ ef.E - np.eye(k)), rel=0, abs=1e-14)
+        qa[m - 3, k - 1] = 2.0  # in the last, partial, row block
+        with pytest.raises(ValueError, match="^E does not have orthonormal columns$"):
+            factor_to_eig(1.0, qa, ba)
 
     def test_scale_error_keeps_its_message(self):
         # a finite q_a that is not orthonormal reports E, as before

@@ -156,15 +156,16 @@ class TestAlignment:
 
 
 class TestTrustedConstruction:
-    """update re-validates none of the factors it derives from a valid model;
-    only the EigenFactor that factor_to_eig returns runs its checks."""
+    """update re-validates none of the factors it derives from a valid model
+    and runs no record's checks: the fast path checks its new E from the Gram
+    that the lift returns, as fast_eigh does."""
 
     @pytest.mark.parametrize(
         "rank_cap, count, truncated, expected",
         [
             (8, 0, False, (0, 0)),  # decay only
-            (8, 3, False, (0, 1)),  # fast path, kept whole
-            (1, 3, True, (0, 1)),  # fast path, truncated
+            (8, 3, False, (0, 0)),  # fast path, kept whole
+            (1, 3, True, (0, 0)),  # fast path, truncated
             (8, 6, False, (0, 0)),  # dense fallback: m = 6 with rank 2
         ],
     )
@@ -189,6 +190,11 @@ class TestTrustedConstruction:
         assert out.stats.truncated == truncated
         assert out.stats.path == {0: "decay", 3: "fast", 6: "dense"}[count]
         assert out.rank == min(rank_cap, m, 2 + count)
+        if out.stats.path == "fast":
+            # the check of E still ran, on the E the model holds
+            e = out.eigen.E
+            assert out.stats.orthogonality == pytest.approx(
+                np.linalg.norm(e.T @ e - np.eye(out.rank)), rel=0, abs=1e-14)
 
 
 class TestFloorSpectrum:

@@ -348,13 +348,15 @@ class TestVerdicts:
 
 
 FAST_EIGH = importlib.import_module("loweig.fast_eigh")
+KERNELS = importlib.import_module("loweig.kernels")
 
 
 class TestPanelKernels:
     """``_block_gram`` and ``_rotate`` pack ``[Q X Y]`` into thin panels up
     to ``_PANEL_MAX_WIDTH`` columns and take per-block products above it; the
     two kernels round differently but agree to a few ulps of the sums of
-    absolute terms, whatever the layout of the inputs."""
+    absolute terms, whatever the layout of the inputs. ``_rotate`` returns
+    the Gram of its result, summed inside the lift for a thin result."""
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("m, n, nx, ny", [
@@ -373,7 +375,7 @@ class TestPanelKernels:
         for limit in (0, k):
             monkeypatch.setattr(FAST_EIGH, "_PANEL_MAX_WIDTH", limit)
             p, zz = FAST_EIGH._block_gram(q, [x, y])
-            e = FAST_EIGH._rotate([q, x, y], coef)
+            e, _ = FAST_EIGH._rotate([q, x, y], coef)
             assert np.array_equal(zz, zz.T)
             assert not e.flags.writeable and e.flags.c_contiguous and e.ctypes.data % 64 == 0
             got[limit] = np.vstack([p, zz]), e
@@ -385,6 +387,48 @@ class TestPanelKernels:
         assert np.all(np.abs(g_panel - g_blocks) <= ulp * (a.T @ a[:, n:]))
         assert np.all(np.abs(e_panel - e_blocks) <= ulp * (a @ np.abs(coef)))
         assert_allclose(g_panel, np.hstack([q, x, y]).T @ np.hstack([x, y]), rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("widths, k", [
+        ((4, 4, 4), 1), ((4, 4, 4), 2), ((4, 4, 4), 12),  # panels
+        ((32, 4, 4), 1), ((32, 4, 4), 2), ((32, 4, 4), 12), ((32, 4, 4), 13),
+        ((32, 4, 4), 40), ((12, 0, 0), 12),  # per-block products
+    ])
+    def test_rotate_returns_the_gram(self, widths, k, layout):
+        # from 2 to 12 columns the lift sums E's Gram block by block, one
+        # gemm against a copy of each block of E; otherwise _self_gram
+        # takes it after the lift; either way it is E^T E up to rounding
+        width = sum(widths)
+        m = 3 * _row_blocks(1, width + k)[0].stop + 17
+        rng = np.random.default_rng([width, k])
+        parts = [laid_out(rng, m, j, layout) for j in widths]
+        coef = rng.standard_normal((width, k)) / math.sqrt(m * width)
+        e, gram = FAST_EIGH._rotate(parts, coef)
+        assert gram.shape == (k, k)
+        # two sums of m products in different orders, whose rounding grows
+        # like sqrt(m) ulps of the sum of absolute terms
+        ulp = np.finfo(float).eps * math.sqrt(m)
+        assert np.all(np.abs(gram - e.T @ e) <= ulp * (np.abs(e).T @ np.abs(e)))
+
+    @pytest.mark.parametrize("k, fused", [(2, True), (6, True), (12, True), (13, False),
+                                          (40, False)])
+    def test_thin_e_is_checked_from_the_lift(self, monkeypatch, k, fused):
+        # the lift returns the Gram of an E of 2 to 12 columns, so fast_eigh
+        # takes no _self_gram of it; a wider E gets one
+        rng = np.random.default_rng(k)
+        n = k // 2
+        factor = LowRankFactor(1.0, random_orthonormal(rng, 64, n), random_symmetric(rng, n))
+        data = WeightedData(rng.standard_normal((64, k - n - 1)), rng.standard_normal((64, 1)))
+        calls = []
+        for module in (FAST_EIGH, KERNELS):
+            real = module._self_gram
+            monkeypatch.setattr(module, "_self_gram",
+                                lambda a, _real=real: calls.append(a.shape) or _real(a))
+        ef = fast_eigh(1.0, factor, data)
+        assert ef.rank == k
+        assert calls == ([] if fused else [(64, k)])
+        assert ef.orthogonality == pytest.approx(
+            np.linalg.norm(ef.E.T @ ef.E - np.eye(k)), rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("k, panel", [(6, True), (12, True), (13, False), (40, False)])
     def test_width_selects_the_kernel(self, monkeypatch, k, panel):
