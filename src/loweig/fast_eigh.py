@@ -48,6 +48,8 @@ van de Geijn 2008, "Anatomy of high-performance matrix multiplication"):
   ``panel @ panel[n:].T`` for the Gram, ``out[rows] = panel.T @ [V1; C_x;
   C_y]`` for the lift. At m = 4096 to 2^18 (x86-64, OpenBLAS, 1 thread)
   panels won on both kernels up to 12 columns and lost on the Gram at 24.
+  The lift's panels are even (``kernels._even_rows``), lest a tail of a few
+  rows pay a block's calls; the Gram's cut, which orders its sums, is kept.
 - Wider, each block takes one product per pair of arrays, summed in place;
   there the products are wide enough for BLAS and a packing copy only adds
   traffic.
@@ -103,12 +105,14 @@ from .kernels import (
     _as_2d,
     _as_matrix,
     _add_gram,
+    _block_rows,
     _check_finite,
-    _check_gram,
     _check_orthonormal,
     _check_symmetric,
     _checked_blocks,
+    _even_rows,
     _fro,
+    _gemm_gram,
     _norm,
     _panels,
     _project,
@@ -290,7 +294,7 @@ def _lifted(alpha, e: np.ndarray, gram: np.ndarray, d: np.ndarray) -> EigenFacto
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     ef = _unchecked(EigenFactor, alpha, e, d)
-    ef.__dict__["orthogonality"] = _check_gram(gram, e, "E")
+    ef.__dict__["orthogonality"] = _check_orthonormal(e, "E", gram)
     return ef
 
 
@@ -464,7 +468,7 @@ def _block_gram(q, blocks) -> tuple[np.ndarray, np.ndarray]:
     width = n + sum(x.shape[1] for x in blocks)
     if width > _PANEL_MAX_WIDTH:
         return _pairwise_gram(parts, n)
-    grams = (panel @ panel[n:].T for _, panel in _panels(parts, width))
+    grams = (panel @ panel[n:].T for _, panel in _panels(parts, _block_rows(width)))
     g = next(grams)
     for block in grams:
         g += block
@@ -506,20 +510,11 @@ class _Core(_Record):
 
     _fields = ("route", "eig", "blocks", "p", "r", "novelty_ratio", "dropped")
 
-    def __init__(
-        self,
-        route: str,
-        eig: SymEig,
-        blocks: tuple,
-        p: np.ndarray | None = None,
-        r: np.ndarray | None = None,
-        novelty_ratio: float | None = None,
-        dropped: int = 0,
-    ):
-        self.__dict__.update(
-            route=route, eig=eig, blocks=blocks, p=p, r=r, novelty_ratio=novelty_ratio,
-            dropped=dropped,
-        )
+    def __init__(self, route: str, eig: SymEig, blocks: tuple, p: np.ndarray | None = None,
+                 r: np.ndarray | None = None, novelty_ratio: float | None = None,
+                 dropped: int = 0):
+        self.__dict__.update(route=route, eig=eig, blocks=blocks, p=p, r=r,
+                             novelty_ratio=novelty_ratio, dropped=dropped)
 
     def lift(self, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_rotate`` of ``[Q U] @ v`` for core eigenvectors v: E, E^T E."""
@@ -540,17 +535,17 @@ def _rotate(parts, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(E, E^T E)`` for ``E = [parts] @ coef``, written once into a fresh
     64-byte-aligned read-only array (a basis checked once cannot change before
     it is used), without concatenating the parts: thin inputs are packed one
-    row block at a time (see the module docstring). For 2 to
-    ``_PANEL_MAX_WIDTH`` columns, each block of E is added to the Gram while
-    in cache, copied into its panel (E has no more columns than the parts) or
-    the per-block products' buffer; any other E takes ``_self_gram``. Nothing
-    that overflows warns: the check of the Gram names it."""
-    q, n, (width, k) = parts[0], parts[0].shape[1], coef.shape
-    out = _aligned_empty((q.shape[0], k))
-    fuse, gram = 1 < k <= _PANEL_MAX_WIDTH, None
+    even row block at a time (see the module docstring). If ``_gemm_gram(k)``,
+    each block of E is added to the Gram while in cache, copied into its panel
+    (E has no more columns than the parts) or the per-block products' buffer;
+    any other E takes ``_self_gram``. Nothing that overflows warns: the check
+    of the Gram names it."""
+    q, (m, n), (width, k) = parts[0], parts[0].shape, coef.shape
+    out = _aligned_empty((m, k))
+    fuse, gram = _gemm_gram(k), None
     with np.errstate(over="ignore", invalid="ignore"):
         if n < width <= _PANEL_MAX_WIDTH:  # thin, with columns besides q's
-            for r, panel in _panels(parts, width + k):
+            for r, panel in _panels(parts, _even_rows(m, width + k)):
                 o = out[r]
                 np.matmul(panel.T, coef, out=o)
                 if fuse:
@@ -561,7 +556,7 @@ def _rotate(parts, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 if x.shape[1]:
                     terms.append((x, coef[start:start + x.shape[1]]))
                 start += x.shape[1]
-            rows = _row_blocks(q.shape[0], width + k)
+            rows = _row_blocks(m, width + k)
             # one row block of a product, kept in cache until it is added
             tmp = np.empty_like(out[rows[0]]) if rows else None
             for r in rows:

@@ -181,12 +181,17 @@ def _row_blocks(m: int, width: int) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, m, rows)]
 
 
-def _panels(parts, width: int):
-    """Yield ``(rows, panel)`` for each of ``_row_blocks(m, width)``, the panel
+def _even_rows(m: int, width: int) -> int:
+    """Rows per block of ``range(m)`` cut into ``round(m / _block_rows(width))``
+    even blocks, at least one: no tail of a few rows costs a block's calls."""
+    return max(1, -(-m // max(1, round(m / _block_rows(width)))))
+
+
+def _panels(parts, step: int):
+    """Yield ``(rows, panel)`` for each block of ``step`` rows, the panel
     ``[parts][rows].T`` copied into the start of one reused flat buffer: it is
     C-contiguous, and free for other use once read, until the next block."""
     m = parts[0].shape[0]
-    step = _block_rows(width)
     total = sum(x.shape[1] for x in parts)
     buf = np.empty(total * min(step, m))
     for start in range(0, m, step):
@@ -194,6 +199,11 @@ def _panels(parts, width: int):
         panel = buf[:total * min(step, m - start)].reshape(total, -1)
         np.concatenate([x[rows].T for x in parts], out=panel)
         yield rows, panel
+
+
+def _gemm_gram(k: int) -> bool:
+    """Whether ``_add_gram`` sums the Gram of k columns (else ``syrk``)."""
+    return 1 < k <= _PANEL_MAX_WIDTH
 
 
 def _add_gram(g, block: np.ndarray, copy: np.ndarray) -> np.ndarray:
@@ -210,7 +220,7 @@ def _self_gram(a: np.ndarray) -> np.ndarray:
     (x86-64, OpenBLAS, 1 thread, m = 4096 to 2^18: gemm took 0.40-0.85x
     syrk's time at 2 to 8 columns, 0.80-1.23x at 12 and 1.2-1.7x from 16.)"""
     m, k = a.shape
-    if not (m and 1 < k <= _PANEL_MAX_WIDTH):
+    if not (m and _gemm_gram(k)):
         return a.T @ a
     rows = _block_rows(k)
     buf, g = np.empty((min(rows, m), k)), None
@@ -229,20 +239,15 @@ def _take_columns(a: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_orthonormal(a: np.ndarray, name: str) -> float:
+def _check_orthonormal(a: np.ndarray, name: str, gram: np.ndarray | None = None) -> float:
     """``||a^T a - I||_F``, or ``ValueError`` unless a has finite orthonormal
-    columns: ``_check_gram`` of ``_self_gram(a)``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _check_gram(_self_gram(a), a, name)
-
-
-def _check_gram(gram: np.ndarray, a: np.ndarray, name: str) -> float:
-    """``_check_orthonormal(a, name)`` from ``gram = a^T a``, however summed,
+    columns, from ``gram = a^T a`` however summed (``_self_gram(a)`` if None),
     which becomes the Gram minus I. A diagonal entry ``sum_i a_ij^2`` is finite
     exactly when column j is finite and no square overflowed, so a scan names
     a (as ``_as_matrix`` does) only behind a norm that is not finite."""
-    n = gram.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
+        gram = _self_gram(a) if gram is None else gram
+        n = gram.shape[0]
         gram.reshape(-1)[::n + 1] -= 1.0
         # unscaled: a norm that overflows is inf, over the tolerance like the
         # true one; one that underflows is within it, like the true one

@@ -16,6 +16,7 @@ from loweig import (
 from loweig.kernels import (
     _as_matrix,
     _check_orthonormal,
+    _even_rows,
     _fro,
     _norm,
     _residual,
@@ -274,6 +275,23 @@ def block_edges(k):
     short tail."""
     rows = _row_blocks(1, k)[0].stop
     return [0, 1, 64, rows, rows + 1, 3 * rows + 5]
+
+
+@pytest.mark.parametrize("width", [1, 6, 12, 80])
+def test_even_rows_leave_no_short_tail(width):
+    # round(m / rows) blocks of one size but the last, shorter by less than
+    # their count, none over 1.5 blocks of rows: a tail of a few rows is
+    # merged, and one of half a block or more becomes a block of its own
+    rows = _row_blocks(1, width)[0].stop
+    for m in [0, 1, 64, rows - 1, rows, rows + 2, rows * 3 // 2 + 1, 3 * rows + 2,
+              3 * rows + rows // 2, 48 * rows + 16]:
+        step = _even_rows(m, width)
+        sizes = [len(range(i, min(i + step, m))) for i in range(0, m, step)]
+        assert sum(sizes) == m
+        assert len(sizes) == (max(1, round(m / rows)) if m else 0)
+        assert all(size == step for size in sizes[:-1])
+        assert not sizes or sizes[-1] > step - len(sizes)
+        assert step <= max(m, 1) and (m <= rows or step <= 1.5 * rows + 1)
 
 
 class TestNorm:
