@@ -541,8 +541,7 @@ def _rotate(parts, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     any other E takes ``_self_gram``. Nothing that overflows warns: the check
     of the Gram names it."""
     q, (m, n), (width, k) = parts[0], parts[0].shape, coef.shape
-    out = _aligned_empty((m, k))
-    fuse, gram = _gemm_gram(k), None
+    out, fuse, gram = _aligned_empty((m, k)), _gemm_gram(k), None
     with np.errstate(over="ignore", invalid="ignore"):
         if n < width <= _PANEL_MAX_WIDTH:  # thin, with columns besides q's
             for r, panel in _panels(parts, _even_rows(m, width + k)):
@@ -583,9 +582,8 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
     """
     q_a = _as_2d(q_a, "q_a")
     eig = symmetric_eig(b_a)
-    e, gram = _rotate([q_a], eig.E)
     try:
-        return _lifted(alpha, e, gram, eig.D)
+        return _lifted(alpha, *_rotate([q_a], eig.E), eig.D)
     except ValueError:
         _check_finite(q_a, "q_a")
         raise

@@ -11,6 +11,7 @@ orthonormal V for the SVD.
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -149,11 +150,12 @@ _ALIGN = 64
 
 
 def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
-    """Uninitialized C-contiguous float array starting on a 64-byte boundary."""
-    nbytes = 8 * shape[0] * shape[1]
-    buf = np.empty(nbytes + _ALIGN, dtype=np.uint8)
-    start = -buf.ctypes.data % _ALIGN
-    return buf[start:start + nbytes].view(np.float64).reshape(shape)
+    """Uninitialized C-contiguous float array starting on a 64-byte boundary,
+    found by ctypes (``ndarray.ctypes`` builds a Python object per access)."""
+    size = shape[0] * shape[1]
+    buf = np.empty(size + _ALIGN // 8)
+    start = -ctypes.addressof(ctypes.c_char.from_buffer(buf)) % _ALIGN // 8
+    return buf[start:start + size].reshape(shape)
 
 
 # Products over the m rows are taken in row blocks of about this many bytes
@@ -202,7 +204,9 @@ def _panels(parts, step: int):
 
 
 def _gemm_gram(k: int) -> bool:
-    """Whether ``_add_gram`` sums the Gram of k columns (else ``syrk``)."""
+    """Whether ``_add_gram`` sums the Gram of k columns, not ``syrk`` (x86-64,
+    OpenBLAS, 1 thread, m = 4096 to 2^18: gemm took 0.40-0.85x syrk's time at
+    2 to 8 columns, 0.80-1.23x at 12 and 1.2-1.7x from 16)."""
     return 1 < k <= _PANEL_MAX_WIDTH
 
 
@@ -215,10 +219,8 @@ def _add_gram(g, block: np.ndarray, copy: np.ndarray) -> np.ndarray:
 
 
 def _self_gram(a: np.ndarray) -> np.ndarray:
-    """``a^T a`` up to rounding: ``_add_gram`` over row blocks for 2 to
-    ``_PANEL_MAX_WIDTH`` columns and at least one row, else numpy's ``syrk``.
-    (x86-64, OpenBLAS, 1 thread, m = 4096 to 2^18: gemm took 0.40-0.85x
-    syrk's time at 2 to 8 columns, 0.80-1.23x at 12 and 1.2-1.7x from 16.)"""
+    """``a^T a`` up to rounding: ``_add_gram`` over row blocks if ``_gemm_gram``
+    and a has rows, else numpy's ``syrk``."""
     m, k = a.shape
     if not (m and _gemm_gram(k)):
         return a.T @ a
