@@ -260,6 +260,7 @@ def demo_learner(
         )
 
     ef = model.eigen
+    spectrum = ef.full_spectrum()
     report = {
         "m": m,
         "rank_cap": rank_cap,
@@ -270,8 +271,8 @@ def demo_learner(
         "model": {
             "alpha": float(ef.alpha),
             "rank": int(ef.rank),
-            "min_eigenvalue": float(ef.full_spectrum()[-1]),
-            "max_eigenvalue": float(ef.full_spectrum()[0]),
+            "min_eigenvalue": float(spectrum[-1]),
+            "max_eigenvalue": float(spectrum[0]),
         },
         "iterations": iterations,
         "threshold": None,

@@ -30,34 +30,16 @@ nonnegative-weight baseline and the O(m^3) always-correct path.
 transposed and no transposing copy is made. On the Gram route a call then
 makes two O(m r^2) passes over the m-row data, the block Gram and the lift,
 which also sums the Gram of E for its check (a third pass for an E wider
-than ``_PANEL_MAX_WIDTH``), one r-by-r ``eigh`` and a fixed cost on r-sized
-arrays, kept to few numpy calls: the core is filled in place, the lift
-stacks ``[V1 - P C; C]`` once for ``[Q X Y]``, the Gram route runs under one
+than 12 columns), one r-by-r ``eigh`` and a fixed cost on r-sized arrays,
+kept to few numpy calls: the core is filled in place, the lift stacks
+``[V1 - P C; C]`` once for ``[Q X Y]``, the Gram route runs under one
 ``np.errstate``, Z's scale and finiteness are read off the trace of
 ``Z^T Z`` and the norm of P, and ``_lifted`` skips the shape and order
 checks that ``symmetric_eig`` guarantees. Small ops cost more once an m-row
-pass has evicted the caches, so the fixed cost grows with m.
-
-The block Gram and the lift run over row blocks (``kernels._row_blocks``)
-with one of two kernels, chosen by the width of ``[Q X Y]`` alone (Goto &
-van de Geijn 2008, "Anatomy of high-performance matrix multiplication"):
-
-- Up to ``kernels._PANEL_MAX_WIDTH`` (12) columns, each row block of Q, X
-  and Y is copied once into a reused ``(width, rows)`` C-order panel
-  (``kernels._panels``), and one BLAS call per block does the work:
-  ``panel @ panel[n:].T`` for the Gram, ``out[rows] = panel.T @ [V1; C_x;
-  C_y]`` for the lift. At m = 4096 to 2^18 (x86-64, OpenBLAS, 1 thread)
-  panels won on both kernels up to 12 columns and lost on the Gram at 24.
-  The lift's panels are even (``kernels._even_rows``), lest a tail of a few
-  rows pay a block's calls; the Gram's cut, which orders its sums, is kept.
-- Wider, each block takes one product per pair of arrays, summed in place;
-  there the products are wide enough for BLAS and a packing copy only adds
-  traffic.
-
-An orthonormality check's Gram ``A^T A`` is summed over the same row blocks
-up to the same width by ``kernels._add_gram``, one ``gemm`` per block (numpy's
-``syrk`` is slow on a few columns): for E inside the lift, each block just
-after it is written, and for Q and any other E by ``kernels._self_gram``.
+pass has evicted the caches, so the fixed cost grows with m. The passes
+themselves are ``kernels._block_gram``, ``kernels._rotate`` and
+``kernels._self_gram``; the ``kernels`` module docstring says how they are
+blocked and packed.
 
 Each invariant is verified once per array, where the array enters, and is
 read off a Gram the call computes anyway where one exists:
@@ -99,26 +81,19 @@ import numpy as np
 from .kernels import (
     DimensionError,
     SymEig,
-    _PANEL_MAX_WIDTH,
     _Record,
-    _aligned_empty,
     _as_2d,
     _as_matrix,
-    _add_gram,
-    _block_rows,
+    _block_gram,
     _check_finite,
     _check_orthonormal,
     _check_symmetric,
     _checked_blocks,
-    _even_rows,
     _fro,
-    _gemm_gram,
     _norm,
-    _panels,
     _project,
-    _row_blocks,
+    _rotate,
     _safe_scale,
-    _self_gram,
     _unchecked,
     symmetric_eig,
     thin_svd,
@@ -254,11 +229,9 @@ class EigenFactor(_Record):
     orthogonality = None  # not a field: set by the check, so not in the repr
 
     def __init__(self, alpha: float, E: np.ndarray, D: np.ndarray):
-        alpha = float(alpha)
+        alpha = _finite_alpha(alpha)
         E = _as_2d(E, "E")
         D = np.asarray(D, dtype=float)
-        if not math.isfinite(alpha):
-            raise ValueError("alpha must be finite")
         r = E.shape[1]
         if D.shape != (r,):
             raise DimensionError(f"D must have length {r}, got {D.shape}")
@@ -280,6 +253,14 @@ class EigenFactor(_Record):
         return np.sort(values)[::-1]
 
 
+def _finite_alpha(alpha) -> float:
+    """``float(alpha)``, or ``ValueError`` unless it is finite."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    return alpha
+
+
 def _check_descending(d: np.ndarray) -> None:
     """``ValueError`` unless d is finite and descending, read off its ends."""
     if d.size and not (math.isfinite(d[0]) and math.isfinite(d[-1]) and (d[1:] <= d[:-1]).all()):
@@ -290,10 +271,7 @@ def _lifted(alpha, e: np.ndarray, gram: np.ndarray, d: np.ndarray) -> EigenFacto
     """``EigenFactor(alpha, e, d)`` for e and its Gram as ``_rotate`` returns
     them: alpha is checked as there, e's orthonormality from the Gram, and d
     is the caller's to check (a ``symmetric_eig``'s is finite, descending)."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    ef = _unchecked(EigenFactor, alpha, e, d)
+    ef = _unchecked(EigenFactor, _finite_alpha(alpha), e, d)
     ef.__dict__["orthogonality"] = _check_orthonormal(e, "E", gram)
     return ef
 
@@ -458,48 +436,6 @@ def _scaled_gram(q, blocks):
     return p, zz, trace, scale
 
 
-def _block_gram(q, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """``(Q^T Z, Z^T Z)`` for ``Z = [blocks]``, without concatenating the
-    blocks, summed over row blocks: one product of each thin panel with its
-    Z rows, or else each block product into a view of the result taken once.
-    Non-finite results are the caller's to test, under its ``np.errstate``."""
-    parts = [q, *blocks]
-    n = q.shape[1]
-    width = n + sum(x.shape[1] for x in blocks)
-    if width > _PANEL_MAX_WIDTH:
-        return _pairwise_gram(parts, n)
-    grams = (panel @ panel[n:].T for _, panel in _panels(parts, _block_rows(width)))
-    g = next(grams)
-    for block in grams:
-        g += block
-    # gemm need not round (i, j) and (j, i) alike; the mean of the two is
-    # exactly symmetric and leaves the diagonal as it is
-    zz = g[n:] + g[n:].T
-    zz /= 2.0
-    return g[:n], zz
-
-
-def _pairwise_gram(parts, n):
-    """``_block_gram`` as one product per pair of parts and row block."""
-    spans = [slice(0, n)]
-    for x in parts[1:]:
-        spans.append(slice(spans[-1].stop, spans[-1].stop + x.shape[1]))
-    g = np.zeros((spans[-1].stop, spans[-1].stop - n))
-    cols = [slice(s.start - n, s.stop - n) for s in spans]
-    pairs = [(parts[i], parts[j], g[spans[i], cols[j]])
-             for i in range(len(parts)) for j in range(max(i, 1), len(parts))
-             if parts[i].shape[1] and parts[j].shape[1]]
-    for rows in _row_blocks(parts[0].shape[0], spans[-1].stop):
-        for a, b, out in pairs:
-            out += a[rows].T @ b[rows]
-    # The diagonal blocks of Z^T Z are sums of products a^T a, which BLAS
-    # (syrk) returns exactly symmetric; the blocks below them are mirrored.
-    for i in range(1, len(parts)):
-        for j in range(i + 1, len(parts)):
-            g[spans[j], cols[i]] = g[spans[i], cols[j]].T
-    return g[:n], g[n:]
-
-
 class _Core(_Record):
     """Eigendecomposition of the core and what lifts its eigenvectors to R^m.
 
@@ -531,47 +467,6 @@ class _Core(_Record):
         return _rotate([q, *self.blocks], v)
 
 
-def _rotate(parts, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(E, E^T E)`` for ``E = [parts] @ coef``, written once into a fresh
-    64-byte-aligned read-only array (a basis checked once cannot change before
-    it is used), without concatenating the parts: thin inputs are packed one
-    even row block at a time (see the module docstring). If ``_gemm_gram(k)``,
-    each block of E is added to the Gram while in cache, copied into its panel
-    (E has no more columns than the parts) or the per-block products' buffer;
-    any other E takes ``_self_gram``. Nothing that overflows warns: the check
-    of the Gram names it."""
-    q, (m, n), (width, k) = parts[0], parts[0].shape, coef.shape
-    out, fuse, gram = _aligned_empty((m, k)), _gemm_gram(k), None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if n < width <= _PANEL_MAX_WIDTH:  # thin, with columns besides q's
-            for r, panel in _panels(parts, _even_rows(m, width + k)):
-                o = out[r]
-                np.matmul(panel.T, coef, out=o)
-                if fuse:
-                    gram = _add_gram(gram, o, panel[:k].reshape(o.shape))
-        else:
-            terms, start = [], n
-            for x in parts[1:]:
-                if x.shape[1]:
-                    terms.append((x, coef[start:start + x.shape[1]]))
-                start += x.shape[1]
-            rows = _row_blocks(m, width + k)
-            # one row block of a product, kept in cache until it is added
-            tmp = np.empty_like(out[rows[0]]) if rows else None
-            for r in rows:
-                o = out[r]
-                t = tmp[:o.shape[0]]
-                np.matmul(q[r], coef[:n], out=o)
-                for x, c in terms:
-                    np.matmul(x[r], c, out=t)
-                    o += t
-                if fuse:
-                    gram = _add_gram(gram, o, t)
-        gram = _self_gram(out) if gram is None else gram
-    out.flags.writeable = False
-    return out, gram
-
-
 def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
     """Turn ``alpha*I + Qa Ba Qa^T`` into a thin eigendecomposition.
 
@@ -589,12 +484,17 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
         raise
 
 
+def _common_dim(factor: LowRankFactor, data: WeightedData) -> int:
+    """The factor's dimension, or ``DimensionError`` unless the data's matches."""
+    if data.dim != factor.dim:
+        raise DimensionError(f"data dimension {data.dim} does not match factor {factor.dim}")
+    return factor.dim
+
+
 def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     """``fast_eigh`` before its lift: the route taken and the core's
     eigendecomposition, whose eigenvectors lift to R^m by ``_Core.lift``."""
-    m = factor.dim
-    if data.dim != m:
-        raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
+    m = _common_dim(factor, data)
     q, b, blocks = factor.Q, factor.B, (data.X, data.Y)
     w = np.array([1.0] * data.X.shape[1] + [-1.0] * data.Y.shape[1])
     _check_rank(m, q.shape[1], w.size)
@@ -641,9 +541,7 @@ def svd_route(alpha: float, x) -> EigenFactor:
     eigenvectors. Baseline for benchmarks and for cross-checking the general
     pipeline.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    alpha = _finite_alpha(alpha)
     svd = thin_svd(x)
     kp = _rank_cut(svd.S, _fro(np.asarray(x, dtype=float)))
     return _unchecked(EigenFactor, alpha, svd.U[:, :kp], svd.S[:kp] ** 2)
@@ -651,10 +549,7 @@ def svd_route(alpha: float, x) -> EigenFactor:
 
 def _dense_matrix(alpha: float, factor: LowRankFactor, data: WeightedData) -> np.ndarray:
     """Entrywise ``alpha*I + Q B Q^T + X X^T - Y Y^T`` as a dense m-by-m array."""
-    m = factor.dim
-    if data.dim != m:
-        raise DimensionError(f"data dimension {data.dim} does not match factor {m}")
-    a = alpha * np.eye(m)
+    a = _finite_alpha(alpha) * np.eye(_common_dim(factor, data))
     a += factor.Q @ factor.B @ factor.Q.T
     a += data.X @ data.X.T
     a -= data.Y @ data.Y.T

@@ -1,12 +1,31 @@
-"""Dense kernels: thin SVD, symmetric eigensolver, projection.
+"""Dense kernels, and every pass of the library over the m rows.
 
-Everything here is sized for small-to-moderate matrices (the low-rank cores
-and the tall-skinny novelty blocks of the update pipeline). The SVD and the
-eigensolver are LAPACK (``gesdd`` and ``syevd``) through ``numpy.linalg``,
-which scales extreme magnitudes internally; a ``numpy.linalg.LinAlgError``
-from either propagates unchanged. This module adds input validation and the
-output conventions the pipeline relies on: descending order, and an
-orthonormal V for the SVD.
+The SVD and the eigensolver are LAPACK (``gesdd`` and ``syevd``) through
+``numpy.linalg``, which scales extreme magnitudes internally; a
+``numpy.linalg.LinAlgError`` from either propagates unchanged. This module
+adds input validation and the output conventions the pipeline relies on:
+descending order, and an orthonormal V for the SVD.
+
+The O(m r^2) passes are the block Gram of ``[Q X Y]`` (``_block_gram``), the
+lift ``E = [Q X Y] @ coef`` (``_rotate``) and the Gram ``A^T A`` of an
+orthonormality check (``_self_gram``). Each loops over the same row blocks,
+``_row_blocks(m, width)``: m cut into even blocks of about ``_BLOCK_BYTES``
+of operands, so a block stays in cache and no tail of a few rows costs a
+block's calls. The kernel is chosen by the width alone (Goto & van de Geijn
+2008, "Anatomy of high-performance matrix multiplication"):
+
+- Up to ``_PANEL_MAX_WIDTH`` columns, each row block of the parts is copied
+  once into a reused ``(width, rows)`` C-order panel (``_panels``), and one
+  BLAS call per block does the work: ``panel @ panel[n:].T`` for the Gram,
+  ``out[rows] = panel.T @ coef`` for the lift.
+- Wider, each block takes one product per pair of arrays, summed in place;
+  there the products are wide enough for BLAS and a packing copy only adds
+  traffic.
+
+From 2 to ``_PANEL_MAX_WIDTH`` columns a check's Gram is summed by
+``_add_gram``, one ``gemm`` per block against a copy of the block (numpy's
+``syrk`` is slow on a few columns): for the lift's E, each block just after
+it is written and still in cache; for any other array, by ``_self_gram``.
 """
 
 from __future__ import annotations
@@ -165,48 +184,40 @@ def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
 _BLOCK_BYTES = 1 << 19
 
 
-# An array of at most this many columns is thin: fast_eigh's block Gram and
-# lift pack it into panels, and its Gram is summed by gemm (the crossovers
-# are in the fast_eigh module docstring and _self_gram's).
+# An array of at most this many columns is thin: the block Gram and the lift
+# pack it into panels, and its Gram is summed by gemm.
 _PANEL_MAX_WIDTH = 12
 
 
 def _block_rows(width: int) -> int:
-    """Rows in one row block of products over ``width`` columns."""
+    """Rows in a full row block of products over ``width`` columns."""
     return max(256, _BLOCK_BYTES // (8 * max(width, 1)))
 
 
 def _row_blocks(m: int, width: int) -> list[slice]:
-    """Row blocks covering ``range(m)`` for products over ``width`` columns;
-    the first is the largest."""
-    rows = _block_rows(width)
-    return [slice(i, i + rows) for i in range(0, m, rows)]
+    """The row blocks of every pass over ``range(m)`` with ``width`` columns:
+    ``round(m / _block_rows(width))`` even blocks, at least one, all of one
+    size but the last, which is shorter by less than their count, so no
+    tail of a few rows costs a block's calls. The first is the largest."""
+    step = max(1, -(-m // max(1, round(m / _block_rows(width)))))
+    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
 
 
-def _even_rows(m: int, width: int) -> int:
-    """Rows per block of ``range(m)`` cut into ``round(m / _block_rows(width))``
-    even blocks, at least one: no tail of a few rows costs a block's calls."""
-    return max(1, -(-m // max(1, round(m / _block_rows(width)))))
-
-
-def _panels(parts, step: int):
-    """Yield ``(rows, panel)`` for each block of ``step`` rows, the panel
-    ``[parts][rows].T`` copied into the start of one reused flat buffer: it is
-    C-contiguous, and free for other use once read, until the next block."""
-    m = parts[0].shape[0]
+def _panels(parts, blocks: list[slice]):
+    """Yield ``(rows, panel)`` for each row block, the panel ``[parts][rows].T``
+    copied into the start of one reused flat buffer: it is C-contiguous, and
+    free for other use once read, until the next block."""
     total = sum(x.shape[1] for x in parts)
-    buf = np.empty(total * min(step, m))
-    for start in range(0, m, step):
-        rows = slice(start, start + step)
-        panel = buf[:total * min(step, m - start)].reshape(total, -1)
+    buf = np.empty(total * blocks[0].stop)
+    for rows in blocks:
+        panel = buf[:total * (rows.stop - rows.start)].reshape(total, -1)
         np.concatenate([x[rows].T for x in parts], out=panel)
         yield rows, panel
 
 
 def _gemm_gram(k: int) -> bool:
-    """Whether ``_add_gram`` sums the Gram of k columns, not ``syrk`` (x86-64,
-    OpenBLAS, 1 thread, m = 4096 to 2^18: gemm took 0.40-0.85x syrk's time at
-    2 to 8 columns, 0.80-1.23x at 12 and 1.2-1.7x from 16)."""
+    """Whether ``_add_gram`` sums the Gram of k columns, not ``syrk``: syrk
+    measured slower than gemm up to 8 columns and faster from 16."""
     return 1 < k <= _PANEL_MAX_WIDTH
 
 
@@ -224,11 +235,94 @@ def _self_gram(a: np.ndarray) -> np.ndarray:
     m, k = a.shape
     if not (m and _gemm_gram(k)):
         return a.T @ a
-    rows = _block_rows(k)
-    buf, g = np.empty((min(rows, m), k)), None
-    for start in range(0, m, rows):
-        g = _add_gram(g, a[start:start + rows], buf[:m - start])
+    blocks = _row_blocks(m, k)
+    buf, g = np.empty((blocks[0].stop, k)), None
+    for rows in blocks:
+        g = _add_gram(g, a[rows], buf[:rows.stop - rows.start])
     return g
+
+
+def _block_gram(q, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q^T Z, Z^T Z)`` for ``Z = [blocks]``, without concatenating the
+    blocks, summed over row blocks: one product of each thin panel with its
+    Z rows, or else each block product into a view of the result taken once.
+    Non-finite results are the caller's to test, under its ``np.errstate``."""
+    parts = [q, *blocks]
+    n = q.shape[1]
+    width = n + sum(x.shape[1] for x in blocks)
+    if width > _PANEL_MAX_WIDTH:
+        return _pairwise_gram(parts, n)
+    grams = (panel @ panel[n:].T for _, panel in _panels(parts, _row_blocks(q.shape[0], width)))
+    g = next(grams)
+    for block in grams:
+        g += block
+    # gemm need not round (i, j) and (j, i) alike; the mean of the two is
+    # exactly symmetric and leaves the diagonal as it is
+    zz = g[n:] + g[n:].T
+    zz /= 2.0
+    return g[:n], zz
+
+
+def _pairwise_gram(parts, n):
+    """``_block_gram`` as one product per pair of parts and row block."""
+    spans = [slice(0, n)]
+    for x in parts[1:]:
+        spans.append(slice(spans[-1].stop, spans[-1].stop + x.shape[1]))
+    g = np.zeros((spans[-1].stop, spans[-1].stop - n))
+    cols = [slice(s.start - n, s.stop - n) for s in spans]
+    pairs = [(parts[i], parts[j], g[spans[i], cols[j]])
+             for i in range(len(parts)) for j in range(max(i, 1), len(parts))
+             if parts[i].shape[1] and parts[j].shape[1]]
+    for rows in _row_blocks(parts[0].shape[0], spans[-1].stop):
+        for a, b, out in pairs:
+            out += a[rows].T @ b[rows]
+    # The diagonal blocks of Z^T Z are sums of products a^T a, which BLAS
+    # (syrk) returns exactly symmetric; the blocks below them are mirrored.
+    for i in range(1, len(parts)):
+        for j in range(i + 1, len(parts)):
+            g[spans[j], cols[i]] = g[spans[i], cols[j]].T
+    return g[:n], g[n:]
+
+
+def _rotate(parts, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(E, E^T E)`` for ``E = [parts] @ coef``, written once into a fresh
+    64-byte-aligned read-only array (a basis checked once cannot change before
+    it is used), without concatenating the parts: thin inputs are packed one
+    row block at a time. If ``_gemm_gram(k)``, each block of E is added to the
+    Gram while in cache, copied into its panel (E has no more columns than
+    the parts) or the per-block products' buffer; any other E takes
+    ``_self_gram``. Nothing that overflows warns: the check of the Gram names
+    it."""
+    q, (m, n), (width, k) = parts[0], parts[0].shape, coef.shape
+    out, fuse, gram = _aligned_empty((m, k)), _gemm_gram(k), None
+    blocks = _row_blocks(m, width + k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n < width <= _PANEL_MAX_WIDTH:  # thin, with columns besides q's
+            for r, panel in _panels(parts, blocks):
+                o = out[r]
+                np.matmul(panel.T, coef, out=o)
+                if fuse:
+                    gram = _add_gram(gram, o, panel[:k].reshape(o.shape))
+        else:
+            terms, start = [], n
+            for x in parts[1:]:
+                if x.shape[1]:
+                    terms.append((x, coef[start:start + x.shape[1]]))
+                start += x.shape[1]
+            # one row block of a product, kept in cache until it is added
+            tmp = np.empty_like(out[blocks[0]]) if blocks else None
+            for r in blocks:
+                o = out[r]
+                t = tmp[:o.shape[0]]
+                np.matmul(q[r], coef[:n], out=o)
+                for x, c in terms:
+                    np.matmul(x[r], c, out=t)
+                    o += t
+                if fuse:
+                    gram = _add_gram(gram, o, t)
+        gram = _self_gram(out) if gram is None else gram
+    out.flags.writeable = False
+    return out, gram
 
 
 def _take_columns(a: np.ndarray, columns: np.ndarray) -> np.ndarray:

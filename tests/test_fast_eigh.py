@@ -24,7 +24,7 @@ from loweig import (
 )
 
 from loweig.fast_eigh import _signed_core
-from loweig.kernels import _row_blocks
+from loweig.kernels import _block_rows
 
 from helpers import random_instance, random_orthonormal, random_symmetric
 
@@ -166,7 +166,7 @@ class TestFactorToEig:
     def test_multi_block_thin_basis(self, k):
         # q_a over several row blocks: the lift sums E's Gram block by block,
         # and its check reads the same E^T E as a separate pass would
-        m = 3 * _row_blocks(1, 2 * k)[0].stop + 17
+        m = 3 * _block_rows(2 * k) + 17
         rng = np.random.default_rng(k)
         qa = random_orthonormal(rng, m, k)
         ba = random_symmetric(rng, k)
@@ -176,7 +176,7 @@ class TestFactorToEig:
         assert_allclose(ef.E @ (ef.D[:, None] * (ef.E.T @ qa)), qa @ ba, atol=1e-12)
         assert ef.orthogonality == pytest.approx(
             np.linalg.norm(ef.E.T @ ef.E - np.eye(k)), rel=0, abs=1e-14)
-        qa[m - 3, k - 1] = 2.0  # in the last, partial, row block
+        qa[m - 3, k - 1] = 2.0  # in the last row block
         with pytest.raises(ValueError, match="^E does not have orthonormal columns$"):
             factor_to_eig(1.0, qa, ba)
 
@@ -365,6 +365,17 @@ class TestTypes:
             fast_eigh(alpha, factor, data)
         with pytest.raises(ValueError, match="^alpha must be finite$"):
             factor_to_eig(alpha, factor.Q, factor.B)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_dense_paths_reject_non_finite_alpha(self, alpha):
+        # the dense matrix is built only from a finite alpha, so no warning
+        # from alpha * I and no message that names b
+        _, factor, data = random_instance(np.random.default_rng(6), 30, 2, 2, 1)
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            dense_fallback(alpha, factor, data)
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            materialize(alpha, factor, data)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_results_are_checked_eigenfactors(self, seed):

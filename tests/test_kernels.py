@@ -1,5 +1,6 @@
 """Kernel identities: reconstruction, orthogonality, trace and determinant."""
 
+import importlib
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from loweig import (
 
 from loweig.kernels import (
     _as_matrix,
+    _block_rows,
     _check_orthonormal,
-    _even_rows,
     _fro,
     _norm,
     _residual,
@@ -271,9 +272,8 @@ class TestBlockResidual:
 
 def block_edges(k):
     """Row counts around the row blocks of a k-column array: none, one, a
-    few, exactly one block, one block and a row, and several blocks with a
-    short tail."""
-    rows = _row_blocks(1, k)[0].stop
+    few, exactly one block, one block and a row, and several blocks."""
+    rows = _block_rows(k)
     return [0, 1, 64, rows, rows + 1, 3 * rows + 5]
 
 
@@ -282,16 +282,41 @@ def test_even_rows_leave_no_short_tail(width):
     # round(m / rows) blocks of one size but the last, shorter by less than
     # their count, none over 1.5 blocks of rows: a tail of a few rows is
     # merged, and one of half a block or more becomes a block of its own
-    rows = _row_blocks(1, width)[0].stop
+    rows = _block_rows(width)
     for m in [0, 1, 64, rows - 1, rows, rows + 2, rows * 3 // 2 + 1, 3 * rows + 2,
               3 * rows + rows // 2, 48 * rows + 16]:
-        step = _even_rows(m, width)
-        sizes = [len(range(i, min(i + step, m))) for i in range(0, m, step)]
+        blocks = _row_blocks(m, width)
+        sizes = [b.stop - b.start for b in blocks]
+        # in order and contiguous, covering range(m) exactly
+        assert [b.start for b in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
         assert sum(sizes) == m
+        step = sizes[0] if sizes else 1
         assert len(sizes) == (max(1, round(m / rows)) if m else 0)
         assert all(size == step for size in sizes[:-1])
         assert not sizes or sizes[-1] > step - len(sizes)
         assert step <= max(m, 1) and (m <= rows or step <= 1.5 * rows + 1)
+
+
+def test_block_gram_packs_even_panels(monkeypatch):
+    # three blocks' rows and two more: the two rows join the last block, not
+    # a fourth panel of their own, and the Gram is the same up to rounding
+    kernels = importlib.import_module("loweig.kernels")
+    m = 3 * _block_rows(3) + 2
+    rng = np.random.default_rng(3)
+    q, x, y = random_orthonormal(rng, m, 1), rng.standard_normal((m, 1)), rng.standard_normal((m, 1))
+    real, packed = kernels._panels, []
+
+    def counted(parts, blocks):
+        for rows, panel in real(parts, blocks):
+            packed.append(rows)
+            yield rows, panel
+
+    monkeypatch.setattr(kernels, "_panels", counted)
+    p, zz = kernels._block_gram(q, [x, y])
+    assert len(packed) == 3
+    z = np.hstack([x, y])
+    assert_allclose(p, q.T @ z, rtol=1e-12, atol=1e-12)
+    assert_allclose(zz, z.T @ z, rtol=1e-12)
 
 
 class TestNorm:
@@ -346,7 +371,7 @@ class TestSelfGram:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("k", [2, 6, 12, 13])
     def test_non_finite_in_last_partial_block(self, k, bad):
-        rows = _row_blocks(1, k)[0].stop
+        rows = _block_rows(k)
         q = random_orthonormal(np.random.default_rng(k), 2 * rows + 7, k)
         q[-3, k - 1] = bad
         with pytest.raises(ValueError, match="^E contains non-finite entries$"):
@@ -357,7 +382,7 @@ class TestSelfGram:
     @pytest.mark.parametrize("k", [2, 6, 12, 13])
     def test_overflow_and_underflow_rejected(self, k, scale, columns):
         # the squares overflow to inf or flush to 0: either way not orthonormal
-        rows = _row_blocks(1, k)[0].stop
+        rows = _block_rows(k)
         q = random_orthonormal(np.random.default_rng(k), 2 * rows + 7, k)
         q[:, -1 if columns == "last" else slice(None)] *= scale
         with pytest.raises(ValueError, match="^E does not have orthonormal columns$"):

@@ -22,7 +22,7 @@ from numpy.testing import assert_allclose
 
 from loweig import LowRankFactor, WeightedData, dense_fallback, fast_eigh, materialize
 from loweig.fast_eigh import GRAM_MIN_RATIO, _core_eig, _gram, _scaled_gram
-from loweig.kernels import _row_blocks, _safe_scale
+from loweig.kernels import _block_rows, _safe_scale
 
 from helpers import laid_out, random_orthonormal, random_symmetric
 
@@ -206,10 +206,10 @@ def route_instance(route, m=20, n=3, nx=2, ny=2, seed=0):
 
 
 # (m, n, nx, ny) on each side of the panel kernels' width limit: the default
-# shape is thin, TALL_THIN also spans several row blocks and ends in a partial
-# one, and WIDE keeps the per-block products. The bad entries below go in row
+# shape is thin, TALL_THIN also spans several row blocks, and WIDE keeps the
+# per-block products. The bad entries below go in row
 # m - 13, inside the last row block (row 7 of the default shape).
-TALL_THIN = (3 * _row_blocks(1, 6)[0].stop + 17, 2, 2, 2)
+TALL_THIN = (3 * _block_rows(6) + 17, 2, 2, 2)
 WIDE = (40, 8, 3, 3)
 ROUTES_AND_SHAPES = [
     pytest.param("gram", (20, 3, 2, 2), id="gram"),
@@ -347,7 +347,6 @@ class TestVerdicts:
             np.testing.assert_array_equal(got[1], ref[1] * scale)
 
 
-FAST_EIGH = importlib.import_module("loweig.fast_eigh")
 KERNELS = importlib.import_module("loweig.kernels")
 
 
@@ -361,7 +360,7 @@ class TestPanelKernels:
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("m, n, nx, ny", [
         (100, 2, 2, 2), TALL_THIN, (300, 0, 3, 3), (300, 3, 0, 3), (300, 3, 3, 0),
-        (2 * _row_blocks(1, 24)[0].stop + 5, 4, 4, 4), (3000, 6, 5, 5), (700, 8, 8, 8),
+        (2 * _block_rows(24) + 5, 4, 4, 4), (3000, 6, 5, 5), (700, 8, 8, 8),
     ])
     def test_kernels_agree(self, monkeypatch, m, n, nx, ny, layout):
         rng = np.random.default_rng([m, n, nx, ny])
@@ -373,9 +372,9 @@ class TestPanelKernels:
         coef = rng.standard_normal((k, k))
         got = {}
         for limit in (0, k):
-            monkeypatch.setattr(FAST_EIGH, "_PANEL_MAX_WIDTH", limit)
-            p, zz = FAST_EIGH._block_gram(q, [x, y])
-            e, _ = FAST_EIGH._rotate([q, x, y], coef)
+            monkeypatch.setattr(KERNELS, "_PANEL_MAX_WIDTH", limit)
+            p, zz = KERNELS._block_gram(q, [x, y])
+            e, _ = KERNELS._rotate([q, x, y], coef)
             assert np.array_equal(zz, zz.T)
             assert not e.flags.writeable and e.flags.c_contiguous and e.ctypes.data % 64 == 0
             got[limit] = np.vstack([p, zz]), e
@@ -399,11 +398,11 @@ class TestPanelKernels:
         # gemm against a copy of each block of E; otherwise _self_gram
         # takes it after the lift; either way it is E^T E up to rounding
         width = sum(widths)
-        m = 3 * _row_blocks(1, width + k)[0].stop + 17
+        m = 3 * _block_rows(width + k) + 17
         rng = np.random.default_rng([width, k])
         parts = [laid_out(rng, m, j, layout) for j in widths]
         coef = rng.standard_normal((width, k)) / math.sqrt(m * width)
-        e, gram = FAST_EIGH._rotate(parts, coef)
+        e, gram = KERNELS._rotate(parts, coef)
         assert gram.shape == (k, k)
         # two sums of m products in different orders, whose rounding grows
         # like sqrt(m) ulps of the sum of absolute terms
@@ -420,10 +419,8 @@ class TestPanelKernels:
         factor = LowRankFactor(1.0, random_orthonormal(rng, 64, n), random_symmetric(rng, n))
         data = WeightedData(rng.standard_normal((64, k - n - 1)), rng.standard_normal((64, 1)))
         calls = []
-        for module in (FAST_EIGH, KERNELS):
-            real = module._self_gram
-            monkeypatch.setattr(module, "_self_gram",
-                                lambda a, _real=real: calls.append(a.shape) or _real(a))
+        real = KERNELS._self_gram
+        monkeypatch.setattr(KERNELS, "_self_gram", lambda a: calls.append(a.shape) or real(a))
         ef = fast_eigh(1.0, factor, data)
         assert ef.rank == k
         assert calls == ([] if fused else [(64, k)])
@@ -433,8 +430,8 @@ class TestPanelKernels:
     @pytest.mark.parametrize("k, panel", [(6, True), (12, True), (13, False), (40, False)])
     def test_width_selects_the_kernel(self, monkeypatch, k, panel):
         calls = []
-        real = FAST_EIGH._panels
-        monkeypatch.setattr(FAST_EIGH, "_panels", lambda *a: calls.append(1) or real(*a))
+        real = KERNELS._panels
+        monkeypatch.setattr(KERNELS, "_panels", lambda *a: calls.append(1) or real(*a))
         rng = np.random.default_rng(k)
         n = k // 2
         factor = LowRankFactor(1.0, random_orthonormal(rng, 64, n), random_symmetric(rng, n))
