@@ -29,8 +29,8 @@ nonnegative-weight baseline and the O(m^3) always-correct path.
 ``vectors[kept].T @ diag(sqrt(|w|))`` each, so BLAS reads the vectors
 transposed and no transposing copy is made. On the Gram route a call then
 makes two O(m r^2) passes over the m-row data, the block Gram and the lift,
-which also sums the Gram of E for its check (a third pass for an E wider
-than 12 columns), one r-by-r ``eigh`` and a fixed cost on r-sized arrays,
+which also sums the Gram of E for its check (a third pass unless E has 2
+to 12 columns), one r-by-r ``eigh`` and a fixed cost on r-sized arrays,
 kept to few numpy calls: the core is filled in place, the lift stacks
 ``[V1 - P C; C]`` once for ``[Q X Y]``, the Gram route runs under one
 ``np.errstate``, Z's scale and finiteness are read off the trace of

@@ -195,12 +195,13 @@ def _block_rows(width: int) -> int:
 
 
 def _row_blocks(m: int, width: int) -> list[slice]:
-    """The row blocks of every pass over ``range(m)`` with ``width`` columns:
-    ``round(m / _block_rows(width))`` even blocks, at least one, all of one
-    size but the last, which is shorter by less than their count, so no
-    tail of a few rows costs a block's calls. The first is the largest."""
-    step = max(1, -(-m // max(1, round(m / _block_rows(width)))))
-    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
+    """The row blocks of every pass over ``range(m)`` with ``width`` columns,
+    ``ceil(m / c)`` rows each for ``c = round(m / _block_rows(width))`` (at
+    least 1) but the last, which is shorter by less than c: no tail of a few
+    rows costs a block's calls. The first is the largest."""
+    count = max(1, round(m / _block_rows(width)))
+    starts = range(0, m, max(1, -(-m // count)))
+    return [*map(slice, starts, [*starts[1:], m])]
 
 
 def _panels(parts, blocks: list[slice]):

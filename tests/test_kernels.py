@@ -303,7 +303,8 @@ def test_block_gram_packs_even_panels(monkeypatch):
     kernels = importlib.import_module("loweig.kernels")
     m = 3 * _block_rows(3) + 2
     rng = np.random.default_rng(3)
-    q, x, y = random_orthonormal(rng, m, 1), rng.standard_normal((m, 1)), rng.standard_normal((m, 1))
+    q = random_orthonormal(rng, m, 1)
+    x, y = rng.standard_normal((m, 1)), rng.standard_normal((m, 1))
     real, packed = kernels._panels, []
 
     def counted(parts, blocks):

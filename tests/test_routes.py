@@ -207,8 +207,8 @@ def route_instance(route, m=20, n=3, nx=2, ny=2, seed=0):
 
 # (m, n, nx, ny) on each side of the panel kernels' width limit: the default
 # shape is thin, TALL_THIN also spans several row blocks, and WIDE keeps the
-# per-block products. The bad entries below go in row
-# m - 13, inside the last row block (row 7 of the default shape).
+# per-block products. The bad entries below go in row m - 13, inside the last
+# row block (row 7 of the default shape).
 TALL_THIN = (3 * _block_rows(6) + 17, 2, 2, 2)
 WIDE = (40, 8, 3, 3)
 ROUTES_AND_SHAPES = [
