@@ -13,6 +13,7 @@ imports it.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .kernels import (
     DimensionError,
@@ -64,6 +65,13 @@ _LAZY = {
     for name in names
 }
 
+# The public names: those imported above (not the kernels submodule, which
+# the import binds here too) and the lazy ones.
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _ModuleType)] + list(_LAZY)
+)
+
 
 def __getattr__(name):
     module = _LAZY.get(name)
@@ -77,46 +85,5 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "ALGORITHMS",
-    "BenchConfig",
-    "BenchRecord",
-    "DimensionError",
-    "EigenFactor",
-    "IRREGULAR",
-    "LabeledBatch",
-    "LowRankFactor",
-    "MetricModel",
-    "REGULAR",
-    "Spectrum",
-    "SpectrumBlock",
-    "SymEig",
-    "ThinSvd",
-    "TruncationResult",
-    "UpdateConfig",
-    "UpdateStats",
-    "WeightedData",
-    "augment",
-    "classify",
-    "demo_learner",
-    "dense_fallback",
-    "dense_spectrum",
-    "distance",
-    "factor_to_eig",
-    "fast_eigh",
-    "fit_scaling",
-    "generate_instance",
-    "materialize",
-    "normalized_flatness",
-    "orthonormal_residual",
-    "run_grid",
-    "select_tau",
-    "svd_route",
-    "symmetric_eig",
-    "thin_svd",
-    "truncate",
-    "update",
-]
 
 __version__ = "0.1.0"

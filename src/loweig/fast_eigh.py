@@ -9,8 +9,9 @@ into a 64-byte-aligned result; ``[X Y]`` and ``[Q U]`` are never built.
 only the columns it keeps. P and R come from one of two routes:
 
 - The Gram route, tried first. One Gram of ``[Q X Y]``, summed block by
-  block, gives ``P = Q^T Z`` and ``Z^T Z``; ``R = diag(sqrt(lam)) V^T`` from
-  one ``eigh`` of ``S = Z^T Z - P^T P = V diag(lam) V^T`` is the SVQR step
+  block, gives ``P = Q^T Z`` and ``Z^T Z``; one ``eigh`` of
+  ``S = Z^T Z - P^T P = V diag(lam) V^T`` gives ``R = diag(sqrt(lam)) V^T``
+  for the core and ``R^-1 = V diag(lam^-1/2)`` for the lift, the SVQR step
   (Stathopoulos & Wu 2002; CholeskyQR2, Fukaya et al. 2014, takes the
   Cholesky factor of S). U is never formed: with ``C = R^-1 V2`` the lift is
   ``Q (V1 - P C) + X C_x + Y C_y``, the second pass over the m-row data.
@@ -111,6 +112,16 @@ RANK_EPS = 1e-12
 GRAM_MIN_RATIO = 1e-2
 
 
+def _symmetric_square(b, n: int, name: str) -> np.ndarray:
+    """b as a finite, symmetric n-by-n array: ``DimensionError`` for another
+    shape, ``ValueError`` for a non-finite or non-symmetric b."""
+    b = _as_matrix(b, name)
+    if b.shape != (n, n):
+        raise DimensionError(f"{name} must be {n} x {n}, got {b.shape}")
+    _check_symmetric(b, name)
+    return b
+
+
 class LowRankFactor(_Record):
     """Implicit symmetric matrix ``alpha*I + Q B Q^T``.
 
@@ -122,16 +133,13 @@ class LowRankFactor(_Record):
     def __init__(self, alpha: float, Q: np.ndarray, B: np.ndarray):
         alpha = float(alpha)
         Q = _as_2d(Q, "Q")
-        B = _as_matrix(B, "B")
         if not math.isfinite(alpha) or alpha < 0.0:
             raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         m, n = Q.shape
         if n > m:
             raise DimensionError(f"Q must be tall, got {m} x {n}")
-        if B.shape != (n, n):
-            raise DimensionError(f"B must be {n} x {n}, got {B.shape}")
+        B = _symmetric_square(B, n, "B")
         _check_orthonormal(Q, "Q")
-        _check_symmetric(B, "B")
         self.__dict__.update(alpha=alpha, Q=Q, B=B)
 
     @classmethod
@@ -301,9 +309,10 @@ def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked(q, b, blocks, sign):
-    """``(b, w)`` for ``augment``'s raw b and sign: b finite, w one sign of +-1
-    per column of ``Z = [blocks]``, and a combined rank of at most m."""
-    b = _as_matrix(b, "b")
+    """``(b, w)`` for ``augment``'s raw b and sign: b checked as
+    ``LowRankFactor`` checks B, w one sign of +-1 per column of
+    ``Z = [blocks]``, and a combined rank of at most m."""
+    b = _symmetric_square(b, q.shape[1], "b")
     k = sum(x.shape[1] for x in blocks)
     w = np.asarray(sign, dtype=float)
     if w.ndim == 0:
@@ -367,12 +376,14 @@ def _rank_cut(s: np.ndarray, norm: float) -> int:
 
 
 def _gram(q, b, blocks, w):
-    """``(P, R, core, ratio)`` of the Gram route, P and R scaled back exactly,
-    or None when Z is empty or zero or ``ratio = sigma_min(R) / ||Z||_F`` is
-    below ``GRAM_MIN_RATIO``. ``P = Q^T Z`` and ``Z^T Z`` come from
-    ``_scaled_gram``; R is ``diag(sqrt(lam)) V^T`` for the eigenpairs
-    ``V diag(lam) V^T`` of ``Z^T Z - P^T P``. Products that overflow on
-    extreme data raise no warning here; the checks name them."""
+    """``(P, R^-1, core, ratio)`` of the Gram route, P and R^-1 scaled back
+    exactly, or None when Z is empty or zero or ``ratio = sigma_min(R) /
+    ||Z||_F`` is below ``GRAM_MIN_RATIO``. ``P = Q^T Z`` and ``Z^T Z`` come
+    from ``_scaled_gram``; with the eigenpairs ``V diag(lam) V^T`` of
+    ``Z^T Z - P^T P`` and ``sigma = sqrt(lam) * scale``, R is
+    ``diag(sigma) V^T``, formed only for the core, and ``R^-1 = V
+    diag(1 / sigma)``. Products that overflow on extreme data raise no
+    warning here; the checks name them."""
     if w.size == 0:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -381,10 +392,11 @@ def _gram(q, b, blocks, w):
         # a product, not lam_min / trace, which is 0 / 0 for a zero Z
         if not (trace > 0.0 and lam[0] >= GRAM_MIN_RATIO**2 * trace):
             return None
-        r = np.sqrt(lam)[:, None] * v.T
+        sigma = np.sqrt(lam)
         if scale != 1.0:
-            p, r = p * scale, r * scale
-        return p, r, _signed_core(b, p, r, w), math.sqrt(lam[0] / trace)
+            p, sigma = p * scale, sigma * scale
+        core = _signed_core(b, p, sigma[:, None] * v.T, w)
+        return p, v / sigma, core, math.sqrt(lam[0] / trace)
 
 
 # _scaled_gram keeps the unscaled Gram when the trace t of the k-by-k Z^T Z
@@ -439,32 +451,27 @@ def _scaled_gram(q, blocks):
 class _Core(_Record):
     """Eigendecomposition of the core and what lifts its eigenvectors to R^m.
 
-    An eigenvector ``v = [v1; v2]`` of the core lifts to ``Q v1 + U v2``. The
-    two-pass route holds U, the only block. The Gram route never forms U:
-    with ``C = R^-1 v2`` the lift is ``Q (v1 - P C) + X C_x + Y C_y``.
+    An eigenvector ``v = [v1; v2]`` of the core lifts to ``Q v1 + U v2``.
+    ``parts`` are the arrays the lift multiplies: ``[Q U]`` on the two-pass
+    route, and ``[Q X Y]`` on the Gram route, which never forms U: with
+    ``C = R^-1 v2`` the lift is ``Q (v1 - P C) + X C_x + Y C_y``.
     """
 
-    _fields = ("route", "eig", "blocks", "p", "r", "novelty_ratio", "dropped")
+    _fields = ("route", "eig", "parts", "p", "rinv", "novelty_ratio", "dropped")
 
-    def __init__(self, route: str, eig: SymEig, blocks: tuple, p: np.ndarray | None = None,
-                 r: np.ndarray | None = None, novelty_ratio: float | None = None,
+    def __init__(self, route: str, eig: SymEig, parts: tuple, p: np.ndarray | None = None,
+                 rinv: np.ndarray | None = None, novelty_ratio: float | None = None,
                  dropped: int = 0):
-        self.__dict__.update(route=route, eig=eig, blocks=blocks, p=p, r=r,
+        self.__dict__.update(route=route, eig=eig, parts=parts, p=p, rinv=rinv,
                              novelty_ratio=novelty_ratio, dropped=dropped)
 
-    def lift(self, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def lift(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_rotate`` of ``[Q U] @ v`` for core eigenvectors v: E, E^T E."""
-        if self.r is not None:
-            n = q.shape[1]
-            # R's rows are orthogonal, so R^-1 = R^T diag(||R_i||^-2), here
-            # summed over R / t, t a power of 2, lest the squares underflow
-            t = _safe_scale(self.r)
-            r = self.r if t == 1.0 else self.r / t
-            c = r.T @ (v[n:] / np.square(r).sum(axis=1)[:, None])
-            if t != 1.0:
-                c /= t
+        if self.rinv is not None:
+            n = self.p.shape[0]
+            c = self.rinv @ v[n:]
             v = np.concatenate([v[:n] - self.p @ c, c])
-        return _rotate([q, *self.blocks], v)
+        return _rotate(self.parts, v)
 
 
 def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
@@ -476,6 +483,11 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
     it.
     """
     q_a = _as_2d(q_a, "q_a")
+    b_a = np.asarray(b_a, dtype=float)
+    r = q_a.shape[1]
+    if b_a.shape != (r, r):
+        raise DimensionError(f"b_a must be {r} x {r} for q_a of shape {q_a.shape}, "
+                             f"got {b_a.shape}")
     eig = symmetric_eig(b_a)
     try:
         return _lifted(alpha, *_rotate([q_a], eig.E), eig.D)
@@ -500,10 +512,10 @@ def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     _check_rank(m, q.shape[1], w.size)
     gram = _gram(q, b, blocks, w)
     if gram is not None:
-        p, r, bc, ratio = gram
-        return _Core("gram", _core_symmetric_eig(b, bc), blocks, p, r, ratio)
+        p, rinv, bc, ratio = gram
+        return _Core("gram", _core_symmetric_eig(b, bc), (q, *blocks), p, rinv, ratio)
     u, bc, dropped = _two_pass(q, b, blocks, w)
-    return _Core("two-pass", _core_symmetric_eig(b, bc), (u,), dropped=dropped)
+    return _Core("two-pass", _core_symmetric_eig(b, bc), (q, u), dropped=dropped)
 
 
 def _core_symmetric_eig(b: np.ndarray, bc: np.ndarray) -> SymEig:
@@ -530,7 +542,7 @@ def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenF
         If n + nx + ny > m; use ``dense_fallback`` there instead.
     """
     core = _core_eig(factor, data)
-    return _lifted(alpha, *core.lift(factor.Q, core.eig.E), core.eig.D)
+    return _lifted(alpha, *core.lift(core.eig.E), core.eig.D)
 
 
 def svd_route(alpha: float, x) -> EigenFactor:

@@ -296,7 +296,7 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
 
     if path == "fast":
         _check_descending(d)
-        ef = _lifted(alpha, *core.lift(prev.E, core.eig.E[:, columns]), d)
+        ef = _lifted(alpha, *core.lift(core.eig.E[:, columns]), d)
         route, ratio, dropped = core.route, core.novelty_ratio, core.dropped
     else:
         ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)

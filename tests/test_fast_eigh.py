@@ -1,6 +1,7 @@
 """Pipeline checks against dense materialization."""
 
 import importlib
+import re
 import warnings
 
 import numpy as np
@@ -118,6 +119,21 @@ class TestAugment:
         with pytest.raises(ValueError, match="sign"):
             augment(np.zeros((5, 0)), np.zeros((0, 0)), np.ones((5, 3)), sign)
 
+    def test_non_symmetric_b_rejected(self):
+        # Q B Q^T is symmetric only for a symmetric B; the core built from
+        # any other B gave a wrong Qc Bc Qc^T without an error
+        rng = np.random.default_rng(20)
+        q = random_orthonormal(rng, 20, 3)
+        b = rng.standard_normal((3, 3))
+        with pytest.raises(ValueError, match="^b is not symmetric within tolerance$"):
+            augment(q, b, rng.standard_normal((20, 2)), +1)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 4), (3,)])
+    def test_b_of_wrong_shape_rejected(self, shape):
+        q = random_orthonormal(np.random.default_rng(21), 20, 3)
+        with pytest.raises(DimensionError, match="^b must be"):
+            augment(q, np.zeros(shape), np.ones((20, 2)), +1)
+
 
 class TestFactorToEig:
     def test_exchange_core(self):
@@ -179,6 +195,13 @@ class TestFactorToEig:
         qa[m - 3, k - 1] = 2.0  # in the last row block
         with pytest.raises(ValueError, match="^E does not have orthonormal columns$"):
             factor_to_eig(1.0, qa, ba)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 2)])
+    def test_core_of_wrong_shape_rejected(self, shape):
+        qa = random_orthonormal(np.random.default_rng(34), 8, 3)
+        message = f"b_a must be 3 x 3 for q_a of shape (8, 3), got {shape}"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            factor_to_eig(1.0, qa, np.eye(*shape))
 
     def test_scale_error_keeps_its_message(self):
         # a finite q_a that is not orthonormal reports E, as before

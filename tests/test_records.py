@@ -42,9 +42,9 @@ CASES = [
     (EigenFactor, ("alpha", "E", "D"), (1.0, E3[:, :2], np.array([2.0, 1.0])), {}),
     (
         _Core,
-        ("route", "eig", "blocks", "p", "r", "novelty_ratio", "dropped"),
+        ("route", "eig", "parts", "p", "rinv", "novelty_ratio", "dropped"),
         ("gram", SYM, (np.ones((3, 1)),), np.ones((1, 1)), np.ones((1, 1)), 0.5, 1),
-        {"p": None, "r": None, "novelty_ratio": None, "dropped": 0},
+        {"p": None, "rinv": None, "novelty_ratio": None, "dropped": 0},
     ),
     (UpdateConfig, ("decay", "gain", "rank_cap", "floor"), (0.9, 0.25, 4, 1e-3), {"floor": None}),
     (LabeledBatch, ("vectors", "weights"), (np.ones((2, 3)), np.array([1.0, -1.0])), {}),

@@ -172,15 +172,37 @@ class TestRouting:
         rng = np.random.default_rng(exponent + 160)
         factor, data = near_span_instance(rng, 1.0, m=20, n=3, nx=2, ny=2)
         w = np.array([1.0, 1.0, -1.0, -1.0])
-        p, r, _, ratio = _gram(factor.Q, factor.B, [data.X, data.Y], w)
+        p, rinv, _, ratio = _gram(factor.Q, factor.B, [data.X, data.Y], w)
         s = 10.0**exponent
         with np.errstate(over="ignore"):  # the core itself overflows at 1e160
             scaled = _gram(factor.Q, factor.B, [data.X * s, data.Y * s], w)
         assert scaled is not None
-        ps, rs, _, ratio_s = scaled
+        ps, rinv_s, _, ratio_s = scaled
         assert np.linalg.norm(ps / s - p) <= 1e-12 * np.linalg.norm(p)
-        assert np.linalg.norm(rs / s - r) <= 1e-12 * np.linalg.norm(r)
+        assert np.linalg.norm(rinv_s * s - rinv) <= 1e-12 * np.linalg.norm(rinv)
         assert ratio_s == pytest.approx(ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("exponent", [0, -160, 150])
+    def test_lift_is_q_v1_plus_u_v2(self, exponent):
+        # the Gram route lifts through R^-1 without forming U; the lift must
+        # be Q V1 + U V2 for U = (Z - Q P) R^-1, U orthonormal and
+        # orthogonal to Q, within a few ulps of the sums of absolute terms
+        rng = np.random.default_rng(exponent + 200)
+        factor, data = near_span_instance(rng, 1.0, m=20, n=3, nx=2, ny=2)
+        s = 10.0**exponent
+        data = WeightedData(data.X * s, data.Y * s)
+        core = _core_eig(factor, data)
+        assert core.route == "gram"
+        q, z, p, rinv, v = factor.Q, np.hstack([data.X, data.Y]), core.p, core.rinv, core.eig.E
+        n = q.shape[1]
+        u = (z - q @ p) @ rinv
+        assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-12
+        assert np.linalg.norm(q.T @ u) <= 1e-12
+        e, _ = core.lift(v)
+        terms = (np.abs(q) @ np.abs(v[:n])
+                 + (np.abs(z) + np.abs(q) @ np.abs(p)) @ (np.abs(rinv) @ np.abs(v[n:])))
+        ulp = np.finfo(float).eps * 4 * v.shape[0]
+        assert np.all(np.abs(e - (q @ v[:n] + u @ v[n:])) <= ulp * terms)
 
     @pytest.mark.parametrize("exponent", [-154, -160, -165, -200])
     def test_tiny_data_under_order_one_core(self, exponent):
@@ -311,7 +333,7 @@ class TestVerdicts:
     )
     def test_scale_matches_explicit_prescale(self, case):
         # _scaled_gram reads the scale off the unscaled Gram where it can;
-        # it must still be _safe_scale's, and P and R those of a pre-scale
+        # it must still be _safe_scale's, and P and R^-1 those of a pre-scale
         rng = np.random.default_rng(len(case))
         factor, data = near_span_instance(rng, 1.0, m=20, n=3, nx=2, ny=2)
         x, y = data.X, data.Y
@@ -344,7 +366,7 @@ class TestVerdicts:
         assert (got is None) == (ref is None) == (case == "zero")
         if got is not None:
             np.testing.assert_array_equal(got[0], ref[0] * scale)
-            np.testing.assert_array_equal(got[1], ref[1] * scale)
+            np.testing.assert_array_equal(got[1], ref[1] / scale)
 
 
 KERNELS = importlib.import_module("loweig.kernels")
