@@ -26,21 +26,10 @@ as does the public ``augment``, which returns ``[Q U]``. ``factor_to_eig``
 lifts a basis given whole. ``svd_route`` and ``dense_fallback`` are the
 nonnegative-weight baseline and the O(m^3) always-correct path.
 
-``WeightedData.from_weighted`` writes X and Y in C order, one product
-``vectors[kept].T @ diag(sqrt(|w|))`` each, so BLAS reads the vectors
-transposed and no transposing copy is made. On the Gram route a call then
-makes two O(m r^2) passes over the m-row data, the block Gram and the lift,
-which also sums the Gram of E for its check (a third pass unless E has 2
-to 12 columns), one r-by-r ``eigh`` and a fixed cost on r-sized arrays,
-kept to few numpy calls: the core is filled in place, the lift stacks
-``[V1 - P C; C]`` once for ``[Q X Y]``, the Gram route runs under one
-``np.errstate``, Z's scale and finiteness are read off the trace of
-``Z^T Z`` and the norm of P, and ``_lifted`` skips the shape and order
-checks that ``symmetric_eig`` guarantees. Small ops cost more once an m-row
-pass has evicted the caches, so the fixed cost grows with m. The passes
-themselves are ``kernels._block_gram``, ``kernels._rotate`` and
-``kernels._self_gram``; the ``kernels`` module docstring says how they are
-blocked and packed.
+On the Gram route a call makes two passes over the m-row data, the block
+Gram and the lift, which also sums E's Gram for its check when E has 2 to
+12 columns, plus one r-by-r ``eigh`` and a fixed cost on r-sized arrays;
+the ``kernels`` module docstring says how the passes are blocked.
 
 Each invariant is verified once per array, where the array enters, and is
 read off a Gram the call computes anyway where one exists:
@@ -360,10 +349,12 @@ def _finite_core(bc: np.ndarray) -> np.ndarray:
 def _two_pass(q, b, blocks, w):
     """Novelty basis U, core and dropped count of the two-pass route: the
     residual of Z after two projections, then its thin SVD. Singular values
-    at or below ``RANK_EPS`` of the scale are dropped with their directions."""
+    at or below ``RANK_EPS`` of the scale are dropped with their directions.
+    The residual is orthogonal to Q, so ``||Z||_F = hypot(||P||_F, ||S||)``
+    comes from r-sized arrays, with no further pass over Z."""
     p, res = _project(q, blocks)
     svd = thin_svd(res)
-    kp = _rank_cut(svd.S, math.hypot(*(_fro(x) for x in blocks)))
+    kp = _rank_cut(svd.S, math.hypot(_fro(p), _fro(svd.S)))
     r = svd.S[:kp, None] * svd.V[:, :kp].T
     with np.errstate(over="ignore", invalid="ignore"):
         core = _signed_core(b, p, r, w)
@@ -488,6 +479,8 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
     if b_a.shape != (r, r):
         raise DimensionError(f"b_a must be {r} x {r} for q_a of shape {q_a.shape}, "
                              f"got {b_a.shape}")
+    _check_finite(b_a, "b_a")
+    _check_symmetric(b_a, "b_a")
     eig = symmetric_eig(b_a)
     try:
         return _lifted(alpha, *_rotate([q_a], eig.E), eig.D)
@@ -555,7 +548,7 @@ def svd_route(alpha: float, x) -> EigenFactor:
     """
     alpha = _finite_alpha(alpha)
     svd = thin_svd(x)
-    kp = _rank_cut(svd.S, _fro(np.asarray(x, dtype=float)))
+    kp = _rank_cut(svd.S, _fro(svd.S))
     return _unchecked(EigenFactor, alpha, svd.U[:, :kp], svd.S[:kp] ** 2)
 
 

@@ -161,10 +161,10 @@ def _fro(a: np.ndarray) -> float:
     return float(np.linalg.norm(a / scale)) * scale
 
 
-# Scoring is a matrix-vector product over E. With OpenBLAS on an x86-64 Xeon,
-# m = 4096 and rank 32, it ran ~25% faster from a cache-line (64-byte)
-# aligned start than from the 16-byte alignment malloc guarantees, so where E
-# happened to land decided the scoring speed.
+# Scoring is a matrix-vector product over E, and it measured faster from a
+# cache-line (64-byte) aligned start than from the 16-byte alignment malloc
+# guarantees, so where E happened to land decided the scoring speed (figures
+# in CHANGES.md).
 _ALIGN = 64
 
 
@@ -178,9 +178,9 @@ def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
 
 
 # Products over the m rows are taken in row blocks of about this many bytes
-# of operands, so a block's operands and result stay in cache: at m = 2^18
-# (x86-64, OpenBLAS, 1 thread) a thin lift so blocked took a quarter to a
-# third of the time of whole products, and 128 KB blocks made it ~20% slower.
+# of operands, so a block's operands and result stay in cache: a thin lift so
+# blocked measured well ahead of whole products, and smaller blocks measured
+# slower (figures in CHANGES.md).
 _BLOCK_BYTES = 1 << 19
 
 
@@ -217,8 +217,8 @@ def _panels(parts, blocks: list[slice]):
 
 
 def _gemm_gram(k: int) -> bool:
-    """Whether ``_add_gram`` sums the Gram of k columns, not ``syrk``: syrk
-    measured slower than gemm up to 8 columns and faster from 16."""
+    """Whether ``_add_gram`` sums the Gram of k columns, not ``syrk``, which
+    measured slower than gemm on a few columns (crossover in CHANGES.md)."""
     return 1 < k <= _PANEL_MAX_WIDTH
 
 

@@ -5,22 +5,15 @@ that eigen form. It scores points by ``sqrt(x^T A^{-1} x)`` in O(m n), folds
 in signed-weight batches as ``decay*A + gain * sum_i w_i x_i x_i^T``, then
 floors and truncates. Snapshots are immutable; updates return new ones.
 
-In ``update`` the values decide and E is written once. The batch becomes
-``WeightedData`` by one product per sign, ``vectors[kept].T @
-diag(sqrt(|w|))``, which writes X and Y in C order without a transposing
-copy. Flooring, window selection and re-flooring all run on
-``(alpha, d, m)``; flooring keeps the order of d, so their result is the
-index array of the kept columns of the step's eigenvectors. On the fast path
-those are the small core's eigenvectors V, and the model's E is
-``Q @ V[:n, kept] + U @ V[n:, kept]``, Q the previous E, written into a
-64-byte-aligned array; the decay-only and dense paths gather their kept
-columns once into such an array.
-
-A fast step makes two passes over m-row data, r = n + nx + ny: the block
-Gram of ``[Q X Y]`` and the lift, which sums the Gram of the new E for its
-check up to 12 kept columns; more, as at a rank cap of 32, take a third
-pass, numpy's ``syrk``. The rest works on r-sized arrays and costs the same
-at any m; below r of about 32 it is most of the step.
+In ``update`` the values decide and E is written once. Flooring, window
+selection and re-flooring all run on ``(alpha, d, m)``; flooring keeps the
+order of d, so their result is the index array of the kept columns of the
+step's eigenvectors. On the fast path those are the small core's
+eigenvectors V, and the model's E is ``Q @ V[:n, kept] + U @ V[n:, kept]``,
+Q the previous E, written into a 64-byte-aligned array by the lift of
+``fast_eigh`` (its module docstring counts the passes over m-row data); the
+decay-only and dense paths gather their kept columns once into such an
+array.
 """
 
 from __future__ import annotations

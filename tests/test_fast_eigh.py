@@ -203,6 +203,17 @@ class TestFactorToEig:
         with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
             factor_to_eig(1.0, qa, np.eye(*shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_core_named(self, bad):
+        ba = np.eye(2)
+        ba[1, 0] = ba[0, 1] = bad
+        with pytest.raises(ValueError, match="^b_a contains non-finite entries$"):
+            factor_to_eig(1.0, np.eye(4)[:, :2], ba)
+
+    def test_non_symmetric_core_named(self):
+        with pytest.raises(ValueError, match="^b_a is not symmetric within tolerance$"):
+            factor_to_eig(1.0, np.eye(4)[:, :2], np.triu(np.ones((2, 2))))
+
     def test_scale_error_keeps_its_message(self):
         # a finite q_a that is not orthonormal reports E, as before
         qa = 2.0 * np.eye(4)[:, :2]

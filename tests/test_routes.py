@@ -20,7 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from loweig import LowRankFactor, WeightedData, dense_fallback, fast_eigh, materialize
+from loweig import (
+    LowRankFactor,
+    WeightedData,
+    augment,
+    dense_fallback,
+    fast_eigh,
+    materialize,
+    svd_route,
+)
 from loweig.fast_eigh import GRAM_MIN_RATIO, _core_eig, _gram, _scaled_gram
 from loweig.kernels import _block_rows, _safe_scale
 
@@ -255,6 +263,29 @@ def test_gram_route_factors_once(monkeypatch, shape):
                             calls.append(_name) or _real(*a, **k))
     fast_eigh(1.0, factor, data)
     assert calls == ["eigh", "eigh"]
+
+
+@pytest.mark.parametrize("call", ["augment", "fast_eigh", "svd_route"])
+def test_rank_cut_scale_reads_no_m_row_array(monkeypatch, call):
+    # the two-pass route and svd_route scale the rank cut by ||Z||_F, read
+    # off P and the singular values, not off another pass over Z
+    factor, data = route_instance("two-pass")
+    z = np.hstack([data.X, data.Y])
+    shapes = []
+    for module in ("loweig.fast_eigh", "loweig.kernels"):
+        module = importlib.import_module(module)
+        for name in ("_fro", "_safe_scale"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _real=real:
+                                shapes.extend(x.shape for x in a) or _real(*a))
+    if call == "augment":
+        augment(factor.Q, factor.B, z, np.array([1.0, 1.0, -1.0, -1.0]))
+    elif call == "fast_eigh":
+        fast_eigh(1.0, factor, data)
+    else:
+        svd_route(1.0, z)
+    assert shapes
+    assert all(s[:1] != (factor.dim,) for s in shapes)
 
 
 class TestVerdicts:
