@@ -13,19 +13,14 @@ import pytest
 
 import loweig
 
-ROOT = Path(__file__).resolve().parents[1]
-README = ROOT / "README.md"
+README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(loweig.__file__).parent.glob("*.py"))
 
 TIMING = re.compile(r"\d(\.\d+)?\s?(ms|us|µs)\b|\d+% (faster|slower)")
 
 
-def python_blocks(text):
-    return re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
-
-
 def test_readme_quick_tour_runs(capsys):
-    blocks = python_blocks(README.read_text())
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
     assert blocks
     for code in blocks:
         with warnings.catch_warnings():
@@ -35,8 +30,12 @@ def test_readme_quick_tour_runs(capsys):
 
 
 def prose(path):
-    """``(line, text)`` of every docstring and comment in a Python file."""
+    """``(line, text)`` of each line of a Markdown file, or of each docstring
+    and comment of a Python file."""
     text = path.read_text()
+    if path.suffix == ".md":
+        yield from enumerate(text.splitlines(), 1)
+        return
     for node in ast.walk(ast.parse(text)):
         body = getattr(node, "body", None)
         if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
@@ -50,9 +49,4 @@ def prose(path):
 
 @pytest.mark.parametrize("path", [README, *SOURCES], ids=lambda p: p.name)
 def test_no_timing_figures(path):
-    if path == README:
-        found = [(i, line) for i, line in enumerate(README.read_text().splitlines(), 1)
-                 if TIMING.search(line)]
-    else:
-        found = [(i, s) for i, s in prose(path) if TIMING.search(s)]
-    assert found == []
+    assert [(i, s) for i, s in prose(path) if TIMING.search(s)] == []
