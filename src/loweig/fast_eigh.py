@@ -43,6 +43,7 @@ X, Y finite                    ``WeightedData``     a scan of X and Y
 Q, X, Y finite; Z's scale      ``_scaled_gram``     the Gram of ``[Q X Y]``
 core finite (no overflow)      ``_core_eig``        ``symmetric_eig``'s scan
 E finite and orthonormal       ``_lifted``          ``_rotate``'s Gram of E
+dense matrix finite            ``_dense_matrix``    ``_finite_core``'s scan
 =============================  ===================  =========================
 
 ``_lifted`` builds the result of ``fast_eigh``, ``factor_to_eig`` and the
@@ -71,19 +72,22 @@ import numpy as np
 from .kernels import (
     DimensionError,
     SymEig,
+    _SAFE_HIGH,
+    _SAFE_LOW,
     _Record,
     _as_2d,
     _as_matrix,
     _block_gram,
     _check_finite,
     _check_orthonormal,
-    _check_symmetric,
     _checked_blocks,
+    _eigh,
     _fro,
     _norm,
     _project,
     _rotate,
     _safe_scale,
+    _symmetric_square,
     _unchecked,
     symmetric_eig,
     thin_svd,
@@ -101,20 +105,11 @@ RANK_EPS = 1e-12
 GRAM_MIN_RATIO = 1e-2
 
 
-def _symmetric_square(b, n: int, name: str) -> np.ndarray:
-    """b as a finite, symmetric n-by-n array: ``DimensionError`` for another
-    shape, ``ValueError`` for a non-finite or non-symmetric b."""
-    b = _as_matrix(b, name)
-    if b.shape != (n, n):
-        raise DimensionError(f"{name} must be {n} x {n}, got {b.shape}")
-    _check_symmetric(b, name)
-    return b
-
-
 class LowRankFactor(_Record):
     """Implicit symmetric matrix ``alpha*I + Q B Q^T``.
 
-    Q is m-by-n with orthonormal columns, B is n-by-n symmetric, n <= m.
+    Q is m-by-n with orthonormal columns, B is n-by-n symmetric, n <= m. A B
+    symmetric only within tolerance is stored as ``(B + B.T) / 2``.
     """
 
     _fields = ("alpha", "Q", "B")
@@ -291,25 +286,17 @@ def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
         ``dense_fallback`` in that regime.
     """
     q, blocks = _checked_blocks(q, (x,))
-    b, w = _checked(q, b, blocks, sign)
-    _check_orthonormal(q, "q")
-    u, bc, _ = _two_pass(q, b, blocks, w)
-    return np.hstack([q, u]), _finite_core(bc)
-
-
-def _checked(q, b, blocks, sign):
-    """``(b, w)`` for ``augment``'s raw b and sign: b checked as
-    ``LowRankFactor`` checks B, w one sign of +-1 per column of
-    ``Z = [blocks]``, and a combined rank of at most m."""
     b = _symmetric_square(b, q.shape[1], "b")
-    k = sum(x.shape[1] for x in blocks)
+    k = blocks[0].shape[1]
     w = np.asarray(sign, dtype=float)
     if w.ndim == 0:
         w = np.full(k, w)
     if w.shape != (k,) or (np.abs(w) != 1.0).any():
         raise ValueError(f"sign must be +1, -1 or {k} values of +-1, got {sign}")
     _check_rank(*q.shape, k)
-    return b, w
+    _check_orthonormal(q, "q")
+    u, bc, _ = _two_pass(q, b, blocks, w)
+    return np.hstack([q, u]), _finite_core(bc)
 
 
 def _check_rank(m, n, k) -> None:
@@ -339,8 +326,8 @@ def _signed_core(b, p, r, w) -> np.ndarray:
 
 
 def _finite_core(bc: np.ndarray) -> np.ndarray:
-    """``bc``, or ``ValueError`` if it overflowed: P and R are finite, but at
-    data scales near 1e154 and above their squares are not."""
+    """``bc``, a core or the dense matrix, or ``ValueError`` if it overflowed:
+    its factors are finite, but near 1e154 and above their squares are not."""
     if not np.all(np.isfinite(bc)):
         raise ValueError("the spectrum overflows float64 at this data scale")
     return bc
@@ -393,11 +380,11 @@ def _gram(q, b, blocks, w):
 # _scaled_gram keeps the unscaled Gram when the trace t of the k-by-k Z^T Z
 # lies in [k * m * _GRAM_LOW, _GRAM_HIGH]. Its largest diagonal entry d, from
 # t / k to t, then lies in [m * _GRAM_LOW, _GRAM_HIGH], so max|z| lies inside
-# _safe_scale's [1e-70, 1e70] band, whose scale is 1.0, and no entry of Z^T Z
-# (each bounded by the diagonal) overflowed. The factor 2 on each side covers
-# the Gram's rounding.
-_GRAM_LOW = 2e-140
-_GRAM_HIGH = 0.5e140
+# _safe_scale's band [_SAFE_LOW, _SAFE_HIGH], whose scale is 1.0, and no entry
+# of Z^T Z (each bounded by the diagonal) overflowed. The factor 2 on each
+# side covers the Gram's rounding.
+_GRAM_LOW = 2.0 * _SAFE_LOW**2
+_GRAM_HIGH = _SAFE_HIGH**2 / 2.0
 
 
 def _scaled_gram(q, blocks):
@@ -479,9 +466,7 @@ def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
     if b_a.shape != (r, r):
         raise DimensionError(f"b_a must be {r} x {r} for q_a of shape {q_a.shape}, "
                              f"got {b_a.shape}")
-    _check_finite(b_a, "b_a")
-    _check_symmetric(b_a, "b_a")
-    eig = symmetric_eig(b_a)
+    eig = _eigh(_symmetric_square(b_a, r, "b_a"))
     try:
         return _lifted(alpha, *_rotate([q_a], eig.E), eig.D)
     except ValueError:
@@ -553,12 +538,15 @@ def svd_route(alpha: float, x) -> EigenFactor:
 
 
 def _dense_matrix(alpha: float, factor: LowRankFactor, data: WeightedData) -> np.ndarray:
-    """Entrywise ``alpha*I + Q B Q^T + X X^T - Y Y^T`` as a dense m-by-m array."""
+    """Entrywise ``alpha*I + Q B Q^T + X X^T - Y Y^T`` as a dense m-by-m array,
+    exactly symmetric; ``_finite_core`` names an overflow, with no warning."""
     a = _finite_alpha(alpha) * np.eye(_common_dim(factor, data))
-    a += factor.Q @ factor.B @ factor.Q.T
-    a += data.X @ data.X.T
-    a -= data.Y @ data.Y.T
-    return (a + a.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        a += factor.Q @ factor.B @ factor.Q.T
+        a += data.X @ data.X.T
+        a -= data.Y @ data.Y.T
+        a = (a + a.T) / 2.0
+    return _finite_core(a)
 
 
 def dense_fallback(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenFactor:
@@ -568,5 +556,5 @@ def dense_fallback(alpha: float, factor: LowRankFactor, data: WeightedData) -> E
     ``alpha = 0`` and rank m. This is the recommended path when the combined
     rank approaches m, and the reference the fast path is tested against.
     """
-    eig = symmetric_eig(_dense_matrix(alpha, factor, data))
+    eig = _eigh(_dense_matrix(alpha, factor, data))
     return _unchecked(EigenFactor, 0.0, eig.E, eig.D)

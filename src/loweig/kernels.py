@@ -132,8 +132,13 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
+# _safe_scale's band: an array whose largest magnitude lies in it has normal
+# entry squares, and is left unscaled
+_SAFE_LOW, _SAFE_HIGH = 1e-70, 1e70
+
+
 def _safe_scale(*arrays: np.ndarray) -> float:
-    """Power-of-2 factor pulling the arrays' extreme magnitudes into a safe band.
+    """Power-of-2 factor pulling the arrays' extreme magnitudes into the safe band.
 
     Entry squares must stay inside the normal double range or Gram products
     silently flush to zero/inf; dividing by an exact power of 2 costs no
@@ -141,7 +146,7 @@ def _safe_scale(*arrays: np.ndarray) -> float:
     Returns 1.0 for empty, zero, or already-safe input.
     """
     amax = max((float(max(a.max(), -a.min())) for a in arrays if a.size), default=0.0)
-    if amax == 0.0 or 1e-70 <= amax <= 1e70:
+    if amax == 0.0 or _SAFE_LOW <= amax <= _SAFE_HIGH:
         return 1.0
     return 2.0 ** math.floor(math.log2(amax))
 
@@ -364,6 +369,16 @@ def _check_symmetric(b: np.ndarray, name: str) -> bool:
     return exact
 
 
+def _symmetric_square(b, n: int, name: str) -> np.ndarray:
+    """b as a finite n-by-n array, exactly symmetric: b itself if it is, else
+    ``(b + b.T) / 2``. ``DimensionError`` for another shape, ``ValueError``
+    for a non-finite b or one not symmetric within 1e-12 relative."""
+    b = _as_matrix(b, name)
+    if b.shape != (n, n):
+        raise DimensionError(f"{name} must be {n} x {n}, got {b.shape}")
+    return b if _check_symmetric(b, name) else (b + b.T) / 2.0
+
+
 def _unchecked(cls, *values):
     """``cls(*values)`` for a record, skipping the conversions and checks of
     its ``__init__``: for results the library computes from inputs it has
@@ -401,8 +416,8 @@ def symmetric_eig(b) -> SymEig:
     Parameters
     ----------
     b : array_like, shape (k, k)
-        Symmetric up to roundoff; unless it is exactly symmetric, it is
-        symmetrized as ``(b + b.T) / 2`` before decomposing.
+        Finite and symmetric within 1e-12 relative; unless it is exactly
+        symmetric, it is symmetrized as ``(b + b.T) / 2`` before decomposing.
 
     Returns
     -------
@@ -411,11 +426,12 @@ def symmetric_eig(b) -> SymEig:
         eigenvalues of ``-b`` are the descending ones of ``b``, so exact ties
         keep their input order.
     """
-    b = _as_matrix(b, "b")
-    if b.shape[1] != b.shape[0]:
-        raise DimensionError(f"symmetric_eig expects a square matrix, got {b.shape}")
-    if not _check_symmetric(b, "input"):
-        b = (b + b.T) / 2.0
+    b = _as_2d(b, "b")
+    return _eigh(_symmetric_square(b, b.shape[0], "b"))
+
+
+def _eigh(b: np.ndarray) -> SymEig:
+    """``symmetric_eig`` of a b already checked finite and exactly symmetric."""
     d, e = np.linalg.eigh(-b)
     return _unchecked(SymEig, e, -d)  # eigh's d ascends, so -d descends
 
@@ -428,13 +444,7 @@ def orthonormal_residual(q, x) -> tuple[np.ndarray, np.ndarray]:
     ``x`` lies nearly inside span(q), and ``p`` accumulates both passes so the
     additive split stays exact to roundoff.
     """
-    return _residual(q, (x,))
-
-
-def _residual(q, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """``orthonormal_residual`` of the column blocks ``[x1 x2 ...]`` taken
-    together."""
-    q, blocks = _checked_blocks(q, blocks)
+    q, blocks = _checked_blocks(q, (x,))
     _check_orthonormal(q, "q")
     return _project(q, blocks)
 

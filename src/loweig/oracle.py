@@ -23,7 +23,8 @@ def materialize(
     data: WeightedData,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> np.ndarray:
-    """Entrywise ``alpha*I + Q B Q^T + X X^T - Y Y^T`` as a dense m-by-m array.
+    """Entrywise ``alpha*I + Q B Q^T + X X^T - Y Y^T`` as a dense m-by-m array,
+    the one ``dense_fallback`` decomposes; an overflow raises its ``ValueError``.
 
     Guarded by ``max_dim``: this is a test-scale reference, not a production
     path.

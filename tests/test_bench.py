@@ -48,6 +48,9 @@ class TestConfig:
             BenchConfig(m_grid=(64, 32))
         with pytest.raises(ValueError):
             BenchConfig(m_grid=(32,), repeats=0)
+        for grid in ((0,), (-4, 32)):
+            with pytest.raises(ValueError, match="^m_grid entries must be positive$"):
+                BenchConfig(m_grid=grid)
         with pytest.raises(ValueError):
             BenchConfig(m_grid=(32,), algorithms=("magic",))
         with pytest.raises(ValueError):
@@ -142,6 +145,10 @@ class TestFitScaling:
         ratios = normalized_flatness(synthetic_records(1))
         assert ratios["feigh"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_flatness_needs_two_points(self):
+        with pytest.raises(ValueError, match="^need at least 2 grid points for feigh$"):
+            normalized_flatness(synthetic_records(1, ms=(64,)))
+
 
 class TestDemoLearner:
     def test_zero_iterations(self):
@@ -194,6 +201,13 @@ class TestCli:
         ])
         assert code == 0
         assert json.loads(out.read_text())["iters"] == 2
+
+    def test_demo_without_iterations_prints_the_model(self, capsys):
+        # no probes, so no accuracy line: the initial model's JSON instead
+        assert main(["demo-learner", "--m", "16", "--rank-cap", "4", "--iters", "0",
+                     "--seed", "1"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == demo_learner(m=16, rank_cap=4, iters=0, seed=1)["model"]
 
     def test_bad_config_exits_nonzero(self):
         assert main(["run", "--m-grid", "64:32:x2"]) == 1

@@ -134,6 +134,18 @@ class TestAugment:
         with pytest.raises(DimensionError, match="^b must be"):
             augment(q, np.zeros(shape), np.ones((20, 2)), +1)
 
+    def test_b_within_tolerance_is_symmetrized(self):
+        # augment decomposes the symmetrized b, as LowRankFactor stores it
+        rng = np.random.default_rng(22)
+        q, x = random_orthonormal(rng, 20, 3), rng.standard_normal((20, 2))
+        b = random_symmetric(rng, 3)
+        near = b.copy()
+        near[0, 1] += 1e-15
+        assert not np.array_equal(near, near.T)
+        got = augment(q, near, x, -1)
+        ref = augment(q, (near + near.T) / 2.0, x, -1)
+        assert all(np.array_equal(a, r) for a, r in zip(got, ref))
+
 
 class TestFactorToEig:
     def test_exchange_core(self):
@@ -213,6 +225,23 @@ class TestFactorToEig:
     def test_non_symmetric_core_named(self):
         with pytest.raises(ValueError, match="^b_a is not symmetric within tolerance$"):
             factor_to_eig(1.0, np.eye(4)[:, :2], np.triu(np.ones((2, 2))))
+
+    def test_core_checked_once(self, monkeypatch):
+        # b_a's symmetry is checked once, under its own name, wherever the
+        # check is looked up
+        calls = []
+
+        def spy(b, name):
+            calls.append(name)
+            return original(b, name)
+
+        original = importlib.import_module("loweig.kernels")._check_symmetric
+        for module in ("loweig.kernels", "loweig.fast_eigh"):
+            monkeypatch.setattr(importlib.import_module(module), "_check_symmetric", spy,
+                                raising=False)
+        rng = np.random.default_rng(35)
+        factor_to_eig(1.0, random_orthonormal(rng, 8, 3), random_symmetric(rng, 3))
+        assert calls == ["b_a"]
 
     def test_scale_error_keeps_its_message(self):
         # a finite q_a that is not orthonormal reports E, as before
@@ -337,6 +366,16 @@ class TestDenseFallback:
         dense = dense_fallback(alpha, factor, data).full_spectrum()
         assert_allclose(fast, dense, atol=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("call", [dense_fallback, materialize])
+    def test_overflow_has_the_fast_paths_verdict(self, call):
+        # at 1e200 the products overflow: the dense matrix gets the verdict
+        # the core gets, with no warning and no name the caller did not pass
+        alpha, factor, data = random_instance(np.random.default_rng(901), 9, 2, 2, 2)
+        data = WeightedData(data.X * 1e200, data.Y * 1e200)
+        with pytest.raises(ValueError, match="^the spectrum overflows float64 at this data scale$"):
+            call(alpha, factor, data)
+
 
 class TestTypes:
     def test_low_rank_factor_validation(self):
@@ -346,6 +385,27 @@ class TestTypes:
             LowRankFactor(-1.0, np.zeros((3, 0)), np.zeros((0, 0)))
         with pytest.raises(ValueError):
             LowRankFactor(1.0, np.eye(3)[:, :2], np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DimensionError, match="^Q must be tall, got 2 x 3$"):
+            LowRankFactor(1.0, np.eye(2, 3), np.eye(3))
+
+    def test_low_rank_factor_stores_b_exactly_symmetric(self):
+        q = np.eye(4)[:, :2]
+        exact = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert LowRankFactor(1.0, q, exact).B is exact
+        near = np.array([[2.0, 1.0], [1.0 + 1e-15, 3.0]])
+        stored = LowRankFactor(1.0, q, near).B
+        assert np.array_equal(stored, stored.T)
+        assert np.array_equal(stored, (near + near.T) / 2.0)
+
+    def test_weighted_data_row_counts_must_match(self):
+        with pytest.raises(DimensionError, match="^X and Y row counts differ: 3 vs 4$"):
+            WeightedData(np.ones((3, 1)), np.ones((4, 1)))
+
+    @pytest.mark.parametrize("call", [fast_eigh, dense_fallback])
+    def test_data_dimension_must_match_factor(self, call):
+        with pytest.raises(DimensionError,
+                           match="^data dimension 5 does not match factor 4$"):
+            call(1.0, LowRankFactor.identity(4, 1.0), WeightedData.empty(5))
 
     def test_weighted_data_from_pairs(self):
         vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -364,6 +424,8 @@ class TestTypes:
             EigenFactor(0.0, np.eye(3)[:, :2], np.array([1.0, 2.0]))  # ascending
         with pytest.raises(ValueError):
             EigenFactor(0.0, np.ones((3, 2)), np.array([2.0, 1.0]))  # not orthonormal
+        with pytest.raises(DimensionError, match=r"^D must have length 2, got \(1,\)$"):
+            EigenFactor(0.0, np.eye(3)[:, :2], np.array([1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_eigenfactor_non_finite(self, bad):

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from numpy.testing import assert_allclose
 
 from loweig import (
     DimensionError,
+    SymEig,
+    ThinSvd,
     orthonormal_residual,
     symmetric_eig,
     thin_svd,
@@ -20,7 +23,7 @@ from loweig.kernels import (
     _check_orthonormal,
     _fro,
     _norm,
-    _residual,
+    _project,
     _row_blocks,
     _safe_scale,
     _self_gram,
@@ -168,6 +171,49 @@ class TestSymmetricEig:
         assert_allclose(eig.D, [2.0, 2.0, 1.0])
         assert_allclose(np.abs(eig.E), np.eye(3), atol=1e-14)
 
+    @pytest.mark.parametrize("b, error, message", [
+        ([[1.0, np.nan], [np.nan, 1.0]], ValueError, "b contains non-finite entries"),
+        ([[1.0, 1.0], [0.0, 1.0]], ValueError, "b is not symmetric within tolerance"),
+        (np.ones((2, 3)), DimensionError, "b must be 2 x 2, got (2, 3)"),
+        (np.ones(3), DimensionError, "b must be 2-dimensional, got shape (3,)"),
+    ])
+    def test_errors_name_b(self, b, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            symmetric_eig(b)
+
+    def test_within_tolerance_decomposes_the_symmetrized_matrix(self):
+        b = np.array([[2.0, 1.0], [1.0 + 1e-15, 3.0]])
+        eig = symmetric_eig(b)
+        ref = symmetric_eig((b + b.T) / 2.0)
+        assert np.array_equal(eig.D, ref.D) and np.array_equal(eig.E, ref.E)
+
+
+class TestRecordChecks:
+    """The constructors of the kernels' result records check their factors."""
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((np.eye(3)[:, :2], np.ones(3), np.eye(3)), DimensionError,
+         "inconsistent thin-SVD factor shapes"),
+        ((np.eye(3)[:, :2], np.ones(2), np.eye(3)), DimensionError,
+         "inconsistent thin-SVD factor shapes"),
+        ((np.eye(3)[:, :2], np.array([1.0, 2.0]), np.eye(2)), ValueError,
+         "singular values must be nonnegative and descending"),
+        ((np.eye(3)[:, :2], np.array([1.0, -1.0]), np.eye(2)), ValueError,
+         "singular values must be nonnegative and descending"),
+    ])
+    def test_thin_svd(self, args, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            ThinSvd(*args)
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((np.eye(2), np.ones(3)), DimensionError, "inconsistent eigendecomposition shapes"),
+        ((np.eye(3)[:, :2], np.ones(2)), DimensionError, "inconsistent eigendecomposition shapes"),
+        ((np.eye(2), np.array([1.0, 2.0])), ValueError, "eigenvalues must be sorted descending"),
+    ])
+    def test_sym_eig(self, args, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            SymEig(*args)
+
 
 class TestOrthonormalResidual:
     def test_inside_span(self):
@@ -264,7 +310,7 @@ class TestBlockResidual:
         rng = np.random.default_rng(31)
         q = random_orthonormal(rng, 30, 4)
         x, y = rng.standard_normal((30, 3)), rng.standard_normal((30, 2))
-        p, res = _residual(q, (x, y))
+        p, res = _project(q, (x, y))
         p_ref, res_ref = orthonormal_residual(q, np.hstack([x, y]))
         assert_allclose(p, p_ref, rtol=0, atol=1e-13)
         assert_allclose(res, res_ref, rtol=0, atol=1e-13)

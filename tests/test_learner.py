@@ -483,6 +483,16 @@ class TestUpdate:
         assert out.rank <= 2
         assert out.eigen.full_spectrum()[-1] >= 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_dense_path_overflow_verdict(self):
+        # the dense path names an overflow as the fast path does, with no
+        # warning and no array the caller never passed
+        vectors = 1e200 * np.random.default_rng(7).standard_normal((5, 4))
+        batch = LabeledBatch(vectors, np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+        cfg = UpdateConfig(decay=1.0, gain=0.25, rank_cap=2)
+        with pytest.raises(ValueError, match="^the spectrum overflows float64 at this data scale$"):
+            update(MetricModel.identity(4, 1.0), batch, cfg)
+
     def test_dimension_mismatch_rejected(self):
         model = MetricModel.identity(4, 1.0)
         # a wrong width is rejected even at gain 0, and so are 3-D vectors
@@ -520,6 +530,27 @@ class TestUpdate:
         assert_allclose(model.eigen.full_spectrum(), sim_spectrum, atol=1e-8)
 
 
+class TestRecords:
+    def test_batch_needs_one_weight_per_vector(self):
+        with pytest.raises(DimensionError, match="^2 vectors but 3 weights$"):
+            LabeledBatch(np.ones((2, 4)), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch_weights_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            LabeledBatch(np.ones((2, 4)), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("alpha, d, message", [
+        (0.0, [], "alpha <= 0"),
+        (1.0, [2.0, -1.0], "nonpositive eigenvalue"),
+        (1.0, [-1.5], "nonpositive eigenvalue"),
+    ])
+    def test_model_must_be_positive_definite(self, alpha, d, message):
+        eigen = EigenFactor(alpha, np.eye(4)[:, :len(d)], np.array(d))
+        with pytest.raises(ValueError, match=f"^model must be positive definite: {message}$"):
+            MetricModel(eigen)
+
+
 class TestConfig:
     def test_decay_bounds(self):
         with pytest.raises(ValueError):
@@ -547,6 +578,7 @@ class TestConfig:
         ("floor", np.nan, ValueError),
         ("floor", np.inf, ValueError),
         ("rank_cap", 2.5, TypeError),
+        ("rank_cap", -1, ValueError),
     ])
     def test_unusable_value_rejected_by_name(self, field, value, error):
         # a NaN gain would drop every vector, a NaN floor would turn flooring

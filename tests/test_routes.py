@@ -29,8 +29,15 @@ from loweig import (
     materialize,
     svd_route,
 )
-from loweig.fast_eigh import GRAM_MIN_RATIO, _core_eig, _gram, _scaled_gram
-from loweig.kernels import _block_rows, _safe_scale
+from loweig.fast_eigh import (
+    GRAM_MIN_RATIO,
+    _GRAM_HIGH,
+    _GRAM_LOW,
+    _core_eig,
+    _gram,
+    _scaled_gram,
+)
+from loweig.kernels import _SAFE_HIGH, _SAFE_LOW, _block_rows, _safe_scale
 
 from helpers import laid_out, random_orthonormal, random_symmetric
 
@@ -356,6 +363,35 @@ class TestVerdicts:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="spectrum overflows float64"):
                 fast_eigh(1.0, factor, WeightedData(data.X * s, data.Y * s))
+
+    @pytest.mark.parametrize("route", ["gram", "two-pass"])
+    def test_core_linalg_error_propagates_unchanged(self, route, monkeypatch):
+        # LinAlgError is a ValueError: the scans behind the core's eigensolve
+        # find b and the core finite, and the error itself is raised again
+        factor, data = route_instance(route)
+        error = np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        def failing(b):
+            raise error
+
+        monkeypatch.setattr(importlib.import_module("loweig.fast_eigh"), "symmetric_eig", failing)
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            fast_eigh(1.0, factor, data)
+        assert raised.value is error
+
+    def test_gram_band_is_the_safe_band_squared(self):
+        # _GRAM_LOW and _GRAM_HIGH are derived from _safe_scale's band, and
+        # equal the literals they replaced
+        assert (_GRAM_LOW, _GRAM_HIGH) == (2e-140, 5e139)
+        assert _GRAM_LOW / 2.0 == _SAFE_LOW**2 and _GRAM_HIGH * 2.0 == _SAFE_HIGH**2
+        # a column of m equal entries whose trace sits at either end of the
+        # band keeps its entries inside _safe_scale's band
+        m = 1000
+        for trace in (m * _GRAM_LOW, _GRAM_HIGH):
+            z = np.full((m, 1), math.sqrt(trace / m))
+            assert _SAFE_LOW < z[0, 0] < _SAFE_HIGH
+            assert _safe_scale(z) == 1.0
+            assert _scaled_gram(np.zeros((m, 0)), [z])[3] == 1.0
 
     @pytest.mark.parametrize(
         "case",

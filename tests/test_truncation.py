@@ -64,6 +64,19 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum((SpectrumBlock(1.0, 2),), 3)
 
+    @pytest.mark.parametrize("multiplicity, indices, message", [
+        (0, (), "block multiplicity must be positive"),
+        (-1, (), "block multiplicity must be positive"),
+        (2, (0, 1, 2), "more eigenvector indices than multiplicity"),
+    ])
+    def test_bad_block_rejected(self, multiplicity, indices, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SpectrumBlock(1.0, multiplicity, indices)
+
+    @pytest.mark.parametrize("indices, implicit", [((), 3), ((4,), 2), ((4, 5, 6), 0)])
+    def test_block_implicit_count(self, indices, implicit):
+        assert SpectrumBlock(1.0, 3, indices).implicit == implicit
+
     def test_from_eigenfactor_merges_exact_ties(self):
         rng = np.random.default_rng(0)
         ef = positive_eigenfactor(rng, 9, 4, tie_blocks=True)
@@ -108,6 +121,10 @@ class TestSelectTau:
         spectrum = spectrum_of_values([2.0, 1.0])
         with pytest.raises(ValueError):
             select_tau(spectrum, 2)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            select_tau(spectrum_of_values([2.0, 1.0]), -1)
 
 
 class TestTruncate:
