@@ -5,8 +5,10 @@ with ``Z = Q P + U R`` (P inside span(Q), U the orthonormal novelty), the
 small core is ``[[B + P W P^T, P W R^T], [R W P^T, R W R^T]]``, W the +-1
 signs. Its eigenvectors V are lifted to R^m as ``Q V1 + U V2``, written once
 into a 64-byte-aligned result; ``[X Y]`` and ``[Q U]`` are never built.
-``fast_eigh`` and ``learner.update`` share these steps, and ``update`` lifts
-only the columns it keeps. P and R come from one of two routes:
+``fast_eigh`` and ``learner.update`` share these steps; ``update`` keeps only
+some columns, and on the Gram route it may hold them as a product instead of
+lifting them (the ``learner`` module docstring). P and R come from one of two
+routes:
 
 - The Gram route, tried first. One Gram of ``[Q X Y]``, summed block by
   block, gives ``P = Q^T Z`` and ``Z^T Z``; one ``eigh`` of
@@ -43,11 +45,17 @@ X, Y finite                    ``WeightedData``     a scan of X and Y
 Q, X, Y finite; Z's scale      ``_scaled_gram``     the Gram of ``[Q X Y]``
 core finite (no overflow)      ``_core_eig``        ``symmetric_eig``'s scan
 E finite and orthonormal       ``_lifted``          ``_rotate``'s Gram of E
+E = ``B W`` orthonormal        ``learner.update``   ``W^T G W``, G of Grams
 dense matrix finite            ``_dense_matrix``    ``_finite_core``'s scan
 =============================  ===================  =========================
 
 ``_lifted`` builds the result of ``fast_eigh``, ``factor_to_eig`` and the
-learner's fast step (which also checks its floored D). A Gram's diagonal
+learner's compactions (which also check their floored D). A learner step
+that defers its lift checks ``E = B W`` by ``W^T G W``, G the Gram of B that
+the block Grams summed, while that product's rounding bound stays well
+inside the tolerance; the ``E`` a reader materializes later gets the
+measured check. Behind a non-finite dense matrix, scans of Q, B, X and Y
+name an array changed after its record was built. A Gram's diagonal
 entry ``sum_i a_ij^2`` is finite exactly when column j is finite and no
 square overflowed, so the O(m r) finiteness scans run only behind a
 non-finite Gram, to name the array; a B changed after its factor was built
@@ -365,16 +373,21 @@ def _gram(q, b, blocks, w):
     if w.size == 0:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        p, zz, trace, scale = _scaled_gram(q, blocks)
-        lam, v = np.linalg.eigh(zz - p.T @ p)
-        # a product, not lam_min / trace, which is 0 / 0 for a zero Z
-        if not (trace > 0.0 and lam[0] >= GRAM_MIN_RATIO**2 * trace):
-            return None
-        sigma = np.sqrt(lam)
-        if scale != 1.0:
-            p, sigma = p * scale, sigma * scale
-        core = _signed_core(b, p, sigma[:, None] * v.T, w)
-        return p, v / sigma, core, math.sqrt(lam[0] / trace)
+        return _svqr(b, *_scaled_gram(q, blocks), w)
+
+
+def _svqr(b, p, zz, trace, scale, w):
+    """``_gram``'s result from ``P = Q^T Z`` and ``Z^T Z`` of ``Z / scale``,
+    and the trace of ``Z^T Z``, under the caller's ``np.errstate``."""
+    lam, v = np.linalg.eigh(zz - p.T @ p)
+    # a product, not lam_min / trace, which is 0 / 0 for a zero Z
+    if not (trace > 0.0 and lam[0] >= GRAM_MIN_RATIO**2 * trace):
+        return None
+    sigma = np.sqrt(lam)
+    if scale != 1.0:
+        p, sigma = p * scale, sigma * scale
+    core = _signed_core(b, p, sigma[:, None] * v.T, w)
+    return p, v / sigma, core, math.sqrt(lam[0] / trace)
 
 
 # _scaled_gram keeps the unscaled Gram when the trace t of the k-by-k Z^T Z
@@ -385,6 +398,12 @@ def _gram(q, b, blocks, w):
 # side covers the Gram's rounding.
 _GRAM_LOW = 2.0 * _SAFE_LOW**2
 _GRAM_HIGH = _SAFE_HIGH**2 / 2.0
+
+
+def _in_band(m: int, zz: np.ndarray, trace: float, norm: float) -> bool:
+    """Whether a Gram over m rows with this ``Z^T Z``, its trace and the norm
+    of P keeps scale 1.0: a finite norm and a trace in the band above."""
+    return math.isfinite(norm) and m * zz.shape[0] * _GRAM_LOW <= trace <= _GRAM_HIGH
 
 
 def _scaled_gram(q, blocks):
@@ -403,11 +422,10 @@ def _scaled_gram(q, blocks):
     factor was built; here P gives only the bound ``||Q^T Z||_F <= ||Z||_F``
     for free. It runs under the caller's ``np.errstate``.
     """
-    m = q.shape[0]
     p, zz = _block_gram(q, blocks)
     trace = float(zz.trace())
     norm = _norm(p)
-    if not (math.isfinite(norm) and m * zz.shape[0] * _GRAM_LOW <= trace <= _GRAM_HIGH):
+    if not _in_band(q.shape[0], zz, trace, norm):
         q, blocks = _checked_blocks(q, blocks)
         scale = _safe_scale(*blocks)
         if scale != 1.0:
@@ -445,11 +463,17 @@ class _Core(_Record):
 
     def lift(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_rotate`` of ``[Q U] @ v`` for core eigenvectors v: E, E^T E."""
-        if self.rinv is not None:
-            n = self.p.shape[0]
-            c = self.rinv @ v[n:]
-            v = np.concatenate([v[:n] - self.p @ c, c])
-        return _rotate(self.parts, v)
+        return _rotate(self.parts, self.coef(v))
+
+    def coef(self, v: np.ndarray) -> np.ndarray:
+        """The coefficients of the lift of v on the parts: v itself on the
+        two-pass route, ``[v1 - P C; C]`` with ``C = R^-1 v2`` on the Gram
+        route."""
+        if self.rinv is None:
+            return v
+        n = self.p.shape[0]
+        c = self.rinv @ v[n:]
+        return np.concatenate([v[:n] - self.p @ c, c])
 
 
 def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
@@ -539,14 +563,21 @@ def svd_route(alpha: float, x) -> EigenFactor:
 
 def _dense_matrix(alpha: float, factor: LowRankFactor, data: WeightedData) -> np.ndarray:
     """Entrywise ``alpha*I + Q B Q^T + X X^T - Y Y^T`` as a dense m-by-m array,
-    exactly symmetric; ``_finite_core`` names an overflow, with no warning."""
+    exactly symmetric, with no warning. Behind a non-finite result, a scan
+    names a Q, B, X or Y changed after its record was built, and
+    ``_finite_core`` names an overflow of finite ones."""
     a = _finite_alpha(alpha) * np.eye(_common_dim(factor, data))
     with np.errstate(over="ignore", invalid="ignore"):
         a += factor.Q @ factor.B @ factor.Q.T
         a += data.X @ data.X.T
         a -= data.Y @ data.Y.T
         a = (a + a.T) / 2.0
-    return _finite_core(a)
+    try:
+        return _finite_core(a)
+    except ValueError:
+        for name, x in (("Q", factor.Q), ("B", factor.B), ("X", data.X), ("Y", data.Y)):
+            _check_finite(x, name)
+        raise
 
 
 def dense_fallback(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenFactor:

@@ -1,19 +1,36 @@
 """Streaming Mahalanobis-style metric over an implicit low-rank matrix.
 
-The model stores ``A = alpha*I + E diag(D) E^T``, positive definite, once as
-that eigen form. It scores points by ``sqrt(x^T A^{-1} x)`` in O(m n), folds
-in signed-weight batches as ``decay*A + gain * sum_i w_i x_i x_i^T``, then
+The model stores ``A = alpha*I + E diag(D) E^T``, positive definite, as that
+eigen form. It scores points by ``sqrt(x^T A^{-1} x)`` in O(m n), folds in
+signed-weight batches as ``decay*A + gain * sum_i w_i x_i x_i^T``, then
 floors and truncates. Snapshots are immutable; updates return new ones.
 
-In ``update`` the values decide and E is written once. Flooring, window
-selection and re-flooring all run on ``(alpha, d, m)``; flooring keeps the
-order of d, so their result is the index array of the kept columns of the
-step's eigenvectors. On the fast path those are the small core's
-eigenvectors V, and the model's E is ``Q @ V[:n, kept] + U @ V[n:, kept]``,
-Q the previous E, written into a 64-byte-aligned array by the lift of
-``fast_eigh`` (its module docstring counts the passes over m-row data); the
-decay-only and dense paths gather their kept columns once into such an
-array.
+In ``update`` the values decide. Flooring, window selection and re-flooring
+all run on ``(alpha, d, m)``; flooring keeps the order of d, so their result
+is the index array of the kept columns of the step's eigenvectors.
+
+A snapshot holds E as ``B W``, the deferred rotation of Brand (2006, "Fast
+low-rank modifications of the thin singular value decomposition", LAA 415):
+B is an append-only m-by-b basis (the last compacted E, then each later
+step's ``Z = [X Y]``), G its Gram ``B^T B`` and W a b-by-r coefficient. A
+Gram-route step writes Z after B and sums the block Gram of ``[B Z]``, its
+one pass over the m rows. The Gram's ``B^T Z`` and ``Z^T Z`` extend G and
+give ``P = W^T (B^T Z)`` for the core of ``fast_eigh``; the kept core
+eigenvectors V give ``W' = [[W (V1 - P C)], [C]]`` with ``C = R^-1 V2``,
+and the check of E is ``||W'^T G' W' - I||_F``, all on b-sized arrays.
+
+The step compacts instead, writing ``E = B' W'`` in one ``kernels._rotate``
+pass under the measured check of E, when B would grow past
+``_DEFER_GROWTH`` times the columns of the E it started from, or when the
+rounding bound of the deferred check passes ``_DEFER_ROUNDING`` of its
+tolerance; that E starts the next B. A step off the Gram route (two-pass
+route, scaled data, dense fallback) compacts the previous snapshot by
+reading its ``eigen``, then runs as ``fast_eigh`` or ``dense_fallback``
+does and writes its E, the dense path by gathering the kept columns. A
+decay-only step touches no m-row data: it keeps B and takes W's kept
+columns. A deferred snapshot builds ``eigen`` on first read, by the
+compaction's pass and check, and caches it. A Gram-route step never reads
+it, so reading E changes neither that step's work nor any step's result.
 """
 
 from __future__ import annotations
@@ -29,13 +46,26 @@ from .fast_eigh import (
     EigenFactor,
     LowRankFactor,
     WeightedData,
+    _Core,
     _check_descending,
     _core_eig,
+    _core_symmetric_eig,
+    _in_band,
     _lifted,
+    _svqr,
     dense_fallback,
     factor_to_eig,
 )
-from .kernels import _Record, _ValueRecord, _take_columns, _unchecked
+from .kernels import (
+    _Record,
+    _ValueRecord,
+    _aligned_empty,
+    _block_gram,
+    _norm,
+    _rotate,
+    _take_columns,
+    _unchecked,
+)
 from .truncation import _select
 
 REGULAR = "regular"
@@ -96,17 +126,20 @@ class UpdateStats(_ValueRecord):
     ``dropped`` counts the novelty directions the two-pass route cut at
     ``RANK_EPS``; off the fast path they are None, None and 0.
     ``orthogonality`` is ``||E^T E - I||_F`` of the new E, as the check of
-    the fast path's ``EigenFactor`` measured it; None on the paths that run
-    no such check. ``alpha`` is the new base coefficient and ``condition``
+    a fast step that wrote E measured it, or on a deferred step ``||W^T G W
+    - I||_F`` of ``E = B W``; None on the paths that run no such check.
+    ``alpha`` is the new base coefficient and ``condition``
     the ratio of the largest to the smallest eigenvalue of the full
     spectrum, the implicit alpha block included. ``window_log_variance`` is
     the variance of the log-eigenvalues in the window that truncation
     replaced by their geometric mean, None when nothing was truncated.
+    ``compacted`` tells whether the step wrote the new E over the m rows,
+    rather than holding it as ``B W`` or, decaying only, keeping B.
     """
 
     _fields = (
         "path", "floored", "truncated", "tau", "route", "novelty_ratio", "dropped",
-        "orthogonality", "alpha", "condition", "window_log_variance",
+        "orthogonality", "alpha", "condition", "window_log_variance", "compacted",
     )
 
     def __init__(
@@ -122,22 +155,78 @@ class UpdateStats(_ValueRecord):
         alpha: float | None = None,
         condition: float | None = None,
         window_log_variance: float | None = None,
+        compacted: bool = False,
     ):
         self.__dict__.update(
             path=path, floored=floored, truncated=truncated, tau=tau, route=route,
             novelty_ratio=novelty_ratio, dropped=dropped, orthogonality=orthogonality,
             alpha=alpha, condition=condition, window_log_variance=window_log_variance,
+            compacted=compacted,
         )
+
+
+# B is compacted once a step would grow it past this many times the columns
+# of the E it started from. A deferred step's block Gram reads all of B, and
+# a compaction's pass reads it once more; of 2, 3 and 4, 2 gave the lowest
+# median and mean step on the benchmark's learner stream (CHANGES.md).
+_DEFER_GROWTH = 2
+
+# A deferred step's check ||W^T G W - I||_F is trusted while its rounding bound
+# stays below this share of the check's tolerance; past it, as when W grows
+# on a B whose columns nearly repeat, the step compacts and measures E.
+_DEFER_ROUNDING = 0.1
+_EPS = float(np.finfo(float).eps)
+
+
+class _Basis:
+    """The columns of B, shared by the snapshots of one stream.
+
+    A snapshot's B is the first b columns of ``array``: an E the library
+    wrote (read-only, with b its width), or the transpose of a
+    ``width``-by-m buffer, whose rows each hold one column of B. The first
+    update of a snapshot to ``claim`` column b appends its batch there in
+    place; any other copies the b columns into a fresh buffer first, so no
+    snapshot's B ever changes. ``dict.setdefault`` makes a claim atomic.
+    """
+
+    __slots__ = ("array", "width", "claims")
+
+    def __init__(self, array: np.ndarray, width: int):
+        self.array, self.width, self.claims = array, width, {}
+
+    def claim(self, b: int) -> bool:
+        token = object()
+        return self.claims.setdefault(b, token) is token
+
+
+class _Rotation(_Record):
+    """A snapshot's eigen form with ``E = B W`` held as its factors: B the
+    first b columns of ``basis.array``, ``gram`` its Gram ``G = B^T B`` as
+    the block Grams summed it (I for an E taken as checked) and ``coef`` the
+    b-by-r W."""
+
+    _fields = ("alpha", "D", "basis", "b", "gram", "coef")
+
+    @classmethod
+    def of(cls, ef: EigenFactor, gram: np.ndarray | None = None) -> "_Rotation":
+        """B = E and W = I for a checked E, G its measured Gram or else I."""
+        r = ef.rank
+        identity = np.eye(r)
+        gram = identity if gram is None else gram
+        return _unchecked(cls, ef.alpha, ef.D, _Basis(ef.E, _DEFER_GROWTH * r), r, gram, identity)
 
 
 class MetricModel(_Record):
     """Immutable snapshot ``alpha*I + E diag(D) E^T``, stored as its eigen form.
 
-    The eigen form, all an update reads, scores in O(m n). ``factor`` is a view
-    of it built on first use: ``LowRankFactor(alpha, E, diag(D))``, Q being E.
-    Positive definiteness is an invariant. ``_weights`` holds the scoring
-    weights ``1/(alpha + d_i) - 1/alpha`` of ``distance``, computed once; it
-    is not a field, so the repr leaves it out."""
+    The eigen form, all an update reads, scores in O(m n). A snapshot that
+    ``update`` left deferred holds E as ``B W``; ``eigen`` is then built on
+    first read, by one pass of ``B @ W`` under the measured check of E, and
+    cached. ``factor`` is a view of it built on first use:
+    ``LowRankFactor(alpha, E, diag(D))``, Q being E. Positive definiteness
+    is an invariant. ``_weights`` holds the scoring weights ``1/(alpha + d_i)
+    - 1/alpha`` of ``distance``, computed once; it is not a field, so the
+    repr leaves it out."""
 
     _fields = ("eigen", "stats")
 
@@ -148,8 +237,8 @@ class MetricModel(_Record):
             raise ValueError("model must be positive definite: alpha <= 0")
         if eigen.D.size and float(eigen.alpha + eigen.D[-1]) <= 0.0:
             raise ValueError("model must be positive definite: nonpositive eigenvalue")
-        weights = 1.0 / (eigen.alpha + eigen.D) - 1.0 / eigen.alpha
-        self.__dict__.update(eigen=eigen, stats=stats, _weights=weights)
+        self.__dict__.update(eigen=eigen, stats=stats)
+        self.__dict__.update(_snapshot(_Rotation.of(eigen), stats))
 
     @classmethod
     def identity(cls, m: int, alpha: float = 1.0) -> "MetricModel":
@@ -160,16 +249,37 @@ class MetricModel(_Record):
         return cls(factor_to_eig(factor.alpha, factor.Q, factor.B))
 
     @cached_property
+    def eigen(self) -> EigenFactor:
+        held = self._held
+        return _lifted(held.alpha, *_rotate([held.basis.array[:, :held.b]], held.coef), held.D)
+
+    @cached_property
     def factor(self) -> LowRankFactor:
         return _unchecked(LowRankFactor, self.eigen.alpha, self.eigen.E, np.diag(self.eigen.D))
 
     @property
     def dim(self) -> int:
-        return self.eigen.dim
+        return self._held.basis.array.shape[0]
 
     @property
     def rank(self) -> int:
-        return self.eigen.rank
+        return self._held.D.size
+
+
+def _snapshot(held: _Rotation, stats: UpdateStats | None) -> dict:
+    """A snapshot's instance state besides ``eigen``."""
+    weights = 1.0 / (held.alpha + held.D) - 1.0 / held.alpha
+    return {"stats": stats, "_weights": weights, "_held": held}
+
+
+def _model(held: _Rotation, stats: UpdateStats, eigen: EigenFactor | None = None) -> MetricModel:
+    """A snapshot the library derived from a valid one, unchecked; without
+    eigen, E is built on first read."""
+    model = object.__new__(MetricModel)
+    if eigen is not None:
+        model.__dict__["eigen"] = eigen
+    model.__dict__.update(_snapshot(held, stats))
+    return model
 
 
 def distance(model: MetricModel, x) -> float:
@@ -256,16 +366,23 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
     truncates back to ``cfg.rank_cap`` explicit pairs when the rank grew past
     it. Zero-weight vectors are dropped; an effectively empty batch is pure
     decay and skips the decomposition entirely. Every decision is made on the
-    eigenvalues; the new E is then written once, with only the kept columns.
+    eigenvalues; the kept columns of the new E are then held as ``B W`` or
+    written once.
     """
-    prev, m = model.eigen, model.dim
-    decayed_alpha = float(cfg.decay * prev.alpha)
+    held, m = model._held, model.dim
+    decayed_alpha = float(cfg.decay * held.alpha)
     data = WeightedData.from_weighted(batch.vectors, cfg.gain * batch.weights, dim=m)
     nx, ny = data.X.shape[1], data.Y.shape[1]
+    core = deferred = None
 
     if nx + ny == 0:
-        path, alpha, d, basis = "decay", decayed_alpha, cfg.decay * prev.D, prev.E
+        path, alpha, d = "decay", decayed_alpha, cfg.decay * held.D
+    elif held.D.size + nx + ny <= m and (deferred := _deferred_core(held, cfg.decay, data)):
+        path, alpha, core = "fast", decayed_alpha, deferred[0]
+        d = core.eig.D
     else:
+        # compact first, then decompose as fast_eigh or the dense path does
+        prev = model.eigen
         decayed = _unchecked(LowRankFactor, decayed_alpha, prev.E, np.diag(cfg.decay * prev.D))
         if prev.rank + nx + ny <= m:
             path, alpha, core = "fast", decayed_alpha, _core_eig(decayed, data)
@@ -287,13 +404,94 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
         )
         floored += refloored
 
-    if path == "fast":
-        _check_descending(d)
-        ef = _lifted(alpha, *core.lift(core.eig.E[:, columns]), d)
-        route, ratio, dropped = core.route, core.novelty_ratio, core.dropped
-    else:
+    def stats(orthogonality, compacted):
+        route = (core.route, core.novelty_ratio, core.dropped) if core else (None, None, 0)
+        return UpdateStats(path, floored, tau is not None, tau, *route, orthogonality,
+                           alpha, _condition(alpha, d, m), variance, compacted)
+
+    if path == "decay":
+        held = _unchecked(_Rotation, alpha, d, held.basis, held.b, held.gram,
+                          held.coef[:, columns])
+        return _model(held, stats(None, False))
+    if path == "dense":
         ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)
-        route, ratio, dropped = None, None, 0
-    stats = UpdateStats(path, floored, tau is not None, tau, route, ratio, dropped,
-                        ef.orthogonality, ef.alpha, _condition(ef.alpha, ef.D, m), variance)
-    return MetricModel(ef, stats)
+        return _model(_Rotation.of(ef), stats(None, True), ef)
+    _check_descending(d)
+    v = core.eig.E[:, columns]
+    if deferred is None:
+        e, gram = core.lift(v)
+    else:
+        # W' = [[W (V1 - P C)], [C]] and G' = [[G, B^T Z], [Z^T B, Z^T Z]]
+        n, b, k, basis = held.D.size, held.b, nx + ny, deferred[1]
+        coef = core.coef(v)
+        coef = np.concatenate([held.coef @ coef[:n], coef[n:]])
+        if basis is not None:
+            gram = np.empty((b + k, b + k))
+            gram[:b, :b], gram[:b, b:] = held.gram, deferred[2]
+            gram[b:, :b], gram[b:, b:] = deferred[2].T, deferred[3]
+            orthogonality = _deferred_orthogonality(gram, coef)
+            if orthogonality is not None:
+                held = _unchecked(_Rotation, alpha, d, basis, b + k, gram, coef)
+                return _model(held, stats(orthogonality, False))
+        e, gram = _rotate(core.parts, coef)
+    ef = _lifted(alpha, e, gram.copy(), d)
+    return _model(_Rotation.of(ef, gram), stats(ef.orthogonality, True), ef)
+
+
+def _deferred_core(held: _Rotation, decay: float, data: WeightedData):
+    """``(core, basis, B^T Z, Z^T Z)`` of a Gram-route step on ``E = B W``,
+    with ``P = W^T (B^T Z)``; None where ``fast_eigh`` would scale Z or not
+    take the Gram route, for such a step compacts first. When B and Z fit in
+    the basis's width, Z is appended to it first, and the core's parts are B
+    and that Z, read from the returned basis; else basis is None, the parts
+    are B, X and Y, and the step compacts."""
+    b, blocks = held.b, (data.X, data.Y)
+    k = data.X.shape[1] + data.Y.shape[1]
+    parts, basis = (held.basis.array[:, :b], *blocks), None
+    if b + k <= held.basis.width:
+        basis = _appended(held.basis, b, blocks)
+        parts = (basis.array[:, :b], basis.array[:, b:b + k])
+    core_b = np.diag(decay * held.D)
+    w = np.array([1.0] * data.X.shape[1] + [-1.0] * data.Y.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        qz, zz = _block_gram(parts[0], parts[1:])
+        p = held.coef.T @ qz
+        trace = float(zz.trace())
+        usable = _in_band(data.dim, zz, trace, _norm(p))
+        gram = _svqr(core_b, p, zz, trace, 1.0, w) if usable else None
+    if gram is None:
+        return None
+    p, rinv, bc, ratio = gram
+    return _Core("gram", _core_symmetric_eig(core_b, bc), parts, p, rinv, ratio), basis, qz, zz
+
+
+def _deferred_orthogonality(gram: np.ndarray, coef: np.ndarray) -> float | None:
+    """``||W^T G W - I||_F`` of ``E = B W``, or None unless it passes the
+    check's tolerance with a rounding bound inside ``_DEFER_ROUNDING`` of it.
+    Both products, and the later ``B @ W``, round within about ``sqrt(b) eps
+    |W|^T |G| |W|`` (the probabilistic bound of Higham & Mary 2019, SISC 41),
+    which grows with W where B's columns nearly repeat."""
+    b, r = coef.shape
+    ortho = coef.T @ (gram @ coef)
+    ortho.reshape(-1)[::r + 1] -= 1.0
+    norm, tol = _norm(ortho), 1e-10 * math.sqrt(max(1, r))
+    size = np.abs(coef)
+    bound = 2.0 * math.sqrt(b) * _EPS * _norm(size.T @ (np.abs(gram) @ size))
+    return norm if norm <= tol and bound <= _DEFER_ROUNDING * tol else None
+
+
+def _appended(basis: _Basis, b: int, blocks) -> _Basis:
+    """The basis whose first columns are B's b and then the blocks': basis
+    itself when this step claims column b of its buffer, else a fresh buffer
+    of the same width with B copied in. Rows of a buffer are contiguous, so
+    each block is written as its transpose: one long copy per column."""
+    k = sum(x.shape[1] for x in blocks)
+    if b + k > basis.array.shape[1] or not basis.claim(b):
+        rows = _aligned_empty((basis.width, basis.array.shape[0]))
+        rows[:b] = basis.array[:, :b].T
+        basis = _Basis(rows.T, basis.width)
+    rows = basis.array.T
+    for x in blocks:
+        rows[b:b + x.shape[1]] = x.T
+        b += x.shape[1]
+    return basis

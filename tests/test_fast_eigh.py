@@ -376,6 +376,18 @@ class TestDenseFallback:
         with pytest.raises(ValueError, match="^the spectrum overflows float64 at this data scale$"):
             call(alpha, factor, data)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("call", [dense_fallback, materialize])
+    @pytest.mark.parametrize("name", ["Q", "B", "X", "Y"])
+    def test_nan_written_after_construction_is_named(self, call, name):
+        # a NaN is no overflow: the dense matrix's verdict names the array
+        factor = LowRankFactor(1.0, np.eye(6)[:, :2], np.eye(2))
+        data = WeightedData(np.ones((6, 1)), np.ones((6, 1)))
+        array = {"Q": factor.Q, "B": factor.B, "X": data.X, "Y": data.Y}[name]
+        array[0, 0] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            call(1.0, factor, data)
+
 
 class TestTypes:
     def test_low_rank_factor_validation(self):

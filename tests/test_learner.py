@@ -1,6 +1,8 @@
 """Streaming learner: distances, updates, flooring, and the dense simulator."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from loweig import (
     truncate,
     update,
 )
+from loweig import fast_eigh as fast_eigh_module
+from loweig import kernels, learner
 from loweig.learner import _floor_spectrum
 
 from helpers import dense_metric_simulator, random_factor
@@ -360,10 +364,17 @@ class TestUpdateDiagnostics:
             assert stats.condition == pytest.approx(values[-1] / values[0], rel=1e-10)
             assert (stats.window_log_variance is None) == (not stats.truncated)
             if stats.path == "fast":
+                # a compaction measures E; a deferred step reads W^T G W off
+                # the snapshot's own B^T B and W
                 e = model.eigen.E
-                dense = np.linalg.norm(e.T @ e - np.eye(e.shape[1]))
-                assert stats.orthogonality == pytest.approx(dense, rel=1e-12, abs=0)
-                assert stats.orthogonality <= 1e-10 * math.sqrt(e.shape[1])
+                eye = np.eye(e.shape[1])
+                if stats.compacted:
+                    reference = np.linalg.norm(e.T @ e - eye)
+                else:
+                    held = model._held
+                    reference = np.linalg.norm(held.coef.T @ (held.gram @ held.coef) - eye)
+                assert stats.orthogonality == pytest.approx(reference, rel=1e-12, abs=0)
+                assert np.linalg.norm(e.T @ e - eye) <= 1e-10 * math.sqrt(e.shape[1])
             else:
                 assert stats.orthogonality is None
         assert {("fast", False), ("fast", True), ("decay", False), ("dense", True)} <= paths
@@ -392,6 +403,212 @@ class TestUpdateDiagnostics:
         assert stats.window_log_variance == pytest.approx(
             np.var(np.log(window)), rel=1e-9, abs=1e-12
         )
+
+
+M_ROW_KERNELS = ("_block_gram", "_pairwise_gram", "_panels", "_rotate", "_self_gram",
+                 "_take_columns")
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each named function wherever a loweig module binds it; returns the
+    dict of call counts by name."""
+    counts = dict.fromkeys(names, 0)
+    for module in (kernels, fast_eigh_module, learner):
+        for name in names:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counting(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def gaussian_stream(seed, m, steps, count=3):
+    rng = np.random.default_rng(seed)
+    return [LabeledBatch(rng.standard_normal((count, m)), rng.choice([-1.0, 1.0], count))
+            for _ in range(steps)]
+
+
+def run_stream(batches, cfg, m):
+    model = MetricModel.identity(m, 1.0)
+    for batch in batches:
+        model = update(model, batch, cfg)
+    return model
+
+
+def assert_same_model(a, b):
+    assert a.stats == b.stats
+    assert a.eigen.alpha == b.eigen.alpha
+    assert np.array_equal(a.eigen.D, b.eigen.D)
+    assert np.array_equal(a.eigen.E, b.eigen.E)
+
+
+class TestDeferredRotation:
+    """A snapshot holds E as ``B W`` over a buffer its descendants share; no
+    update or read of one snapshot may change another or the work done."""
+
+    m, cfg = 40, UpdateConfig(decay=0.9, gain=0.5, rank_cap=6)
+
+    def parent(self):
+        # a deferred snapshot with room left in its buffer, so the first
+        # branch appends in place and the second must copy
+        model = run_stream(gaussian_stream(60, self.m, 4, count=2), self.cfg, self.m)
+        held = model._held
+        assert not model.stats.compacted and held.b + 2 <= held.basis.width
+        return model
+
+    def test_branches_do_not_see_each_other(self):
+        a, b = gaussian_stream(61, self.m, 2, count=2)
+        alone = {"a": update(self.parent(), a, self.cfg), "b": update(self.parent(), b, self.cfg)}
+        for order in ("ab", "ba"):
+            parent = self.parent()
+            batches = {"a": a, "b": b}
+            first, second = (update(parent, batches[name], self.cfg) for name in order)
+            assert first._held.basis is parent._held.basis
+            assert second._held.basis is not parent._held.basis
+            assert_same_model(first, alone[order[0]])
+            assert_same_model(second, alone[order[1]])
+            assert np.array_equal(parent.eigen.E, self.parent().eigen.E)
+
+    def test_concurrent_branches_do_not_see_each_other(self):
+        # one claim per column of the shared buffer, even when updates of one
+        # snapshot race: each branch still equals the same branch run alone
+        batches = gaussian_stream(66, self.m, 8, count=2)
+        alone = [update(self.parent(), batch, self.cfg) for batch in batches]
+        parent, results = self.parent(), [None] * len(batches)
+        start = threading.Barrier(len(batches))
+
+        def branch(i):
+            start.wait(timeout=10)
+            results[i] = update(parent, batches[i], self.cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=branch, args=(i,)) for i in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sum(r._held.basis is parent._held.basis for r in results) == 1
+        for got, want in zip(results, alone):
+            assert_same_model(got, want)
+
+    def test_reading_e_does_not_change_the_work(self, monkeypatch):
+        read, unread = self.parent(), self.parent()
+        counts = count_calls(monkeypatch, ("_rotate", "_block_gram"))
+        compacted = set()
+        for batch in gaussian_stream(62, self.m, 8, count=2):
+            read.eigen
+            steps = []
+            for model in (read, unread):
+                before = dict(counts)
+                steps.append(update(model, batch, self.cfg))
+                steps.append({k: counts[k] - before[k] for k in counts})
+            read, read_work, unread, unread_work = steps
+            assert read_work == unread_work
+            assert read.stats.route == "gram"
+            compacted.add(read.stats.compacted)
+        assert compacted == {True, False}
+        assert_same_model(read, unread)
+
+    @pytest.mark.parametrize("steps", [1, 3, 4])
+    def test_decay_only_touches_no_row(self, monkeypatch, steps):
+        # from a compacted snapshot and from deferred ones alike
+        model = run_stream(gaussian_stream(63, self.m, steps, count=2), self.cfg, self.m)
+        counts = count_calls(monkeypatch, M_ROW_KERNELS)
+        out = update(model, LabeledBatch.empty(self.m), self.cfg)
+        assert out.stats.path == "decay" and not out.stats.compacted
+        assert counts == dict.fromkeys(M_ROW_KERNELS, 0)
+        assert out._held.basis is model._held.basis
+
+    @pytest.mark.parametrize("delta, trusted", [(1e-1, True), (2e-3, False)])
+    def test_check_untrusted_once_its_rounding_nears_the_tolerance(self, delta, trusted):
+        # E = [e2, e1] = B W exactly, with W's first column (b3 - b1) / delta
+        # on a B whose third column nearly repeats its first: W^T G W passes
+        # the tolerance either way, but rounds to within a tenth of it only
+        # for the larger delta
+        e = np.linalg.qr(np.random.default_rng(65).standard_normal((self.m, 2)))[0]
+        b = np.hstack([e, e[:, :1] + delta * e[:, 1:]])
+        coef = np.array([[-1.0 / delta, 1.0], [0.0, 0.0], [1.0 / delta, 0.0]])
+        gram = b.T @ b
+        norm = np.linalg.norm(coef.T @ gram @ coef - np.eye(2))
+        assert norm <= 1e-10 * math.sqrt(2)
+        assert (learner._deferred_orthogonality(gram, coef) is not None) == trusted
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_extreme_scale_compacts_and_matches_public_pipeline(self, scale):
+        model = self.parent()
+        rng = np.random.default_rng(64)
+        batch = LabeledBatch(scale * rng.standard_normal((2, self.m)), [1.0, -1.0])
+        cfg = UpdateConfig(decay=0.9, gain=0.5, rank_cap=6, floor=1e-3 * scale**2)
+        ef, count, tau = reference_update(model, batch, cfg)
+        out = update(model, batch, cfg)
+        assert (out.stats.route, out.stats.compacted) == ("gram", True)
+        assert (out.stats.tau, out.stats.floored, out.rank) == (tau, count, ef.rank)
+        assert_allclose(out.eigen.alpha + out.eigen.D, ef.alpha + ef.D, rtol=1e-12, atol=0)
+        assert_allclose(out.eigen.E, ef.E, rtol=0, atol=1e-12)
+
+
+def step_residual(prev, batch, cfg, new):
+    """The kept pairs' residual against ``decay*A_prev + gain * sum w x x^T``
+    over its bound, as ``perfbench/checks.check_update`` measures it: at most
+    1 where it holds at 1e-9."""
+    lam = new.eigen.alpha + new.eigen.D
+    kept = lam > cfg.floor + 1e-12 * max(new.eigen.alpha, float(np.max(lam, initial=0.0)))
+    ek, lk = new.eigen.E[:, kept], lam[kept]
+    pe, pd = prev.eigen.E, prev.eigen.D
+    w = cfg.gain * batch.weights
+    vt = batch.vectors
+    applied = cfg.decay * (prev.eigen.alpha * ek + pe @ (pd[:, None] * (pe.T @ ek)))
+    applied += vt.T @ (w[:, None] * (vt @ ek))
+    top = float(np.max(np.abs(pd), initial=0.0))
+    mass = cfg.decay * (prev.eigen.alpha + top) + float(np.abs(w) @ np.einsum("ij,ij->i", vt, vt))
+    scale = max(float(np.max(np.abs(lam), initial=0.0)), mass)
+    err = float(np.linalg.norm(applied - ek * lk))
+    return err / (1e-9 * scale * math.sqrt(max(1, lk.size)))
+
+
+class TestConditioningSoak:
+    """A long stream that re-adds vectors an earlier step added and then
+    truncated: each lies near span(B), far from span(E), so B's columns nearly
+    repeat while the deferred step's novelty stays large."""
+
+    def test_invariants_hold_at_every_compaction(self):
+        m, count = 64, 3
+        cfg = UpdateConfig(decay=0.9, gain=0.5, rank_cap=6, floor=1e-3)
+        rng = np.random.default_rng(3)
+        model, history = MetricModel.identity(m, 1.0), []
+        compactions, worst_gram = 0, 1.0
+        for step in range(2000):
+            vectors = 2.0 / math.sqrt(m) * rng.standard_normal((count, m))
+            if len(history) > 3:
+                for i in range(2):
+                    old = history[-1 - rng.integers(1, 4)][rng.integers(count)]
+                    vectors[i] = old + 1e-6 * rng.standard_normal(m)
+            history.append(vectors)
+            batch = LabeledBatch(vectors, rng.choice([-1.0, 1.0], count))
+            prev, model = model, update(model, batch, cfg)
+            if not model.stats.compacted:
+                worst_gram = max(worst_gram, np.linalg.cond(model._held.gram))
+            if model.stats.compacted or step % 50 == 0:
+                compactions += model.stats.compacted
+                e = model.eigen.E
+                assert np.linalg.norm(e.T @ e - np.eye(e.shape[1])) <= 1e-10 * math.sqrt(model.rank)
+                spectrum = model.eigen.full_spectrum()
+                assert np.isfinite(spectrum).all() and spectrum[-1] > 0.0
+                assert step_residual(prev, batch, cfg, model) <= 1.0
+        # the stream did make B's Gram ill-conditioned, and it both deferred
+        # and compacted
+        assert worst_gram > 1e8
+        assert 0 < compactions < 2000
 
 
 class TestUpdate:

@@ -51,11 +51,11 @@ CASES = [
     (
         UpdateStats,
         ("path", "floored", "truncated", "tau", "route", "novelty_ratio", "dropped",
-         "orthogonality", "alpha", "condition", "window_log_variance"),
-        ("fast", 2, True, 3, "gram", 0.5, 1, 1e-15, 0.5, 10.0, 0.25),
+         "orthogonality", "alpha", "condition", "window_log_variance", "compacted"),
+        ("fast", 2, True, 3, "gram", 0.5, 1, 1e-15, 0.5, 10.0, 0.25, True),
         {"tau": None, "route": None, "novelty_ratio": None, "dropped": 0,
          "orthogonality": None, "alpha": None, "condition": None,
-         "window_log_variance": None},
+         "window_log_variance": None, "compacted": False},
     ),
     (MetricModel, ("eigen", "stats"), (EIGEN, UpdateStats("decay", 0, False)), {"stats": None}),
     (SpectrumBlock, ("value", "multiplicity", "indices"), (2.0, 3, (0, 1)), {"indices": ()}),
