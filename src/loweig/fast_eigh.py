@@ -51,8 +51,8 @@ dense matrix finite            ``_dense_matrix``    ``_finite_core``'s scan
 
 ``_lifted`` builds the result of ``fast_eigh``, ``factor_to_eig`` and the
 learner's compactions (which also check their floored D). A learner step
-that defers its lift checks ``E = B W`` by ``W^T G W``, G the Gram of B that
-the block Grams summed, while that product's rounding bound stays well
+that defers its lift checks ``E = B W`` by ``W^T G W``, G the Gram of B as
+measured block by block, while that product's rounding bound stays well
 inside the tolerance; the ``E`` a reader materializes later gets the
 measured check. Behind a non-finite dense matrix, scans of Q, B, X and Y
 name an array changed after its record was built. A Gram's diagonal
@@ -510,12 +510,29 @@ def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     eigendecomposition, whose eigenvectors lift to R^m by ``_Core.lift``."""
     m = _common_dim(factor, data)
     q, b, blocks = factor.Q, factor.B, (data.X, data.Y)
-    w = np.array([1.0] * data.X.shape[1] + [-1.0] * data.Y.shape[1])
+    w = _signs(data)
     _check_rank(m, q.shape[1], w.size)
-    gram = _gram(q, b, blocks, w)
-    if gram is not None:
-        p, rinv, bc, ratio = gram
-        return _Core("gram", _core_symmetric_eig(b, bc), (q, *blocks), p, rinv, ratio)
+    core = _gram_core(b, (q, *blocks), _gram(q, b, blocks, w))
+    return _two_pass_core(q, b, blocks, w) if core is None else core
+
+
+def _signs(data: WeightedData) -> np.ndarray:
+    """The +-1 signs of the columns of ``Z = [X Y]``."""
+    return np.array([1.0] * data.X.shape[1] + [-1.0] * data.Y.shape[1])
+
+
+def _gram_core(b, parts, gram) -> _Core | None:
+    """The Gram route's ``_Core`` on ``parts`` from ``gram``, the result of
+    ``_gram`` or ``_svqr`` for the core b, or None where that declined."""
+    if gram is None:
+        return None
+    p, rinv, bc, ratio = gram
+    return _Core("gram", _core_symmetric_eig(b, bc), parts, p, rinv, ratio)
+
+
+def _two_pass_core(q, b, blocks, w) -> _Core:
+    """The two-pass route's ``_Core`` for the factor ``(q, b)`` and the blocks
+    of Z with signs w."""
     u, bc, dropped = _two_pass(q, b, blocks, w)
     return _Core("two-pass", _core_symmetric_eig(b, bc), (q, u), dropped=dropped)
 

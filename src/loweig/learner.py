@@ -12,12 +12,13 @@ is the index array of the kept columns of the step's eigenvectors.
 A snapshot holds E as ``B W``, the deferred rotation of Brand (2006, "Fast
 low-rank modifications of the thin singular value decomposition", LAA 415):
 B is an append-only m-by-b basis (the last compacted E, then each later
-step's ``Z = [X Y]``), G its Gram ``B^T B`` and W a b-by-r coefficient. A
-Gram-route step writes Z after B and sums the block Gram of ``[B Z]``, its
-one pass over the m rows. The Gram's ``B^T Z`` and ``Z^T Z`` extend G and
-give ``P = W^T (B^T Z)`` for the core of ``fast_eigh``; the kept core
-eigenvectors V give ``W' = [[W (V1 - P C)], [C]]`` with ``C = R^-1 V2``,
-and the check of E is ``||W'^T G' W' - I||_F``, all on b-sized arrays.
+step's ``Z = [X Y]``), G its measured Gram ``B^T B`` and W a b-by-r
+coefficient. A Gram-route step sums the block Gram of ``[B Z]``, its one
+pass over the m rows, and writes Z after B if it defers. The Gram's ``B^T
+Z`` and ``Z^T Z`` extend G and give ``P = W^T (B^T Z)`` for the core of
+``fast_eigh``; the kept core eigenvectors V give ``W' = [[W (V1 - P C)],
+[C]]`` with ``C = R^-1 V2``, and the check of E is ``||W'^T G' W' -
+I||_F``, all on b-sized arrays.
 
 The step compacts instead, writing ``E = B' W'`` in one ``kernels._rotate``
 pass under the measured check of E, when B would grow past
@@ -26,11 +27,14 @@ rounding bound of the deferred check passes ``_DEFER_ROUNDING`` of its
 tolerance; that E starts the next B. A step off the Gram route (two-pass
 route, scaled data, dense fallback) compacts the previous snapshot by
 reading its ``eigen``, then runs as ``fast_eigh`` or ``dense_fallback``
-does and writes its E, the dense path by gathering the kept columns. A
-decay-only step touches no m-row data: it keeps B and takes W's kept
-columns. A deferred snapshot builds ``eigen`` on first read, by the
-compaction's pass and check, and caches it. A Gram-route step never reads
-it, so reading E changes neither that step's work nor any step's result.
+does and writes its E, the dense path by gathering the kept columns; where
+the Gram route declined on ``[B Z]``, the step goes straight to the
+two-pass route rather than try it again on ``[E Z]``. A decay-only step
+touches no m-row data: it keeps B and takes W's kept columns. A deferred
+snapshot builds ``eigen`` on first read, by the compaction's pass and
+check, and caches it. A Gram-route step never reads it, so reading E
+changes neither that step's work nor any step's result. Every snapshot,
+whatever its path, is checked positive definite on alpha and the last d.
 """
 
 from __future__ import annotations
@@ -46,13 +50,14 @@ from .fast_eigh import (
     EigenFactor,
     LowRankFactor,
     WeightedData,
-    _Core,
     _check_descending,
     _core_eig,
-    _core_symmetric_eig,
+    _gram_core,
     _in_band,
     _lifted,
+    _signs,
     _svqr,
+    _two_pass_core,
     dense_fallback,
     factor_to_eig,
 )
@@ -63,6 +68,7 @@ from .kernels import (
     _block_gram,
     _norm,
     _rotate,
+    _self_gram,
     _take_columns,
     _unchecked,
 )
@@ -202,17 +208,17 @@ class _Basis:
 class _Rotation(_Record):
     """A snapshot's eigen form with ``E = B W`` held as its factors: B the
     first b columns of ``basis.array``, ``gram`` its Gram ``G = B^T B`` as
-    the block Grams summed it (I for an E taken as checked) and ``coef`` the
-    b-by-r W."""
+    the Grams summed it and ``coef`` the b-by-r W."""
 
     _fields = ("alpha", "D", "basis", "b", "gram", "coef")
 
     @classmethod
     def of(cls, ef: EigenFactor, gram: np.ndarray | None = None) -> "_Rotation":
-        """B = E and W = I for a checked E, G its measured Gram or else I."""
+        """B = E and W = I for a checked E, G its Gram as measured, by
+        ``_self_gram`` when not given."""
         r = ef.rank
         identity = np.eye(r)
-        gram = identity if gram is None else gram
+        gram = _self_gram(ef.E) if gram is None else gram
         return _unchecked(cls, ef.alpha, ef.D, _Basis(ef.E, _DEFER_GROWTH * r), r, gram, identity)
 
 
@@ -233,12 +239,7 @@ class MetricModel(_Record):
     def __init__(self, eigen: EigenFactor, stats: UpdateStats | None = None):
         if not isinstance(eigen, EigenFactor):
             raise TypeError(f"eigen must be an EigenFactor, got {type(eigen).__name__}")
-        if eigen.alpha <= 0.0:
-            raise ValueError("model must be positive definite: alpha <= 0")
-        if eigen.D.size and float(eigen.alpha + eigen.D[-1]) <= 0.0:
-            raise ValueError("model must be positive definite: nonpositive eigenvalue")
-        self.__dict__.update(eigen=eigen, stats=stats)
-        self.__dict__.update(_snapshot(_Rotation.of(eigen), stats))
+        self.__dict__.update(_snapshot(_Rotation.of(eigen), stats), eigen=eigen)
 
     @classmethod
     def identity(cls, m: int, alpha: float = 1.0) -> "MetricModel":
@@ -267,14 +268,19 @@ class MetricModel(_Record):
 
 
 def _snapshot(held: _Rotation, stats: UpdateStats | None) -> dict:
-    """A snapshot's instance state besides ``eigen``."""
+    """A snapshot's instance state besides ``eigen``, or ``ValueError``
+    unless it is positive definite."""
+    if held.alpha <= 0.0:
+        raise ValueError("model must be positive definite: alpha <= 0")
+    if held.D.size and float(held.alpha + held.D[-1]) <= 0.0:
+        raise ValueError("model must be positive definite: nonpositive eigenvalue")
     weights = 1.0 / (held.alpha + held.D) - 1.0 / held.alpha
     return {"stats": stats, "_weights": weights, "_held": held}
 
 
 def _model(held: _Rotation, stats: UpdateStats, eigen: EigenFactor | None = None) -> MetricModel:
-    """A snapshot the library derived from a valid one, unchecked; without
-    eigen, E is built on first read."""
+    """A snapshot the library derived from a valid one, checked only for
+    positive definiteness; without eigen, E is built on first read."""
     model = object.__new__(MetricModel)
     if eigen is not None:
         model.__dict__["eigen"] = eigen
@@ -374,23 +380,32 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
     data = WeightedData.from_weighted(batch.vectors, cfg.gain * batch.weights, dim=m)
     nx, ny = data.X.shape[1], data.Y.shape[1]
     core = deferred = None
+    if nx + ny and held.D.size + nx + ny <= m:
+        deferred = _deferred_core(held, cfg.decay, data)
 
     if nx + ny == 0:
         path, alpha, d = "decay", decayed_alpha, cfg.decay * held.D
-    elif held.D.size + nx + ny <= m and (deferred := _deferred_core(held, cfg.decay, data)):
+    elif deferred is not None and deferred[0] is not None:
         path, alpha, core = "fast", decayed_alpha, deferred[0]
-        d = core.eig.D
     else:
         # compact first, then decompose as fast_eigh or the dense path does
         prev = model.eigen
         decayed = _unchecked(LowRankFactor, decayed_alpha, prev.E, np.diag(cfg.decay * prev.D))
-        if prev.rank + nx + ny <= m:
-            path, alpha, core = "fast", decayed_alpha, _core_eig(decayed, data)
-            d = core.eig.D
-        else:
+        if prev.rank + nx + ny > m:
             path = "dense"
             ef = dense_fallback(decayed_alpha, decayed, data)
             alpha, d, basis = ef.alpha, ef.D, ef.E
+        else:
+            path, alpha = "fast", decayed_alpha
+            if deferred is None:  # Z to be scaled: fast_eigh's own choice of route
+                core = _core_eig(decayed, data)
+            else:
+                # the Gram route declined on [B Z]; on [E Z] its novelty
+                # ratio is the same up to rounding, so it is not tried again
+                core = _two_pass_core(prev.E, decayed.B, (data.X, data.Y), _signs(data))
+            deferred = None
+    if core is not None:
+        d = core.eig.D
 
     floor = cfg.floor if cfg.floor is not None else 1e-12 * decayed_alpha
     alpha, d, floored = _floor_spectrum(alpha, d, m, floor)
@@ -425,12 +440,14 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
         n, b, k, basis = held.D.size, held.b, nx + ny, deferred[1]
         coef = core.coef(v)
         coef = np.concatenate([held.coef @ coef[:n], coef[n:]])
-        if basis is not None:
+        if b + k <= held.basis.width:
             gram = np.empty((b + k, b + k))
             gram[:b, :b], gram[:b, b:] = held.gram, deferred[2]
             gram[b:, :b], gram[b:, b:] = deferred[2].T, deferred[3]
             orthogonality = _deferred_orthogonality(gram, coef)
             if orthogonality is not None:
+                if basis is None:
+                    basis = _appended(held.basis, b, (data.X, data.Y))
                 held = _unchecked(_Rotation, alpha, d, basis, b + k, gram, coef)
                 return _model(held, stats(orthogonality, False))
         e, gram = _rotate(core.parts, coef)
@@ -439,30 +456,30 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
 
 
 def _deferred_core(held: _Rotation, decay: float, data: WeightedData):
-    """``(core, basis, B^T Z, Z^T Z)`` of a Gram-route step on ``E = B W``,
-    with ``P = W^T (B^T Z)``; None where ``fast_eigh`` would scale Z or not
-    take the Gram route, for such a step compacts first. When B and Z fit in
-    the basis's width, Z is appended to it first, and the core's parts are B
-    and that Z, read from the returned basis; else basis is None, the parts
-    are B, X and Y, and the step compacts."""
+    """``(core, basis, B^T Z, Z^T Z)`` of a step on ``E = B W`` from the
+    block Gram of ``[B Z]``, with ``P = W^T (B^T Z)``: core is the Gram
+    route's, or None where that route declines, for such a step compacts
+    and takes the two-pass route. The result is None where ``fast_eigh``
+    would scale Z. When B is held in a buffer with room for Z, Z is
+    appended to it first, and the core's parts are B and that Z, read from
+    the returned basis. Else basis is None and the parts are B, X and Y: B
+    is a compacted E, whose step copies E and Z into a buffer only if it
+    defers, or B is full and the step compacts."""
     b, blocks = held.b, (data.X, data.Y)
     k = data.X.shape[1] + data.Y.shape[1]
     parts, basis = (held.basis.array[:, :b], *blocks), None
-    if b + k <= held.basis.width:
+    if b + k <= held.basis.array.shape[1]:
         basis = _appended(held.basis, b, blocks)
         parts = (basis.array[:, :b], basis.array[:, b:b + k])
     core_b = np.diag(decay * held.D)
-    w = np.array([1.0] * data.X.shape[1] + [-1.0] * data.Y.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         qz, zz = _block_gram(parts[0], parts[1:])
         p = held.coef.T @ qz
         trace = float(zz.trace())
-        usable = _in_band(data.dim, zz, trace, _norm(p))
-        gram = _svqr(core_b, p, zz, trace, 1.0, w) if usable else None
-    if gram is None:
-        return None
-    p, rinv, bc, ratio = gram
-    return _Core("gram", _core_symmetric_eig(core_b, bc), parts, p, rinv, ratio), basis, qz, zz
+        if not _in_band(data.dim, zz, trace, _norm(p)):
+            return None
+        gram = _svqr(core_b, p, zz, trace, 1.0, _signs(data))
+    return _gram_core(core_b, parts, gram), basis, qz, zz
 
 
 def _deferred_orthogonality(gram: np.ndarray, coef: np.ndarray) -> float | None:

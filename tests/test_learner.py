@@ -1,5 +1,6 @@
 """Streaming learner: distances, updates, flooring, and the dense simulator."""
 
+import importlib
 import math
 import sys
 import threading
@@ -28,11 +29,13 @@ from loweig import (
     truncate,
     update,
 )
-from loweig import fast_eigh as fast_eigh_module
 from loweig import kernels, learner
 from loweig.learner import _floor_spectrum
 
 from helpers import dense_metric_simulator, random_factor
+
+# the package exports the function fast_eigh under the module's name
+fast_eigh_module = importlib.import_module("loweig.fast_eigh")
 
 
 def dense_distance(model, x):
@@ -530,6 +533,42 @@ class TestDeferredRotation:
         assert counts == dict.fromkeys(M_ROW_KERNELS, 0)
         assert out._held.basis is model._held.basis
 
+    @pytest.mark.parametrize("compacted", [False, True])
+    def test_declined_gram_route_is_not_tried_again(self, monkeypatch, compacted):
+        # a cancelling pair: the Gram route declines on [B Z], so the step
+        # compacts B W (a pass, unless B is a compacted E) and goes straight
+        # to the two-pass route; a compacted E is not copied into a buffer
+        def parent():
+            if not compacted:
+                return self.parent()
+            model = run_stream(gaussian_stream(60, self.m, 1, count=2), self.cfg, self.m)
+            assert model.stats.compacted
+            return model
+
+        v = np.random.default_rng(67).standard_normal((2, self.m))
+        batch = LabeledBatch(v[[0, 1, 0]], [1.0, 1.0, -1.0])
+        cfg = UpdateConfig(decay=0.9, gain=0.5, rank_cap=6, floor=1e-3)
+        ef, count, tau = reference_update(parent(), batch, cfg)
+        model = parent()
+        names = ("_block_gram", "_svqr", "_rotate", "_project", "_appended")
+        counts = count_calls(monkeypatch, names)
+        out = update(model, batch, cfg)
+        assert (out.stats.route, out.stats.compacted) == ("two-pass", True)
+        assert counts == dict(zip(names, (1, 1, 1 + (not compacted), 1, not compacted)))
+        assert (out.stats.tau, out.stats.floored, out.rank) == (tau, count, ef.rank)
+        assert_allclose(out.eigen.alpha + out.eigen.D, ef.alpha + ef.D, rtol=1e-12, atol=0)
+        assert_allclose(out.eigen.E, ef.E, rtol=0, atol=1e-12)
+
+    def test_gram_of_a_given_basis_is_measured(self):
+        # an E orthonormal only to within the tolerance: a deferred step's
+        # check reads that loss from E's measured Gram, not from G = I
+        q = np.linalg.qr(np.random.default_rng(69).standard_normal((self.m, 3)))[0]
+        model = MetricModel(EigenFactor(1.0, q * [1.0 + 4e-11, 1.0, 1.0], np.array([3.0, 2.0, 1.0])))
+        assert model.eigen.orthogonality > 5e-11
+        out = update(model, gaussian_stream(70, self.m, 1, count=2)[0], self.cfg)
+        assert (out.stats.route, out.stats.compacted) == ("gram", False)
+        assert out.stats.orthogonality >= model.eigen.orthogonality / 2
+
     @pytest.mark.parametrize("delta, trusted", [(1e-1, True), (2e-3, False)])
     def test_check_untrusted_once_its_rounding_nears_the_tolerance(self, delta, trusted):
         # E = [e2, e1] = B W exactly, with W's first column (b3 - b1) / delta
@@ -767,6 +806,17 @@ class TestRecords:
         eigen = EigenFactor(alpha, np.eye(4)[:, :len(d)], np.array(d))
         with pytest.raises(ValueError, match=f"^model must be positive definite: {message}$"):
             MetricModel(eigen)
+
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_update_whose_alpha_underflows_is_rejected(self, count):
+        # a valid decay takes alpha to 0.0 in two steps, and the default
+        # floor, 1e-12 times the decayed alpha, with it
+        cfg = UpdateConfig(decay=1e-200, gain=0.5, rank_cap=6)
+        batches = gaussian_stream(68, 40, 2, count=count)
+        model = update(MetricModel.identity(40, 1.0), batches[0], cfg)
+        with pytest.raises(ValueError, match="^model must be positive definite: alpha <= 0$"):
+            update(model, batches[1], cfg)
 
 
 class TestConfig:
