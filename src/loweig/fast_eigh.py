@@ -22,11 +22,18 @@ routes:
 
 From the same S as CholeskyQR, the Gram route loses orthogonality as
 ``eps * kappa(R)^2`` (Yamamoto et al. 2015, ETNA 44): it runs only when
-``lam_min >= GRAM_MIN_RATIO^2 * ||Z||_F^2 > 0``. Novelty near span(Q), exact
-cancellation (``X == Y``) and rank-deficient or zero Z go the two-pass way,
-as does the public ``augment``, which returns ``[Q U]``. ``factor_to_eig``
-lifts a basis given whole. ``svd_route`` and ``dense_fallback`` are the
-nonnegative-weight baseline and the O(m^3) always-correct path.
+``lam_min >= GRAM_MIN_RATIO^2 * ||Z||_F^2 > 0``. It also passes on Q's own
+loss, amplified: ``E^T E - I = W^T (Q^T Q - I) W`` with ``W = [I, -P R^-1]
+V`` and ``||W||_2^2 <= 1 + ||P||_F^2 / lam_min``. So it runs only while
+``loss * (1 + ||P||_F^2 / lam_min)`` is at most half the check's tolerance
+for the n + k columns of E, loss being Q's ``||Q^T Q - I||_F`` as its
+factor's check measured it (``LowRankFactor.orthogonality``); the two-pass
+route keeps E's loss at Q's. Novelty near span(Q), exact cancellation
+(``X == Y``), rank-deficient or zero Z and, for a Q that has lost
+orthogonality, Z near span(Q) go the two-pass way, as does the public
+``augment``, which returns ``[Q U]``. ``factor_to_eig`` lifts a basis
+given whole. ``svd_route`` and ``dense_fallback`` are the nonnegative-weight
+baseline and the O(m^3) always-correct path.
 
 On the Gram route a call makes two passes over the m-row data, the block
 Gram and the lift, which also sums E's Gram for its check when E has 2 to
@@ -43,6 +50,7 @@ Q finite and orthonormal       ``LowRankFactor``    ``_self_gram(Q)``
 B finite and symmetric         ``LowRankFactor``    a scan of B
 X, Y finite                    ``WeightedData``     a scan of X and Y
 Q, X, Y finite; Z's scale      ``_scaled_gram``     the Gram of ``[Q X Y]``
+E's loss from Q's <= tol / 2   ``_svqr`` (route)    Q's check, P and lam_min
 core finite (no overflow)      ``_core_eig``        ``symmetric_eig``'s scan
 E finite and orthonormal       ``_lifted``          ``_rotate``'s Gram of E
 E = ``B W`` orthonormal        ``learner.update``   ``W^T G W``, G of Grams
@@ -92,6 +100,7 @@ from .kernels import (
     _eigh,
     _fro,
     _norm,
+    _orthonormal_tolerance,
     _project,
     _rotate,
     _safe_scale,
@@ -118,9 +127,14 @@ class LowRankFactor(_Record):
 
     Q is m-by-n with orthonormal columns, B is n-by-n symmetric, n <= m. A B
     symmetric only within tolerance is stored as ``(B + B.T) / 2``.
+    ``orthogonality`` is ``||Q^T Q - I||_F`` as the check in ``__init__``
+    measured it, or for a factor the library derived, as its source's check
+    did; None where no check measured it, which the Gram route's guard
+    reads as 0.
     """
 
     _fields = ("alpha", "Q", "B")
+    orthogonality = None  # not a field: set by the check, so not in the repr
 
     def __init__(self, alpha: float, Q: np.ndarray, B: np.ndarray):
         alpha = float(alpha)
@@ -131,8 +145,7 @@ class LowRankFactor(_Record):
         if n > m:
             raise DimensionError(f"Q must be tall, got {m} x {n}")
         B = _symmetric_square(B, n, "B")
-        _check_orthonormal(Q, "Q")
-        self.__dict__.update(alpha=alpha, Q=Q, B=B)
+        self.__dict__.update(alpha=alpha, Q=Q, B=B, orthogonality=_check_orthonormal(Q, "Q"))
 
     @classmethod
     def identity(cls, m: int, alpha: float) -> "LowRankFactor":
@@ -146,6 +159,14 @@ class LowRankFactor(_Record):
     @property
     def rank(self) -> int:
         return self.Q.shape[1]
+
+
+def _derived_factor(alpha: float, q: np.ndarray, b: np.ndarray, orthogonality) -> LowRankFactor:
+    """``LowRankFactor(alpha, q, b)`` without its checks, for arrays derived
+    from checked ones, carrying the orthogonality its source measured."""
+    factor = _unchecked(LowRankFactor, alpha, q, b)
+    factor.__dict__["orthogonality"] = orthogonality
+    return factor
 
 
 class WeightedData(_Record):
@@ -361,11 +382,13 @@ def _rank_cut(s: np.ndarray, norm: float) -> int:
     return int(np.count_nonzero(s > RANK_EPS * max(s.max(initial=0.0), norm)))
 
 
-def _gram(q, b, blocks, w):
+def _gram(q, b, blocks, w, loss):
     """``(P, R^-1, core, ratio)`` of the Gram route, P and R^-1 scaled back
-    exactly, or None when Z is empty or zero or ``ratio = sigma_min(R) /
-    ||Z||_F`` is below ``GRAM_MIN_RATIO``. ``P = Q^T Z`` and ``Z^T Z`` come
-    from ``_scaled_gram``; with the eigenpairs ``V diag(lam) V^T`` of
+    exactly, or None when Z is empty or zero, when ``ratio = sigma_min(R) /
+    ||Z||_F`` is below ``GRAM_MIN_RATIO``, or when the lift could amplify
+    Q's loss of orthogonality ``loss`` past the guard of ``_svqr``. ``P =
+    Q^T Z`` and ``Z^T Z`` come from ``_scaled_gram``; with the eigenpairs
+    ``V diag(lam) V^T`` of
     ``Z^T Z - P^T P`` and ``sigma = sqrt(lam) * scale``, R is
     ``diag(sigma) V^T``, formed only for the core, and ``R^-1 = V
     diag(1 / sigma)``. Products that overflow on extreme data raise no
@@ -373,15 +396,19 @@ def _gram(q, b, blocks, w):
     if w.size == 0:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        return _svqr(b, *_scaled_gram(q, blocks), w)
+        return _svqr(b, *_scaled_gram(q, blocks), w, loss)
 
 
-def _svqr(b, p, zz, trace, scale, w):
+def _svqr(b, p, zz, trace, scale, norm, w, loss):
     """``_gram``'s result from ``P = Q^T Z`` and ``Z^T Z`` of ``Z / scale``,
-    and the trace of ``Z^T Z``, under the caller's ``np.errstate``."""
+    the trace of ``Z^T Z``, ``norm = ||P||_F`` and Q's ``||Q^T Q - I||_F``,
+    under the caller's ``np.errstate``."""
     lam, v = np.linalg.eigh(zz - p.T @ p)
     # a product, not lam_min / trace, which is 0 / 0 for a zero Z
     if not (trace > 0.0 and lam[0] >= GRAM_MIN_RATIO**2 * trace):
+        return None
+    # E^T E - I = W^T (Q^T Q - I) W with ||W||_2^2 <= 1 + ||P||_F^2 / lam_min
+    if loss * (1.0 + norm * norm / float(lam[0])) > 0.5 * _orthonormal_tolerance(sum(p.shape)):
         return None
     sigma = np.sqrt(lam)
     if scale != 1.0:
@@ -407,10 +434,10 @@ def _in_band(m: int, zz: np.ndarray, trace: float, norm: float) -> bool:
 
 
 def _scaled_gram(q, blocks):
-    """``(P, Z^T Z, trace, scale)`` for ``Z = [blocks] / scale``,
-    ``P = Q^T Z``, the trace of ``Z^T Z`` and ``scale =
-    _safe_scale(*blocks)``, an exact power of 2 that keeps the products from
-    overflowing or going subnormal.
+    """``(P, Z^T Z, trace, scale, norm)`` for ``Z = [blocks] / scale``,
+    ``P = Q^T Z``, the trace of ``Z^T Z``, ``scale = _safe_scale(*blocks)``,
+    an exact power of 2 that keeps the products from overflowing or going
+    subnormal, and ``norm = ||P||_F``.
 
     The unscaled Gram comes first, and its trace and the norm of P decide
     the scale: a finite norm and a trace in the band above give scale 1.0,
@@ -422,14 +449,14 @@ def _scaled_gram(q, blocks):
     factor was built; here P gives only the bound ``||Q^T Z||_F <= ||Z||_F``
     for free. It runs under the caller's ``np.errstate``.
     """
-    p, zz = _block_gram(q, blocks)
+    p, zz = _block_gram((q,), blocks)
     trace = float(zz.trace())
     norm = _norm(p)
     if not _in_band(q.shape[0], zz, trace, norm):
         q, blocks = _checked_blocks(q, blocks)
         scale = _safe_scale(*blocks)
         if scale != 1.0:
-            p, zz = _block_gram(q, [x / scale for x in blocks])
+            p, zz = _block_gram((q,), [x / scale for x in blocks])
             trace = float(zz.trace())
         norm = _norm(p) if np.isfinite(p).all() else math.nan
     else:
@@ -441,7 +468,7 @@ def _scaled_gram(q, blocks):
     # side of the bound as the true one.
     if not norm <= 2.0 * math.sqrt(trace):
         raise ValueError("q does not have orthonormal columns")
-    return p, zz, trace, scale
+    return p, zz, trace, scale, norm
 
 
 class _Core(_Record):
@@ -512,7 +539,7 @@ def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     q, b, blocks = factor.Q, factor.B, (data.X, data.Y)
     w = _signs(data)
     _check_rank(m, q.shape[1], w.size)
-    core = _gram_core(b, (q, *blocks), _gram(q, b, blocks, w))
+    core = _gram_core(b, (q, *blocks), _gram(q, b, blocks, w, factor.orthogonality or 0.0))
     return _two_pass_core(q, b, blocks, w) if core is None else core
 
 

@@ -6,9 +6,10 @@ The SVD and the eigensolver are LAPACK (``gesdd`` and ``syevd``) through
 adds input validation and the output conventions the pipeline relies on:
 descending order, and an orthonormal V for the SVD.
 
-The O(m r^2) passes are the block Gram of ``[Q X Y]`` (``_block_gram``), the
-lift ``E = [Q X Y] @ coef`` (``_rotate``) and the Gram ``A^T A`` of an
-orthonormality check (``_self_gram``). Each loops over the same row blocks,
+The O(m r^2) passes are the block Gram of ``[Q X Y]`` (``_block_gram``, Q
+given as one or more leading parts), the lift ``E = [Q X Y] @ coef``
+(``_rotate``) and the Gram ``A^T A`` of an orthonormality check
+(``_self_gram``). Each loops over the same row blocks,
 ``_row_blocks(m, width)``: m cut into even blocks of about ``_BLOCK_BYTES``
 of operands, so a block stays in cache and no tail of a few rows costs a
 block's calls. The kernel is chosen by the width alone (Goto & van de Geijn
@@ -248,17 +249,18 @@ def _self_gram(a: np.ndarray) -> np.ndarray:
     return g
 
 
-def _block_gram(q, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """``(Q^T Z, Z^T Z)`` for ``Z = [blocks]``, without concatenating the
-    blocks, summed over row blocks: one product of each thin panel with its
-    Z rows, or else each block product into a view of the result taken once.
-    Non-finite results are the caller's to test, under its ``np.errstate``."""
-    parts = [q, *blocks]
-    n = q.shape[1]
-    width = n + sum(x.shape[1] for x in blocks)
+def _block_gram(lead, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q^T Z, Z^T Z)`` for ``Q = [lead]`` and ``Z = [blocks]``, concatenating
+    neither, summed over row blocks: one product of each thin panel with its
+    Z rows, or else each pair's product into a view of the result taken
+    once. Non-finite results are the caller's to test, under its
+    ``np.errstate``."""
+    parts = [*lead, *blocks]
+    widths = [x.shape[1] for x in parts]
+    n, width, m = sum(widths[:len(lead)]), sum(widths), parts[0].shape[0]
     if width > _PANEL_MAX_WIDTH:
-        return _pairwise_gram(parts, n)
-    grams = (panel @ panel[n:].T for _, panel in _panels(parts, _row_blocks(q.shape[0], width)))
+        return _pairwise_gram(parts, len(lead))
+    grams = (panel @ panel[n:].T for _, panel in _panels(parts, _row_blocks(m, width)))
     g = next(grams)
     for block in grams:
         g += block
@@ -269,22 +271,24 @@ def _block_gram(q, blocks) -> tuple[np.ndarray, np.ndarray]:
     return g[:n], zz
 
 
-def _pairwise_gram(parts, n):
-    """``_block_gram`` as one product per pair of parts and row block."""
-    spans = [slice(0, n)]
-    for x in parts[1:]:
-        spans.append(slice(spans[-1].stop, spans[-1].stop + x.shape[1]))
-    g = np.zeros((spans[-1].stop, spans[-1].stop - n))
+def _pairwise_gram(parts, lead):
+    """``_block_gram`` as one product per row block and pair of parts: each
+    of the first ``lead`` parts (Q's) with each later part, and each later
+    part with itself and every part after it."""
+    ends = np.cumsum([x.shape[1] for x in parts]).tolist()
+    spans = [*map(slice, [0, *ends[:-1]], ends)]
+    n = spans[lead].start
+    g = np.zeros((ends[-1], ends[-1] - n))
     cols = [slice(s.start - n, s.stop - n) for s in spans]
     pairs = [(parts[i], parts[j], g[spans[i], cols[j]])
-             for i in range(len(parts)) for j in range(max(i, 1), len(parts))
+             for i in range(len(parts)) for j in range(max(i, lead), len(parts))
              if parts[i].shape[1] and parts[j].shape[1]]
-    for rows in _row_blocks(parts[0].shape[0], spans[-1].stop):
+    for rows in _row_blocks(parts[0].shape[0], ends[-1]):
         for a, b, out in pairs:
             out += a[rows].T @ b[rows]
     # The diagonal blocks of Z^T Z are sums of products a^T a, which BLAS
     # (syrk) returns exactly symmetric; the blocks below them are mirrored.
-    for i in range(1, len(parts)):
+    for i in range(lead, len(parts)):
         for j in range(i + 1, len(parts)):
             g[spans[j], cols[i]] = g[spans[i], cols[j]].T
     return g[:n], g[n:]
@@ -341,6 +345,11 @@ def _take_columns(a: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return out
 
 
+def _orthonormal_tolerance(k: int) -> float:
+    """The largest ``||a^T a - I||_F`` that passes for a basis of k columns."""
+    return 1e-10 * math.sqrt(max(1, k))
+
+
 def _check_orthonormal(a: np.ndarray, name: str, gram: np.ndarray | None = None) -> float:
     """``||a^T a - I||_F``, or ``ValueError`` unless a has finite orthonormal
     columns, from ``gram = a^T a`` however summed (``_self_gram(a)`` if None),
@@ -354,7 +363,7 @@ def _check_orthonormal(a: np.ndarray, name: str, gram: np.ndarray | None = None)
         # unscaled: a norm that overflows is inf, over the tolerance like the
         # true one; one that underflows is within it, like the true one
         norm = _norm(gram)
-    if norm <= 1e-10 * math.sqrt(max(1, n)):
+    if norm <= _orthonormal_tolerance(n):
         return norm
     if not math.isfinite(norm):
         _check_finite(a, name)

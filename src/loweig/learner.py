@@ -11,25 +11,30 @@ is the index array of the kept columns of the step's eigenvectors.
 
 A snapshot holds E as ``B W``, the deferred rotation of Brand (2006, "Fast
 low-rank modifications of the thin singular value decomposition", LAA 415):
-B is an append-only m-by-b basis (the last compacted E, then each later
-step's ``Z = [X Y]``), G its measured Gram ``B^T B`` and W a b-by-r
-coefficient. A Gram-route step sums the block Gram of ``[B Z]``, its one
-pass over the m rows, and writes Z after B if it defers. The Gram's ``B^T
-Z`` and ``Z^T Z`` extend G and give ``P = W^T (B^T Z)`` for the core of
+B is the last compacted E, left where its compaction (or the caller) wrote
+it, followed by each later step's ``Z = [X Y]``, which a buffer of batch
+rows shared by the stream's snapshots holds, one column of B per row; G is
+B's measured Gram ``B^T B`` and W a b-by-r coefficient. A Gram-route step
+writes Z after the batch rows and sums the block Gram of ``[B Z]``, B's
+parts standing for Q, its one pass over the m rows. The Gram's ``B^T Z``
+and ``Z^T Z`` extend G and give ``P = W^T (B^T Z)`` for the core of
 ``fast_eigh``; the kept core eigenvectors V give ``W' = [[W (V1 - P C)],
 [C]]`` with ``C = R^-1 V2``, and the check of E is ``||W'^T G' W' -
 I||_F``, all on b-sized arrays.
 
 The step compacts instead, writing ``E = B' W'`` in one ``kernels._rotate``
-pass under the measured check of E, when B would grow past
-``_DEFER_GROWTH`` times the columns of the E it started from, or when the
+pass under the measured check of E, when the batch rows would outgrow
+``_DEFER_GROWTH - 1`` times the columns of the compacted E, or when the
 rounding bound of the deferred check passes ``_DEFER_ROUNDING`` of its
-tolerance; that E starts the next B. A step off the Gram route (two-pass
-route, scaled data, dense fallback) compacts the previous snapshot by
-reading its ``eigen``, then runs as ``fast_eigh`` or ``dense_fallback``
-does and writes its E, the dense path by gathering the kept columns; where
-the Gram route declined on ``[B Z]``, the step goes straight to the
-two-pass route rather than try it again on ``[E Z]``. A decay-only step
+tolerance; that E starts the next B, and no buffer holds a copy of it. A
+step off the Gram route (two-pass route, scaled data, dense fallback)
+compacts the previous snapshot by reading its ``eigen``, then runs as
+``fast_eigh`` or ``dense_fallback`` does and writes its E, the dense path
+by gathering the kept columns; where the Gram route declined on ``[B Z]``,
+the step goes straight to the two-pass route rather than try it again on
+``[E Z]``. The Gram route's guard reads the loss of orthogonality that the
+snapshot's last check measured, kept with it, so a batch near span(E) that
+would amplify that loss takes the two-pass route. A decay-only step
 touches no m-row data: it keeps B and takes W's kept columns. A deferred
 snapshot builds ``eigen`` on first read, by the compaction's pass and
 check, and caches it. A Gram-route step never reads it, so reading E
@@ -52,6 +57,7 @@ from .fast_eigh import (
     WeightedData,
     _check_descending,
     _core_eig,
+    _derived_factor,
     _gram_core,
     _in_band,
     _lifted,
@@ -67,6 +73,7 @@ from .kernels import (
     _aligned_empty,
     _block_gram,
     _norm,
+    _orthonormal_tolerance,
     _rotate,
     _self_gram,
     _take_columns,
@@ -185,41 +192,46 @@ _EPS = float(np.finfo(float).eps)
 
 
 class _Basis:
-    """The columns of B, shared by the snapshots of one stream.
+    """The batch rows of one stream's B, shared by its snapshots.
 
-    A snapshot's B is the first b columns of ``array``: an E the library
-    wrote (read-only, with b its width), or the transpose of a
-    ``width``-by-m buffer, whose rows each hold one column of B. The first
-    update of a snapshot to ``claim`` column b appends its batch there in
-    place; any other copies the b columns into a fresh buffer first, so no
-    snapshot's B ever changes. ``dict.setdefault`` makes a claim atomic.
+    ``rows`` is a ``(_DEFER_GROWTH - 1) * n``-by-m buffer, n the columns of
+    the compacted E that starts B: row i holds column n + i of B, so a
+    snapshot's B is that E followed by ``rows[:j].T``. The first update of a
+    snapshot to ``claim`` row j appends its batch there in place; any other
+    copies the j rows into a fresh buffer first, so no snapshot's B ever
+    changes. ``dict.setdefault`` makes a claim atomic.
     """
 
-    __slots__ = ("array", "width", "claims")
+    __slots__ = ("rows", "claims")
 
-    def __init__(self, array: np.ndarray, width: int):
-        self.array, self.width, self.claims = array, width, {}
+    def __init__(self, rows: np.ndarray):
+        self.rows, self.claims = rows, {}
 
-    def claim(self, b: int) -> bool:
+    def claim(self, j: int) -> bool:
         token = object()
-        return self.claims.setdefault(b, token) is token
+        return self.claims.setdefault(j, token) is token
 
 
 class _Rotation(_Record):
     """A snapshot's eigen form with ``E = B W`` held as its factors: B the
-    first b columns of ``basis.array``, ``gram`` its Gram ``G = B^T B`` as
-    the Grams summed it and ``coef`` the b-by-r W."""
+    compacted ``E0`` (where the compaction wrote it) followed by the first
+    j batch rows of ``basis`` (None until a step defers), ``gram`` its Gram
+    ``G = B^T B`` as the Grams summed it, ``coef`` the b-by-r W and ``loss``
+    the last check's ``||E^T E - I||_F`` (0 where no check measured E)."""
 
-    _fields = ("alpha", "D", "basis", "b", "gram", "coef")
+    _fields = ("alpha", "D", "E0", "basis", "j", "gram", "coef", "loss")
 
     @classmethod
     def of(cls, ef: EigenFactor, gram: np.ndarray | None = None) -> "_Rotation":
         """B = E and W = I for a checked E, G its Gram as measured, by
         ``_self_gram`` when not given."""
-        r = ef.rank
-        identity = np.eye(r)
         gram = _self_gram(ef.E) if gram is None else gram
-        return _unchecked(cls, ef.alpha, ef.D, _Basis(ef.E, _DEFER_GROWTH * r), r, gram, identity)
+        return _unchecked(cls, ef.alpha, ef.D, ef.E, None, 0, gram, np.eye(ef.rank),
+                          ef.orthogonality or 0.0)
+
+    def parts(self) -> tuple:
+        """B as the parts a block Gram or a lift reads: E0, then the rows."""
+        return (self.E0, self.basis.rows[:self.j].T) if self.j else (self.E0,)
 
 
 class MetricModel(_Record):
@@ -252,15 +264,16 @@ class MetricModel(_Record):
     @cached_property
     def eigen(self) -> EigenFactor:
         held = self._held
-        return _lifted(held.alpha, *_rotate([held.basis.array[:, :held.b]], held.coef), held.D)
+        return _lifted(held.alpha, *_rotate(held.parts(), held.coef), held.D)
 
     @cached_property
     def factor(self) -> LowRankFactor:
-        return _unchecked(LowRankFactor, self.eigen.alpha, self.eigen.E, np.diag(self.eigen.D))
+        ef = self.eigen
+        return _derived_factor(ef.alpha, ef.E, np.diag(ef.D), ef.orthogonality)
 
     @property
     def dim(self) -> int:
-        return self._held.basis.array.shape[0]
+        return self._held.E0.shape[0]
 
     @property
     def rank(self) -> int:
@@ -390,7 +403,7 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
     else:
         # compact first, then decompose as fast_eigh or the dense path does
         prev = model.eigen
-        decayed = _unchecked(LowRankFactor, decayed_alpha, prev.E, np.diag(cfg.decay * prev.D))
+        decayed = _derived_factor(decayed_alpha, prev.E, np.diag(cfg.decay * prev.D), held.loss)
         if prev.rank + nx + ny > m:
             path = "dense"
             ef = dense_fallback(decayed_alpha, decayed, data)
@@ -425,8 +438,8 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
                            alpha, _condition(alpha, d, m), variance, compacted)
 
     if path == "decay":
-        held = _unchecked(_Rotation, alpha, d, held.basis, held.b, held.gram,
-                          held.coef[:, columns])
+        held = _unchecked(_Rotation, alpha, d, held.E0, held.basis, held.j, held.gram,
+                          held.coef[:, columns], held.loss)
         return _model(held, stats(None, False))
     if path == "dense":
         ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)
@@ -437,18 +450,17 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
         e, gram = core.lift(v)
     else:
         # W' = [[W (V1 - P C)], [C]] and G' = [[G, B^T Z], [Z^T B, Z^T Z]]
-        n, b, k, basis = held.D.size, held.b, nx + ny, deferred[1]
+        n, b, k, basis = held.D.size, held.coef.shape[0], nx + ny, deferred[1]
         coef = core.coef(v)
         coef = np.concatenate([held.coef @ coef[:n], coef[n:]])
-        if b + k <= held.basis.width:
+        if basis is not None:
             gram = np.empty((b + k, b + k))
             gram[:b, :b], gram[:b, b:] = held.gram, deferred[2]
             gram[b:, :b], gram[b:, b:] = deferred[2].T, deferred[3]
             orthogonality = _deferred_orthogonality(gram, coef)
             if orthogonality is not None:
-                if basis is None:
-                    basis = _appended(held.basis, b, (data.X, data.Y))
-                held = _unchecked(_Rotation, alpha, d, basis, b + k, gram, coef)
+                held = _unchecked(_Rotation, alpha, d, held.E0, basis, held.j + k, gram, coef,
+                                  orthogonality)
                 return _model(held, stats(orthogonality, False))
         e, gram = _rotate(core.parts, coef)
     ef = _lifted(alpha, e, gram.copy(), d)
@@ -460,26 +472,25 @@ def _deferred_core(held: _Rotation, decay: float, data: WeightedData):
     block Gram of ``[B Z]``, with ``P = W^T (B^T Z)``: core is the Gram
     route's, or None where that route declines, for such a step compacts
     and takes the two-pass route. The result is None where ``fast_eigh``
-    would scale Z. When B is held in a buffer with room for Z, Z is
-    appended to it first, and the core's parts are B and that Z, read from
-    the returned basis. Else basis is None and the parts are B, X and Y: B
-    is a compacted E, whose step copies E and Z into a buffer only if it
-    defers, or B is full and the step compacts."""
-    b, blocks = held.b, (data.X, data.Y)
+    would scale Z. When the batch rows have room for Z, Z is appended to
+    them first, and the core's parts are B's and that Z, read from the
+    returned basis. Else basis is None, the parts are B's, X and Y, and the
+    step compacts."""
+    j, blocks = held.j, (data.X, data.Y)
     k = data.X.shape[1] + data.Y.shape[1]
-    parts, basis = (held.basis.array[:, :b], *blocks), None
-    if b + k <= held.basis.array.shape[1]:
-        basis = _appended(held.basis, b, blocks)
-        parts = (basis.array[:, :b], basis.array[:, b:b + k])
+    lead, basis = held.parts(), None
+    if j + k <= (_DEFER_GROWTH - 1) * held.E0.shape[1]:
+        basis = _appended(held, blocks)
+        blocks = (basis.rows[j:j + k].T,)
     core_b = np.diag(decay * held.D)
     with np.errstate(over="ignore", invalid="ignore"):
-        qz, zz = _block_gram(parts[0], parts[1:])
+        qz, zz = _block_gram(lead, blocks)
         p = held.coef.T @ qz
-        trace = float(zz.trace())
-        if not _in_band(data.dim, zz, trace, _norm(p)):
+        trace, norm = float(zz.trace()), _norm(p)
+        if not _in_band(data.dim, zz, trace, norm):
             return None
-        gram = _svqr(core_b, p, zz, trace, 1.0, _signs(data))
-    return _gram_core(core_b, parts, gram), basis, qz, zz
+        gram = _svqr(core_b, p, zz, trace, 1.0, norm, _signs(data), held.loss)
+    return _gram_core(core_b, (*lead, *blocks), gram), basis, qz, zz
 
 
 def _deferred_orthogonality(gram: np.ndarray, coef: np.ndarray) -> float | None:
@@ -491,24 +502,25 @@ def _deferred_orthogonality(gram: np.ndarray, coef: np.ndarray) -> float | None:
     b, r = coef.shape
     ortho = coef.T @ (gram @ coef)
     ortho.reshape(-1)[::r + 1] -= 1.0
-    norm, tol = _norm(ortho), 1e-10 * math.sqrt(max(1, r))
+    norm, tol = _norm(ortho), _orthonormal_tolerance(r)
     size = np.abs(coef)
     bound = 2.0 * math.sqrt(b) * _EPS * _norm(size.T @ (np.abs(gram) @ size))
     return norm if norm <= tol and bound <= _DEFER_ROUNDING * tol else None
 
 
-def _appended(basis: _Basis, b: int, blocks) -> _Basis:
-    """The basis whose first columns are B's b and then the blocks': basis
-    itself when this step claims column b of its buffer, else a fresh buffer
-    of the same width with B copied in. Rows of a buffer are contiguous, so
-    each block is written as its transpose: one long copy per column."""
-    k = sum(x.shape[1] for x in blocks)
-    if b + k > basis.array.shape[1] or not basis.claim(b):
-        rows = _aligned_empty((basis.width, basis.array.shape[0]))
-        rows[:b] = basis.array[:, :b].T
-        basis = _Basis(rows.T, basis.width)
-    rows = basis.array.T
+def _appended(held: _Rotation, blocks) -> _Basis:
+    """The basis whose first rows are held's j and then the blocks' columns:
+    held's own when this step claims its row j, else a fresh buffer of
+    ``(_DEFER_GROWTH - 1) * n`` rows for held's m-by-n E0, with the j rows
+    copied in. Each block is written as its transpose: one long copy per
+    column."""
+    basis, j, (m, n) = held.basis, held.j, held.E0.shape
+    if basis is None or not basis.claim(j):
+        rows = _aligned_empty(((_DEFER_GROWTH - 1) * n, m))
+        if j:
+            rows[:j] = basis.rows[:j]
+        basis = _Basis(rows)
     for x in blocks:
-        rows[b:b + x.shape[1]] = x.T
-        b += x.shape[1]
+        basis.rows[j:j + x.shape[1]] = x.T
+        j += x.shape[1]
     return basis

@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .fast_eigh import EigenFactor, LowRankFactor
-from .kernels import _ValueRecord, _take_columns, _unchecked
+from .fast_eigh import EigenFactor, LowRankFactor, _derived_factor
+from .kernels import _ValueRecord, _take_columns
 
 
 class SpectrumBlock(_ValueRecord):
@@ -241,7 +241,7 @@ def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
     position, since those have no representable eigenvector; among feasible
     offsets the one with the smallest objective wins, ties (up to rounding)
     toward smaller tau. The kept columns of E are gathered once into a fresh
-    64-byte-aligned array.
+    64-byte-aligned array; the factor carries ef's ``orthogonality``.
 
     Raises
     ------
@@ -252,7 +252,6 @@ def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:
     new_alpha, columns, tau, _ = _select(ef.alpha, ef.D, ef.dim, k)
     values = ef.alpha + ef.D[columns]
     kept = list(zip(values.tolist(), columns.tolist()))
-    model = _unchecked(
-        LowRankFactor, new_alpha, _take_columns(ef.E, columns), np.diag(values - new_alpha)
-    )
+    model = _derived_factor(new_alpha, _take_columns(ef.E, columns), np.diag(values - new_alpha),
+                            ef.orthogonality)
     return model, TruncationResult(new_alpha, kept[:tau], kept[tau:], tau)

@@ -461,7 +461,7 @@ class TestDeferredRotation:
         # branch appends in place and the second must copy
         model = run_stream(gaussian_stream(60, self.m, 4, count=2), self.cfg, self.m)
         held = model._held
-        assert not model.stats.compacted and held.b + 2 <= held.basis.width
+        assert not model.stats.compacted and held.j + 2 <= held.basis.rows.shape[0]
         return model
 
     def test_branches_do_not_see_each_other(self):
@@ -477,8 +477,39 @@ class TestDeferredRotation:
             assert_same_model(second, alone[order[1]])
             assert np.array_equal(parent.eigen.E, self.parent().eigen.E)
 
+    def test_compacted_e_starts_the_next_basis_in_place(self, monkeypatch):
+        # the deferred step after a compaction reads that E where it was
+        # written, and its buffer holds only the batch rows
+        model = run_stream(gaussian_stream(60, self.m, 1, count=2), self.cfg, self.m)
+        assert model.stats.compacted
+        shapes, real = [], learner._aligned_empty
+        monkeypatch.setattr(learner, "_aligned_empty",
+                            lambda shape: shapes.append(shape) or real(shape))
+        out = update(model, gaussian_stream(68, self.m, 1, count=2)[0], self.cfg)
+        assert (out.stats.route, out.stats.compacted) == ("gram", False)
+        assert shapes == [((learner._DEFER_GROWTH - 1) * model.rank, self.m)]
+        assert out._held.E0 is model.eigen.E
+
+    def test_branch_conflict_copies_only_the_batch_rows(self, monkeypatch):
+        parent = self.parent()
+        held, (a, b) = parent._held, gaussian_stream(61, self.m, 2, count=2)
+        assert held.j and update(parent, a, self.cfg)._held.basis is held.basis
+        real = learner._aligned_empty
+
+        def unwritten(shape):
+            out = real(shape)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(learner, "_aligned_empty", unwritten)
+        second = update(parent, b, self.cfg)._held
+        assert second.basis is not held.basis and second.E0 is held.E0
+        rows, j = second.basis.rows, held.j
+        assert np.array_equal(rows[:j], held.basis.rows[:j])
+        assert np.isfinite(rows[j:j + 2]).all() and np.isnan(rows[j + 2:]).all()
+
     def test_concurrent_branches_do_not_see_each_other(self):
-        # one claim per column of the shared buffer, even when updates of one
+        # one claim per row of the shared buffer, even when updates of one
         # snapshot race: each branch still equals the same branch run alone
         batches = gaussian_stream(66, self.m, 8, count=2)
         alone = [update(self.parent(), batch, self.cfg) for batch in batches]
@@ -531,7 +562,7 @@ class TestDeferredRotation:
         out = update(model, LabeledBatch.empty(self.m), self.cfg)
         assert out.stats.path == "decay" and not out.stats.compacted
         assert counts == dict.fromkeys(M_ROW_KERNELS, 0)
-        assert out._held.basis is model._held.basis
+        assert out._held.E0 is model._held.E0 and out._held.basis is model._held.basis
 
     @pytest.mark.parametrize("compacted", [False, True])
     def test_declined_gram_route_is_not_tried_again(self, monkeypatch, compacted):
@@ -649,6 +680,26 @@ class TestConditioningSoak:
         # and compacted
         assert worst_gram > 1e8
         assert 0 < compactions < 2000
+
+    @pytest.mark.parametrize("seed", [4, 8, 13, 27, 36, 37])
+    def test_batches_near_span_of_e_keep_e_orthonormal(self, seed):
+        # two of three vectors per step lie near span(E) with novelty ratios
+        # above GRAM_MIN_RATIO: only the route guard keeps the Gram route
+        # from amplifying E's loss of orthogonality from step to step
+        m = 64
+        cfg = UpdateConfig(decay=0.9, gain=0.5, rank_cap=6, floor=1e-3)
+        rng = np.random.default_rng(seed)
+        model, routes = MetricModel.identity(m, 1.0), set()
+        for _ in range(300):
+            vectors = rng.standard_normal((3, m))
+            if model.rank:
+                near = model.eigen.E @ rng.standard_normal((model.rank, 2))
+                vectors[:2] = near.T + 0.015 * rng.standard_normal((2, m))
+            model = update(model, LabeledBatch(vectors, rng.choice([-1.0, 1.0], 3)), cfg)
+            routes.add(model.stats.route)
+            e = model.eigen.E
+            assert np.linalg.norm(e.T @ e - np.eye(model.rank)) <= 1e-10 * math.sqrt(model.rank)
+        assert routes == {"gram", "two-pass"}
 
 
 class TestUpdate:

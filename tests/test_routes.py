@@ -37,7 +37,7 @@ from loweig.fast_eigh import (
     _gram,
     _scaled_gram,
 )
-from loweig.kernels import _SAFE_HIGH, _SAFE_LOW, _block_rows, _safe_scale
+from loweig.kernels import _PANEL_MAX_WIDTH, _SAFE_HIGH, _SAFE_LOW, _block_rows, _safe_scale
 
 from helpers import laid_out, random_orthonormal, random_symmetric
 
@@ -109,6 +109,23 @@ class TestRouting:
         if abs(math.log10(ratio / GRAM_MIN_RATIO)) > 1e-3:
             assert core.route == expected_route(ratio)
         assert_matches_dense(1.0, factor, data)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_span_on_a_q_that_lost_orthogonality(self, seed):
+        # Q passes its check with ||Q^T Q - I||_F ~ 1e-11, and Z's novelty
+        # ratio allows the Gram route, whose lift would amplify Q's loss by
+        # up to 1 + ||P||_F^2 / lam_min past the check of E; the route guard
+        # sends it the two-pass way, which keeps E's loss at Q's
+        rng = np.random.default_rng([seed, 23])
+        m, n = 64, 6
+        q = random_orthonormal(rng, m, n) @ (np.eye(n) + 1e-12 * rng.standard_normal((n, n)))
+        factor = LowRankFactor(1.0, q, random_symmetric(rng, n))
+        z = q @ rng.standard_normal((n, 3)) + 0.02 * rng.standard_normal((m, 3))
+        data = WeightedData(z[:, :2], z[:, 2:])
+        assert_matches_dense(1.0, factor, data)
+        ratio, _ = dense_novelty(q, z)
+        assert ratio >= GRAM_MIN_RATIO and factor.orthogonality > 1e-12
+        assert _core_eig(factor, data).route == "two-pass"
 
     @pytest.mark.parametrize("seed", range(3))
     def test_exact_cancellation(self, seed):
@@ -187,10 +204,10 @@ class TestRouting:
         rng = np.random.default_rng(exponent + 160)
         factor, data = near_span_instance(rng, 1.0, m=20, n=3, nx=2, ny=2)
         w = np.array([1.0, 1.0, -1.0, -1.0])
-        p, rinv, _, ratio = _gram(factor.Q, factor.B, [data.X, data.Y], w)
+        p, rinv, _, ratio = _gram(factor.Q, factor.B, [data.X, data.Y], w, factor.orthogonality)
         s = 10.0**exponent
         with np.errstate(over="ignore"):  # the core itself overflows at 1e160
-            scaled = _gram(factor.Q, factor.B, [data.X * s, data.Y * s], w)
+            scaled = _gram(factor.Q, factor.B, [data.X * s, data.Y * s], w, factor.orthogonality)
         assert scaled is not None
         ps, rinv_s, _, ratio_s = scaled
         assert np.linalg.norm(ps / s - p) <= 1e-12 * np.linalg.norm(p)
@@ -422,14 +439,16 @@ class TestVerdicts:
         scale = _safe_scale(*blocks)
         if case.startswith("1e"):
             assert (scale == 1.0) == (abs(math.log10(float(case))) <= 70.5)
-        p, zz, _, got_scale = _scaled_gram(factor.Q, blocks)
+        p, zz, _, got_scale, _ = _scaled_gram(factor.Q, blocks)
         assert got_scale == scale
         prescaled = [b / scale for b in blocks]
-        p_ref, zz_ref, _, ref_scale = _scaled_gram(factor.Q, prescaled)
+        p_ref, zz_ref, _, ref_scale, _ = _scaled_gram(factor.Q, prescaled)
         assert ref_scale == 1.0 or case == "zero"
         np.testing.assert_array_equal(p, p_ref)
         np.testing.assert_array_equal(zz, zz_ref)
-        got, ref = _gram(factor.Q, factor.B, blocks, w), _gram(factor.Q, factor.B, prescaled, w)
+        loss = factor.orthogonality
+        got = _gram(factor.Q, factor.B, blocks, w, loss)
+        ref = _gram(factor.Q, factor.B, prescaled, w, loss)
         assert (got is None) == (ref is None) == (case == "zero")
         if got is not None:
             np.testing.assert_array_equal(got[0], ref[0] * scale)
@@ -462,7 +481,7 @@ class TestPanelKernels:
         got = {}
         for limit in (0, k):
             monkeypatch.setattr(KERNELS, "_PANEL_MAX_WIDTH", limit)
-            p, zz = KERNELS._block_gram(q, [x, y])
+            p, zz = KERNELS._block_gram((q,), [x, y])
             e, _ = KERNELS._rotate([q, x, y], coef)
             assert np.array_equal(zz, zz.T)
             assert not e.flags.writeable and e.flags.c_contiguous and e.ctypes.data % 64 == 0
@@ -475,6 +494,24 @@ class TestPanelKernels:
         assert np.all(np.abs(g_panel - g_blocks) <= ulp * (a.T @ a[:, n:]))
         assert np.all(np.abs(e_panel - e_blocks) <= ulp * (a @ np.abs(coef)))
         assert_allclose(g_panel, np.hstack([q, x, y]).T @ np.hstack([x, y]), rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("limit", [0, _PANEL_MAX_WIDTH])
+    @pytest.mark.parametrize("m, n, nx, ny", [(300, 4, 3, 3), (700, 8, 8, 8)])
+    def test_block_gram_takes_q_as_leading_parts(self, monkeypatch, m, n, nx, ny, limit):
+        # the learner gives its B as a compacted E followed by the batch
+        # rows' transpose: split so, Q's Gram is Q's taken whole, up to a few
+        # ulps of the sums of absolute terms, on either kernel
+        rng = np.random.default_rng([m, n, 7])
+        q = random_orthonormal(rng, m, n)
+        x, y = rng.standard_normal((m, nx)), rng.standard_normal((m, ny))
+        lead = (q[:, :n // 2], np.ascontiguousarray(q[:, n // 2:].T).T)
+        monkeypatch.setattr(KERNELS, "_PANEL_MAX_WIDTH", limit)
+        p, zz = KERNELS._block_gram((q,), [x, y])
+        p_parts, zz_parts = KERNELS._block_gram(lead, [x, y])
+        assert np.array_equal(zz_parts, zz_parts.T)
+        a = np.abs(np.hstack([q, x, y]))
+        bound = 16 * np.finfo(float).eps * (a.T @ a[:, n:])
+        assert np.all(np.abs(np.vstack([p_parts, zz_parts]) - np.vstack([p, zz])) <= bound)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("widths, k", [

@@ -10,8 +10,20 @@ first in odd ones, one process at a time. ``BENCH_<label>.json`` (in
 ``--out``, the current directory by default) records each run's final JSON
 line, the numpy version and BLAS of the interpreter that ran them, the BLAS
 thread pins, nproc, and per workload and end-to-end metric: each side's
-median, quartiles and 10%/90% quantiles, and the count of pairs the child
-won (lower is better for every end-to-end metric; ties count for neither).
+median, quartiles and 10%/90% quantiles, the count of pairs the child won
+(lower is better for every end-to-end metric; ties count for neither), the
+child/parent median ratio, the parent's interquartile spread relative to
+its median, the metric's bound as the child tree's ``BENCHMARK.json``
+states it (a share of the parent's median), and a verdict, the first of:
+
+- ``worse``: the child's median exceeds the parent's by more than the bound;
+- ``unresolved``: the parent's spread exceeds the bound, so the runs cannot
+  tell a change within the bound from noise;
+- ``gain``: the child won at least 9 in 10 of the pairs, and its median is
+  below the parent's by more than the parent's interquartile range;
+- ``same``: none of these.
+
+A metric without a bound is judged by the last two rules only.
 Exits non-zero if a run fails or prints no JSON result.
 """
 
@@ -56,21 +68,46 @@ def side_summary(values: list[float]) -> dict:
     return dict(zip(("p10", "q25", "median", "q75", "p90"), map(float, q)))
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' quantiles and the child's wins."""
+def verdict(parent: dict, child: dict, wins: int, pairs: int, bound: float | None) -> str:
+    """The module docstring's verdict on one metric, lower being better."""
+    iqr = parent["q75"] - parent["q25"]
+    if bound is not None and child["median"] > parent["median"] * (1.0 + bound):
+        return "worse"
+    if bound is not None and iqr > bound * parent["median"]:
+        return "unresolved"
+    if 10 * wins >= 9 * pairs and parent["median"] - child["median"] > iqr:
+        return "gain"
+    return "same"
+
+
+def summarize(runs: list[dict], bounds: dict) -> dict:
+    """Per end-to-end metric: both sides' quantiles, the child's wins, the
+    median ratio, the parent's relative spread, the bound and the verdict."""
     names = runs[0]["parent"]["metrics"].keys()
     out = {}
     for name in names:
-        parent = [r["parent"]["metrics"][name]["value"] for r in runs]
-        child = [r["child"]["metrics"][name]["value"] for r in runs]
+        parent = side_summary([r["parent"]["metrics"][name]["value"] for r in runs])
+        child = side_summary([r["child"]["metrics"][name]["value"] for r in runs])
+        wins = sum(r["child"]["metrics"][name]["value"] < r["parent"]["metrics"][name]["value"]
+                   for r in runs)
         out[name] = {
             "unit": runs[0]["parent"]["metrics"][name]["unit"],
-            "parent": side_summary(parent),
-            "child": side_summary(child),
-            "child_wins": sum(c < p for p, c in zip(parent, child)),
+            "parent": parent,
+            "child": child,
+            "child_wins": wins,
             "pairs": len(runs),
+            "ratio": child["median"] / parent["median"],
+            "parent_spread": (parent["q75"] - parent["q25"]) / parent["median"],
+            "bound": bounds.get(name),
+            "verdict": verdict(parent, child, wins, len(runs), bounds.get(name)),
         }
     return out
+
+
+def read_bounds(tree: Path) -> dict:
+    """Each end-to-end metric's bound in the tree's ``BENCHMARK.json``."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec.get("end_to_end", [])}
 
 
 def blas_info() -> object:
@@ -93,6 +130,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "child": args.child.resolve()}
+    bounds = read_bounds(trees["child"])
     record = {
         "label": args.label,
         "commits": {side: commit(tree) for side, tree in trees.items()},
@@ -114,7 +152,7 @@ def main(argv=None) -> int:
                 pair[side] = run_once(trees[side], workload, seed, args.seconds)
                 print(f"{workload} pair {i} {side}: {json.dumps(pair[side])}", flush=True)
             runs.append(pair)
-        record["workloads"][workload] = {"runs": runs, "summary": summarize(runs)}
+        record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, bounds)}
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")
