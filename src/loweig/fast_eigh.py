@@ -8,7 +8,8 @@ into a 64-byte-aligned result; ``[X Y]`` and ``[Q U]`` are never built.
 ``fast_eigh`` and ``learner.update`` share these steps; ``update`` keeps only
 some columns, and on the Gram route it may hold them as a product instead of
 lifting them (the ``learner`` module docstring). P and R come from one of two
-routes:
+routes, and ``_Core`` holds what either gives: the core's eigenpairs, the
+parts the lift multiplies and the coefficients of V on them (``_Core.coef``).
 
 - The Gram route, tried first. One Gram of ``[Q X Y]``, summed block by
   block, gives ``P = Q^T Z`` and ``Z^T Z``; one ``eigh`` of
@@ -17,6 +18,11 @@ routes:
   (Stathopoulos & Wu 2002; CholeskyQR2, Fukaya et al. 2014, takes the
   Cholesky factor of S). U is never formed: with ``C = R^-1 V2`` the lift is
   ``Q (V1 - P C) + X C_x + Y C_y``, the second pass over the m-row data.
+  ``_gram_core`` builds this route's ``_Core``, for ``fast_eigh`` and for
+  the learner alike. The learner's Q is ``B W``, never formed: Q's parts
+  are then B's, P is ``W^T (B^T Z)``, and the core carries W, Q's
+  coefficient on those parts, so its lift coefficient on B is
+  ``W (V1 - P C)``.
 - The two-pass route: Z is projected out of span(Q) twice and the residual
   goes through a thin SVD, which drops directions at or below ``RANK_EPS``.
 
@@ -197,7 +203,9 @@ class WeightedData(_Record):
 
         Each of X and Y is written in C order by one product, see
         ``_weighted_columns``; a non-finite vector leaves non-finite entries,
-        which the check of X or Y rejects.
+        which the check of X or Y rejects. Finite vectors whose products
+        with the weights' square roots overflow raise ``ValueError`` naming
+        the overflow.
         """
         w = np.asarray(weights, dtype=float)
         arr = np.asarray(vectors, dtype=float)
@@ -213,7 +221,12 @@ class WeightedData(_Record):
             raise ValueError("weights must be finite")
         pos = w > 0.0
         neg = w < 0.0
-        return cls(_weighted_columns(arr[pos], w[pos]), _weighted_columns(arr[neg], -w[neg]))
+        try:
+            return cls(_weighted_columns(arr[pos], w[pos]), _weighted_columns(arr[neg], -w[neg]))
+        except ValueError:
+            if not np.isfinite(arr[pos | neg]).all():
+                raise
+            raise ValueError("the scaled batch overflows float64") from None
 
     @classmethod
     def empty(cls, m: int) -> "WeightedData":
@@ -382,27 +395,17 @@ def _rank_cut(s: np.ndarray, norm: float) -> int:
     return int(np.count_nonzero(s > RANK_EPS * max(s.max(initial=0.0), norm)))
 
 
-def _gram(q, b, blocks, w, loss):
-    """``(P, R^-1, core, ratio)`` of the Gram route, P and R^-1 scaled back
-    exactly, or None when Z is empty or zero, when ``ratio = sigma_min(R) /
-    ||Z||_F`` is below ``GRAM_MIN_RATIO``, or when the lift could amplify
-    Q's loss of orthogonality ``loss`` past the guard of ``_svqr``. ``P =
-    Q^T Z`` and ``Z^T Z`` come from ``_scaled_gram``; with the eigenpairs
-    ``V diag(lam) V^T`` of
-    ``Z^T Z - P^T P`` and ``sigma = sqrt(lam) * scale``, R is
-    ``diag(sigma) V^T``, formed only for the core, and ``R^-1 = V
-    diag(1 / sigma)``. Products that overflow on extreme data raise no
-    warning here; the checks name them."""
-    if w.size == 0:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _svqr(b, *_scaled_gram(q, blocks), w, loss)
-
-
 def _svqr(b, p, zz, trace, scale, norm, w, loss):
-    """``_gram``'s result from ``P = Q^T Z`` and ``Z^T Z`` of ``Z / scale``,
-    the trace of ``Z^T Z``, ``norm = ||P||_F`` and Q's ``||Q^T Q - I||_F``,
-    under the caller's ``np.errstate``."""
+    """``(P, R^-1, core, ratio)`` of the Gram route from ``P = Q^T Z`` and
+    ``Z^T Z`` of ``Z / scale``, the trace of ``Z^T Z``, ``norm = ||P||_F``
+    and Q's loss of orthogonality ``loss = ||Q^T Q - I||_F``, under the
+    caller's ``np.errstate``; P and R^-1 are scaled back exactly.
+
+    With the eigenpairs ``V diag(lam) V^T`` of ``Z^T Z - P^T P`` and
+    ``sigma = sqrt(lam) * scale``, R is ``diag(sigma) V^T``, formed only for
+    the core, and ``R^-1 = V diag(1 / sigma)``. None when Z is zero, when
+    ``ratio = sigma_min(R) / ||Z||_F`` is below ``GRAM_MIN_RATIO``, or when
+    the lift could amplify ``loss`` past half the check's tolerance."""
     lam, v = np.linalg.eigh(zz - p.T @ p)
     # a product, not lam_min / trace, which is 0 / 0 for a zero Z
     if not (trace > 0.0 and lam[0] >= GRAM_MIN_RATIO**2 * trace):
@@ -474,33 +477,32 @@ def _scaled_gram(q, blocks):
 class _Core(_Record):
     """Eigendecomposition of the core and what lifts its eigenvectors to R^m.
 
-    An eigenvector ``v = [v1; v2]`` of the core lifts to ``Q v1 + U v2``.
-    ``parts`` are the arrays the lift multiplies: ``[Q U]`` on the two-pass
-    route, and ``[Q X Y]`` on the Gram route, which never forms U: with
-    ``C = R^-1 v2`` the lift is ``Q (v1 - P C) + X C_x + Y C_y``.
+    An eigenvector ``v = [v1; v2]`` of the core lifts to ``Q v1 + U v2``,
+    which is ``_rotate(parts, coef(v))``. ``parts`` are the arrays the lift
+    multiplies: ``[Q U]`` on the two-pass route, and ``[Q X Y]`` on the
+    Gram route, which never forms U: with ``C = R^-1 v2`` the lift is
+    ``Q (v1 - P C) + X C_x + Y C_y``. ``q_coef`` is W where Q is held as
+    ``B W``, its leading parts being B's, and None where they are Q.
     """
 
-    _fields = ("route", "eig", "parts", "p", "rinv", "novelty_ratio", "dropped")
+    _fields = ("route", "eig", "parts", "p", "rinv", "novelty_ratio", "dropped", "q_coef")
 
     def __init__(self, route: str, eig: SymEig, parts: tuple, p: np.ndarray | None = None,
                  rinv: np.ndarray | None = None, novelty_ratio: float | None = None,
-                 dropped: int = 0):
+                 dropped: int = 0, q_coef: np.ndarray | None = None):
         self.__dict__.update(route=route, eig=eig, parts=parts, p=p, rinv=rinv,
-                             novelty_ratio=novelty_ratio, dropped=dropped)
-
-    def lift(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_rotate`` of ``[Q U] @ v`` for core eigenvectors v: E, E^T E."""
-        return _rotate(self.parts, self.coef(v))
+                             novelty_ratio=novelty_ratio, dropped=dropped, q_coef=q_coef)
 
     def coef(self, v: np.ndarray) -> np.ndarray:
         """The coefficients of the lift of v on the parts: v itself on the
         two-pass route, ``[v1 - P C; C]`` with ``C = R^-1 v2`` on the Gram
-        route."""
+        route, its top block ``W (v1 - P C)`` where Q is ``B W``."""
         if self.rinv is None:
             return v
         n = self.p.shape[0]
         c = self.rinv @ v[n:]
-        return np.concatenate([v[:n] - self.p @ c, c])
+        top = v[:n] - self.p @ c
+        return np.concatenate([top if self.q_coef is None else self.q_coef @ top, c])
 
 
 def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
@@ -534,12 +536,19 @@ def _common_dim(factor: LowRankFactor, data: WeightedData) -> int:
 
 def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     """``fast_eigh`` before its lift: the route taken and the core's
-    eigendecomposition, whose eigenvectors lift to R^m by ``_Core.lift``."""
+    eigendecomposition, the Gram route's (``_scaled_gram``, then
+    ``_svqr``) for a Z that is not empty and that route takes, else the
+    two-pass route's. Products that overflow on extreme data raise no
+    warning here; the checks name them."""
     m = _common_dim(factor, data)
     q, b, blocks = factor.Q, factor.B, (data.X, data.Y)
     w = _signs(data)
     _check_rank(m, q.shape[1], w.size)
-    core = _gram_core(b, (q, *blocks), _gram(q, b, blocks, w, factor.orthogonality or 0.0))
+    gram = None
+    if w.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = _svqr(b, *_scaled_gram(q, blocks), w, factor.orthogonality or 0.0)
+    core = _gram_core(b, (q, *blocks), gram)
     return _two_pass_core(q, b, blocks, w) if core is None else core
 
 
@@ -548,13 +557,14 @@ def _signs(data: WeightedData) -> np.ndarray:
     return np.array([1.0] * data.X.shape[1] + [-1.0] * data.Y.shape[1])
 
 
-def _gram_core(b, parts, gram) -> _Core | None:
-    """The Gram route's ``_Core`` on ``parts`` from ``gram``, the result of
-    ``_gram`` or ``_svqr`` for the core b, or None where that declined."""
+def _gram_core(b, parts, gram, q_coef=None) -> _Core | None:
+    """The Gram route's ``_Core`` on ``parts`` from ``gram``, ``_svqr``'s
+    result for the core b, or None where that declined; ``q_coef`` is W
+    where Q is ``B W`` and the leading parts are B's, else None."""
     if gram is None:
         return None
     p, rinv, bc, ratio = gram
-    return _Core("gram", _core_symmetric_eig(b, bc), parts, p, rinv, ratio)
+    return _Core("gram", _core_symmetric_eig(b, bc), parts, p, rinv, ratio, q_coef=q_coef)
 
 
 def _two_pass_core(q, b, blocks, w) -> _Core:
@@ -588,7 +598,7 @@ def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenF
         If n + nx + ny > m; use ``dense_fallback`` there instead.
     """
     core = _core_eig(factor, data)
-    return _lifted(alpha, *core.lift(core.eig.E), core.eig.D)
+    return _lifted(alpha, *_rotate(core.parts, core.coef(core.eig.E)), core.eig.D)
 
 
 def svd_route(alpha: float, x) -> EigenFactor:

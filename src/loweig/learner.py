@@ -15,31 +15,34 @@ B is the last compacted E, left where its compaction (or the caller) wrote
 it, followed by each later step's ``Z = [X Y]``, which a buffer of batch
 rows shared by the stream's snapshots holds, one column of B per row; G is
 B's measured Gram ``B^T B`` and W a b-by-r coefficient. A Gram-route step
-writes Z after the batch rows and sums the block Gram of ``[B Z]``, B's
-parts standing for Q, its one pass over the m rows. The Gram's ``B^T Z``
-and ``Z^T Z`` extend G and give ``P = W^T (B^T Z)`` for the core of
-``fast_eigh``; the kept core eigenvectors V give ``W' = [[W (V1 - P C)],
-[C]]`` with ``C = R^-1 V2``, and the check of E is ``||W'^T G' W' -
-I||_F``, all on b-sized arrays.
+writes Z after the batch rows and sums the block Gram of ``[B Z]``, its
+one pass over the m rows, and hands B's parts and W, with ``P = W^T (B^T
+Z)``, to the Gram route's one builder in ``fast_eigh``. The core it builds
+carries W, so its coefficients of the kept eigenvectors V on ``[B Z]`` are
+``W' = [[W (V1 - P C)], [C]]``, ``C = R^-1 V2``. What this module keeps
+is the buffer and the ``B W`` bookkeeping: the Gram's ``B^T Z`` and ``Z^T
+Z`` extend G, and the check of E is ``||W'^T G' W' - I||_F``, all on
+b-sized arrays.
 
 The step compacts instead, writing ``E = B' W'`` in one ``kernels._rotate``
-pass under the measured check of E, when the batch rows would outgrow
-``_DEFER_GROWTH - 1`` times the columns of the compacted E, or when the
-rounding bound of the deferred check passes ``_DEFER_ROUNDING`` of its
-tolerance; that E starts the next B, and no buffer holds a copy of it. A
-step off the Gram route (two-pass route, scaled data, dense fallback)
-compacts the previous snapshot by reading its ``eigen``, then runs as
-``fast_eigh`` or ``dense_fallback`` does and writes its E, the dense path
-by gathering the kept columns; where the Gram route declined on ``[B Z]``,
-the step goes straight to the two-pass route rather than try it again on
-``[E Z]``. The Gram route's guard reads the loss of orthogonality that the
-snapshot's last check measured, kept with it, so a batch near span(E) that
-would amplify that loss takes the two-pass route. A decay-only step
-touches no m-row data: it keeps B and takes W's kept columns. A deferred
-snapshot builds ``eigen`` on first read, by the compaction's pass and
-check, and caches it. A Gram-route step never reads it, so reading E
-changes neither that step's work nor any step's result. Every snapshot,
-whatever its path, is checked positive definite on alpha and the last d.
+pass, as ``fast_eigh`` lifts, under the measured check of E, when the batch
+rows would outgrow ``_DEFER_GROWTH - 1`` times the columns of the compacted
+E, or when the rounding bound of the deferred check passes
+``_DEFER_ROUNDING`` of its tolerance; that E starts the next B, and no
+buffer holds a copy of it. A step off the Gram route (two-pass route,
+scaled data, dense fallback) compacts the previous snapshot by reading its
+``eigen``, then runs as ``fast_eigh`` or ``dense_fallback`` does and writes
+its E, the dense path by gathering the kept columns; where the Gram route
+declined on ``[B Z]``, the step goes straight to the two-pass route rather
+than try it again on ``[E Z]``. The Gram route's guard reads the loss of
+orthogonality that the snapshot's last check measured, kept with it, so a
+batch near span(E) that would amplify that loss takes the two-pass route. A
+decay-only step touches no m-row data: it keeps B and takes W's kept
+columns. A deferred snapshot builds ``eigen`` on first read, by the
+compaction's pass and check, and caches it. A Gram-route step never reads
+it, so reading E changes neither that step's work nor any step's result.
+Every snapshot, whatever its path, is checked positive definite on alpha
+and the last d.
 """
 
 from __future__ import annotations
@@ -118,6 +121,8 @@ class LabeledBatch(_Record):
     def __init__(self, vectors: np.ndarray, weights: np.ndarray):
         vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
         weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1:
+            raise DimensionError(f"weights must be one-dimensional, got shape {weights.shape}")
         if vectors.shape[0] != weights.shape[0]:
             raise DimensionError(f"{vectors.shape[0]} vectors but {weights.shape[0]} weights")
         if weights.size and not np.all(np.isfinite(weights)):
@@ -390,17 +395,26 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
     """
     held, m = model._held, model.dim
     decayed_alpha = float(cfg.decay * held.alpha)
-    data = WeightedData.from_weighted(batch.vectors, cfg.gain * batch.weights, dim=m)
+    with np.errstate(over="ignore"):
+        weights = cfg.gain * batch.weights
+    try:
+        data = WeightedData.from_weighted(batch.vectors, weights, dim=m)
+    except ValueError as err:
+        # finite weights that the gain took past float64
+        if isinstance(err, DimensionError) or np.isfinite(weights).all() \
+                or not np.isfinite(batch.weights).all():
+            raise
+        raise ValueError("the scaled batch overflows float64") from None
     nx, ny = data.X.shape[1], data.Y.shape[1]
-    core = deferred = None
+    deferred = None
     if nx + ny and held.D.size + nx + ny <= m:
         deferred = _deferred_core(held, cfg.decay, data)
+    core, grown = deferred or (None, None)
 
+    path, alpha = "fast", decayed_alpha
     if nx + ny == 0:
-        path, alpha, d = "decay", decayed_alpha, cfg.decay * held.D
-    elif deferred is not None and deferred[0] is not None:
-        path, alpha, core = "fast", decayed_alpha, deferred[0]
-    else:
+        path, d = "decay", cfg.decay * held.D
+    elif core is None:
         # compact first, then decompose as fast_eigh or the dense path does
         prev = model.eigen
         decayed = _derived_factor(decayed_alpha, prev.E, np.diag(cfg.decay * prev.D), held.loss)
@@ -408,15 +422,12 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
             path = "dense"
             ef = dense_fallback(decayed_alpha, decayed, data)
             alpha, d, basis = ef.alpha, ef.D, ef.E
+        elif deferred is None:  # Z to be scaled: fast_eigh's own choice of route
+            core = _core_eig(decayed, data)
         else:
-            path, alpha = "fast", decayed_alpha
-            if deferred is None:  # Z to be scaled: fast_eigh's own choice of route
-                core = _core_eig(decayed, data)
-            else:
-                # the Gram route declined on [B Z]; on [E Z] its novelty
-                # ratio is the same up to rounding, so it is not tried again
-                core = _two_pass_core(prev.E, decayed.B, (data.X, data.Y), _signs(data))
-            deferred = None
+            # the Gram route declined on [B Z]; on [E Z] its novelty
+            # ratio is the same up to rounding, so it is not tried again
+            core = _two_pass_core(prev.E, decayed.B, (data.X, data.Y), _signs(data))
     if core is not None:
         d = core.eig.D
 
@@ -445,37 +456,29 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
         ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)
         return _model(_Rotation.of(ef), stats(None, True), ef)
     _check_descending(d)
-    v = core.eig.E[:, columns]
-    if deferred is None:
-        e, gram = core.lift(v)
-    else:
-        # W' = [[W (V1 - P C)], [C]] and G' = [[G, B^T Z], [Z^T B, Z^T Z]]
-        n, b, k, basis = held.D.size, held.coef.shape[0], nx + ny, deferred[1]
-        coef = core.coef(v)
-        coef = np.concatenate([held.coef @ coef[:n], coef[n:]])
-        if basis is not None:
-            gram = np.empty((b + k, b + k))
-            gram[:b, :b], gram[:b, b:] = held.gram, deferred[2]
-            gram[b:, :b], gram[b:, b:] = deferred[2].T, deferred[3]
-            orthogonality = _deferred_orthogonality(gram, coef)
-            if orthogonality is not None:
-                held = _unchecked(_Rotation, alpha, d, held.E0, basis, held.j + k, gram, coef,
-                                  orthogonality)
-                return _model(held, stats(orthogonality, False))
-        e, gram = _rotate(core.parts, coef)
+    coef = core.coef(core.eig.E[:, columns])
+    if grown is not None:
+        basis, gram = grown
+        orthogonality = _deferred_orthogonality(gram, coef)
+        if orthogonality is not None:
+            held = _unchecked(_Rotation, alpha, d, held.E0, basis, held.j + nx + ny, gram, coef,
+                              orthogonality)
+            return _model(held, stats(orthogonality, False))
+    e, gram = _rotate(core.parts, coef)
     ef = _lifted(alpha, e, gram.copy(), d)
     return _model(_Rotation.of(ef, gram), stats(ef.orthogonality, True), ef)
 
 
 def _deferred_core(held: _Rotation, decay: float, data: WeightedData):
-    """``(core, basis, B^T Z, Z^T Z)`` of a step on ``E = B W`` from the
-    block Gram of ``[B Z]``, with ``P = W^T (B^T Z)``: core is the Gram
-    route's, or None where that route declines, for such a step compacts
-    and takes the two-pass route. The result is None where ``fast_eigh``
-    would scale Z. When the batch rows have room for Z, Z is appended to
-    them first, and the core's parts are B's and that Z, read from the
-    returned basis. Else basis is None, the parts are B's, X and Y, and the
-    step compacts."""
+    """``(core, grown)`` of a step on ``E = B W`` from the block Gram of
+    ``[B Z]``, with ``P = W^T (B^T Z)``, or None where ``fast_eigh`` would
+    scale Z. core is the Gram route's, built by ``_gram_core`` with W as
+    Q's coefficient, or None where that route declines, for such a step
+    compacts and takes the two-pass route. When the batch rows have room for
+    Z, Z is appended to them first, the core's parts are B's and that Z,
+    read from the grown basis, and grown is that basis and its Gram
+    ``G' = [[G, B^T Z], [Z^T B, Z^T Z]]``. Else grown is None, the parts are
+    B's, X and Y, and the step compacts."""
     j, blocks = held.j, (data.X, data.Y)
     k = data.X.shape[1] + data.Y.shape[1]
     lead, basis = held.parts(), None
@@ -490,7 +493,14 @@ def _deferred_core(held: _Rotation, decay: float, data: WeightedData):
         if not _in_band(data.dim, zz, trace, norm):
             return None
         gram = _svqr(core_b, p, zz, trace, 1.0, norm, _signs(data), held.loss)
-    return _gram_core(core_b, (*lead, *blocks), gram), basis, qz, zz
+    core = _gram_core(core_b, (*lead, *blocks), gram, held.coef)
+    if core is None or basis is None:
+        return core, None
+    b = held.gram.shape[0]
+    grown = np.empty((b + k, b + k))
+    grown[:b, :b], grown[:b, b:] = held.gram, qz
+    grown[b:, :b], grown[b:, b:] = qz.T, zz
+    return core, (basis, grown)
 
 
 def _deferred_orthogonality(gram: np.ndarray, coef: np.ndarray) -> float | None:

@@ -546,6 +546,14 @@ class TestFromWeighted:
         with pytest.raises(ValueError, match="^weights must be finite$"):
             WeightedData.from_weighted(np.ones((3, 4)), [1.0, bad, -1.0])
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finite_vectors_whose_scaling_overflows_named(self, sign):
+        # 1e300 * sqrt(1e30) is past float64, though vector and weight are finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the scaled batch overflows float64$"):
+                WeightedData.from_weighted(1e300 * np.ones((1, 6)), [sign * 1e30])
+
     def test_non_finite_vector_with_zero_weight_dropped(self):
         vectors = np.ones((2, 4))
         vectors[0, 1] = np.nan

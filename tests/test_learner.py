@@ -4,6 +4,7 @@ import importlib
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -842,6 +843,19 @@ class TestRecords:
     def test_batch_needs_one_weight_per_vector(self):
         with pytest.raises(DimensionError, match="^2 vectors but 3 weights$"):
             LabeledBatch(np.ones((2, 4)), np.ones(3))
+
+    @pytest.mark.parametrize("weights", [1.0, np.ones((1, 1))])
+    def test_batch_weights_must_be_one_dimensional(self, weights):
+        with pytest.raises(DimensionError, match="^weights must be one-dimensional, got shape"):
+            LabeledBatch(np.ones((1, 5)), weights)
+
+    def test_gain_overflowing_finite_weights_named(self):
+        # every weight is finite; only the gain takes one past float64
+        batch = LabeledBatch(np.ones((2, 6)), [1e308, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the scaled batch overflows float64$"):
+                update(MetricModel.identity(6), batch, UpdateConfig(0.9, 10.0, 3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_batch_weights_must_be_finite(self, bad):

@@ -8,8 +8,11 @@ For every workload, pair i runs ``perfbench/run.py --trace 0`` once from each
 tree with seed ``--seed + i``, the parent first in even pairs and the child
 first in odd ones, one process at a time. ``BENCH_<label>.json`` (in
 ``--out``, the current directory by default) records each run's final JSON
-line, the numpy version and BLAS of the interpreter that ran them, the BLAS
-thread pins, nproc, and per workload and end-to-end metric: each side's
+line, each tree's commit (None outside a checkout) and the SHA-256 of the
+code it ran (``src_sha256``: each ``src/loweig/*.py`` in sorted order, its
+path relative to the tree, a NUL byte, then its bytes), the numpy version
+and BLAS of the interpreter that ran them, the BLAS thread pins, nproc,
+and per workload and end-to-end metric: each side's
 median, quartiles and 10%/90% quantiles, the count of pairs the child won
 (lower is better for every end-to-end metric; ties count for neither), the
 child/parent median ratio, the parent's interquartile spread relative to
@@ -30,6 +33,7 @@ Exits non-zero if a run fails or prints no JSON result.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -61,6 +65,15 @@ def commit(tree: Path) -> str | None:
     done = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
                           capture_output=True, text=True, check=False)
     return done.stdout.strip() or None
+
+
+def src_sha256(tree: Path) -> str:
+    """The module docstring's digest of the library code in ``tree``."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "loweig").glob("*.py")):
+        digest.update(path.relative_to(tree).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def side_summary(values: list[float]) -> dict:
@@ -134,6 +147,7 @@ def main(argv=None) -> int:
     record = {
         "label": args.label,
         "commits": {side: commit(tree) for side, tree in trees.items()},
+        "src_sha256": {side: src_sha256(tree) for side, tree in trees.items()},
         "numpy": np.__version__,
         "blas": blas_info(),
         "thread_pins": PINS,
