@@ -18,11 +18,11 @@ parts the lift multiplies and the coefficients of V on them (``_Core.coef``).
   (Stathopoulos & Wu 2002; CholeskyQR2, Fukaya et al. 2014, takes the
   Cholesky factor of S). U is never formed: with ``C = R^-1 V2`` the lift is
   ``Q (V1 - P C) + X C_x + Y C_y``, the second pass over the m-row data.
-  ``_gram_core`` builds this route's ``_Core``, for ``fast_eigh`` and for
-  the learner alike. The learner's Q is ``B W``, never formed: Q's parts
-  are then B's, P is ``W^T (B^T Z)``, and the core carries W, Q's
-  coefficient on those parts, so its lift coefficient on B is
-  ``W (V1 - P C)``.
+  ``_gram_route`` runs this route from the block Gram to its ``_Core``,
+  scaling and band test included, for ``fast_eigh`` and for the learner
+  alike. The learner's Q is ``B W``, never formed: Q's parts are then B's,
+  P is ``W^T (B^T Z)``, and the core carries W, Q's coefficient on those
+  parts, so its lift coefficient on B is ``W (V1 - P C)``.
 - The two-pass route: Z is projected out of span(Q) twice and the residual
   goes through a thin SVD, which drops directions at or below ``RANK_EPS``.
 
@@ -55,13 +55,16 @@ check                          where it runs        what supplies it
 Q finite and orthonormal       ``LowRankFactor``    ``_self_gram(Q)``
 B finite and symmetric         ``LowRankFactor``    a scan of B
 X, Y finite                    ``WeightedData``     a scan of X and Y
-Q, X, Y finite; Z's scale      ``_scaled_gram``     the Gram of ``[Q X Y]``
+Q's parts, X, Y finite; scale  ``_scaled_gram``     the Gram of ``[Q X Y]``
 E's loss from Q's <= tol / 2   ``_svqr`` (route)    Q's check, P and lam_min
 core finite (no overflow)      ``_core_eig``        ``symmetric_eig``'s scan
 E finite and orthonormal       ``_lifted``          ``_rotate``'s Gram of E
 E = ``B W`` orthonormal        ``learner.update``   ``W^T G W``, G of Grams
 dense matrix finite            ``_dense_matrix``    ``_finite_core``'s scan
 =============================  ===================  =========================
+
+The learner's Q is ``B W``, so there Q's parts are B's, and the Gram is
+that of ``[B X Y]``.
 
 ``_lifted`` builds the result of ``fast_eigh``, ``factor_to_eig`` and the
 learner's compactions (which also check their floored D). A learner step
@@ -430,48 +433,45 @@ _GRAM_LOW = 2.0 * _SAFE_LOW**2
 _GRAM_HIGH = _SAFE_HIGH**2 / 2.0
 
 
-def _in_band(m: int, zz: np.ndarray, trace: float, norm: float) -> bool:
-    """Whether a Gram over m rows with this ``Z^T Z``, its trace and the norm
-    of P keeps scale 1.0: a finite norm and a trace in the band above."""
-    return math.isfinite(norm) and m * zz.shape[0] * _GRAM_LOW <= trace <= _GRAM_HIGH
-
-
-def _scaled_gram(q, blocks):
-    """``(P, Z^T Z, trace, scale, norm)`` for ``Z = [blocks] / scale``,
-    ``P = Q^T Z``, the trace of ``Z^T Z``, ``scale = _safe_scale(*blocks)``,
-    an exact power of 2 that keeps the products from overflowing or going
-    subnormal, and ``norm = ||P||_F``.
+def _scaled_gram(lead, blocks, q_coef=None):
+    """``(L^T Z, P, Z^T Z, trace, scale, norm)`` for ``Z = [blocks] / scale``
+    and Q held as its leading parts ``L = [lead]``, or as ``L W`` for
+    ``q_coef`` W: ``P = Q^T Z`` (``W^T L^T Z``), the trace of ``Z^T Z``,
+    ``scale = _safe_scale(*blocks)``, an exact power of 2 that keeps the
+    products from overflowing or going subnormal, and ``norm = ||P||_F``.
 
     The unscaled Gram comes first, and its trace and the norm of P decide
     the scale: a finite norm and a trace in the band above give scale 1.0,
-    and then q and the blocks are finite (a non-finite entry of Z makes the
-    trace NaN or inf, one of q a norm of P that is). Any other input (zero,
-    extreme or non-finite) gets ``_as_matrix``'s scans, which raise its
-    message on a non-finite entry, and ``_safe_scale``; the Gram is redone
-    on the scaled blocks. The orthonormality of q was tested where its
-    factor was built; here P gives only the bound ``||Q^T Z||_F <= ||Z||_F``
-    for free. It runs under the caller's ``np.errstate``.
+    and then the parts are finite (a non-finite entry of Z makes the trace
+    NaN or inf, one of L a norm of P that is). Any other input (zero,
+    extreme or non-finite) gets scans of the parts, which name a non-finite
+    one, and ``_safe_scale``; the Gram is redone on the scaled blocks. The
+    orthonormality of Q was tested where it was built; here P gives only
+    the bound ``||Q^T Z||_F <= ||Z||_F`` for free. It runs under the
+    caller's ``np.errstate``.
     """
-    p, zz = _block_gram((q,), blocks)
-    trace = float(zz.trace())
-    norm = _norm(p)
-    if not _in_band(q.shape[0], zz, trace, norm):
-        q, blocks = _checked_blocks(q, blocks)
+    def gram(blocks):
+        lz, zz = _block_gram(lead, blocks)
+        return lz, lz if q_coef is None else q_coef.T @ lz, zz, float(zz.trace())
+
+    lz, p, zz, trace = gram(blocks)
+    norm, scale, m = _norm(p), 1.0, lead[0].shape[0]
+    if not (math.isfinite(norm) and m * zz.shape[0] * _GRAM_LOW <= trace <= _GRAM_HIGH):
+        for name, parts in (("q", lead), ("x", blocks)):
+            for a in parts:
+                _check_finite(a, name)
         scale = _safe_scale(*blocks)
         if scale != 1.0:
-            p, zz = _block_gram((q,), [x / scale for x in blocks])
-            trace = float(zz.trace())
+            lz, p, zz, trace = gram([x / scale for x in blocks])
         norm = _norm(p) if np.isfinite(p).all() else math.nan
-    else:
-        scale = 1.0
-    # An orthonormal q has ||Q^T Z||_F <= ||Z||_F (Bessel). A q scaled up in
-    # place after its factor was built breaks that, and by 1e50 or so the
-    # core overflows before the check of E could name q. By the band above,
-    # the norm of a finite P that overflows or underflows lands on the same
-    # side of the bound as the true one.
+    # An orthonormal Q has ||Q^T Z||_F <= ||Z||_F (Bessel). A Q scaled up in
+    # place after it was built breaks that, and by 1e50 or so the core
+    # overflows before the check of E could name Q. By the band above, the
+    # norm of a finite P that overflows or underflows lands on the same side
+    # of the bound as the true one.
     if not norm <= 2.0 * math.sqrt(trace):
         raise ValueError("q does not have orthonormal columns")
-    return p, zz, trace, scale, norm
+    return lz, p, zz, trace, scale, norm
 
 
 class _Core(_Record):
@@ -536,19 +536,15 @@ def _common_dim(factor: LowRankFactor, data: WeightedData) -> int:
 
 def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     """``fast_eigh`` before its lift: the route taken and the core's
-    eigendecomposition, the Gram route's (``_scaled_gram``, then
-    ``_svqr``) for a Z that is not empty and that route takes, else the
-    two-pass route's. Products that overflow on extreme data raise no
-    warning here; the checks name them."""
+    eigendecomposition, ``_gram_route``'s for a Z that is not empty and
+    that route takes, else the two-pass route's."""
     m = _common_dim(factor, data)
     q, b, blocks = factor.Q, factor.B, (data.X, data.Y)
     w = _signs(data)
     _check_rank(m, q.shape[1], w.size)
-    gram = None
+    core = None
     if w.size:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = _svqr(b, *_scaled_gram(q, blocks), w, factor.orthogonality or 0.0)
-    core = _gram_core(b, (q, *blocks), gram)
+        core, _ = _gram_route(b, (q,), blocks, w, factor.orthogonality or 0.0)
     return _two_pass_core(q, b, blocks, w) if core is None else core
 
 
@@ -557,14 +553,23 @@ def _signs(data: WeightedData) -> np.ndarray:
     return np.array([1.0] * data.X.shape[1] + [-1.0] * data.Y.shape[1])
 
 
-def _gram_core(b, parts, gram, q_coef=None) -> _Core | None:
-    """The Gram route's ``_Core`` on ``parts`` from ``gram``, ``_svqr``'s
-    result for the core b, or None where that declined; ``q_coef`` is W
-    where Q is ``B W`` and the leading parts are B's, else None."""
+def _gram_route(b, lead, blocks, w, loss, q_coef=None):
+    """``(core, grams)`` of the Gram route for the core b, Q held as in
+    ``_scaled_gram``, Z as ``[blocks]`` with signs w and Q's loss of
+    orthogonality ``loss``: core is the route's ``_Core`` on the parts
+    ``[lead blocks]`` and grams is ``(L^T Z, Z^T Z)`` as summed, or None
+    where Z was scaled; ``(None, None)`` where ``_svqr`` declines. Products
+    that overflow on extreme data raise no warning here; the checks name
+    them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lz, p, zz, trace, scale, norm = _scaled_gram(lead, blocks, q_coef)
+        gram = _svqr(b, p, zz, trace, scale, norm, w, loss)
     if gram is None:
-        return None
+        return None, None
     p, rinv, bc, ratio = gram
-    return _Core("gram", _core_symmetric_eig(b, bc), parts, p, rinv, ratio, q_coef=q_coef)
+    core = _Core("gram", _core_symmetric_eig(b, bc), (*lead, *blocks), p, rinv, ratio,
+                 q_coef=q_coef)
+    return core, (lz, zz) if scale == 1.0 else None
 
 
 def _two_pass_core(q, b, blocks, w) -> _Core:

@@ -15,30 +15,32 @@ B is the last compacted E, left where its compaction (or the caller) wrote
 it, followed by each later step's ``Z = [X Y]``, which a buffer of batch
 rows shared by the stream's snapshots holds, one column of B per row; G is
 B's measured Gram ``B^T B`` and W a b-by-r coefficient. A Gram-route step
-writes Z after the batch rows and sums the block Gram of ``[B Z]``, its
-one pass over the m rows, and hands B's parts and W, with ``P = W^T (B^T
-Z)``, to the Gram route's one builder in ``fast_eigh``. The core it builds
-carries W, so its coefficients of the kept eigenvectors V on ``[B Z]`` are
-``W' = [[W (V1 - P C)], [C]]``, ``C = R^-1 V2``. What this module keeps
-is the buffer and the ``B W`` bookkeeping: the Gram's ``B^T Z`` and ``Z^T
-Z`` extend G, and the check of E is ``||W'^T G' W' - I||_F``, all on
-b-sized arrays.
+writes Z after the batch rows and hands B's parts, that Z and W to
+``fast_eigh._gram_route``, the one code of the Gram route, as
+``fast_eigh`` hands it Q, X and Y: it sums the block Gram of ``[B Z]``,
+the step's one pass over the m rows, forms ``P = W^T (B^T Z)``, scales Z
+where its Gram leaves the safe band, and builds the core. The core carries
+W, so its coefficients of the kept eigenvectors V on ``[B Z]`` are ``W' =
+[[W (V1 - P C)], [C]]``, ``C = R^-1 V2``. What this module keeps is the
+buffer and the ``B W`` bookkeeping: the Gram's ``B^T Z`` and ``Z^T Z``,
+returned where Z was not scaled, extend G, and the check of E is
+``||W'^T G' W' - I||_F``, all on b-sized arrays.
 
 The step compacts instead, writing ``E = B' W'`` in one ``kernels._rotate``
 pass, as ``fast_eigh`` lifts, under the measured check of E, when the batch
 rows would outgrow ``_DEFER_GROWTH - 1`` times the columns of the compacted
-E, or when the rounding bound of the deferred check passes
-``_DEFER_ROUNDING`` of its tolerance; that E starts the next B, and no
-buffer holds a copy of it. A step off the Gram route (two-pass route,
-scaled data, dense fallback) compacts the previous snapshot by reading its
-``eigen``, then runs as ``fast_eigh`` or ``dense_fallback`` does and writes
-its E, the dense path by gathering the kept columns; where the Gram route
-declined on ``[B Z]``, the step goes straight to the two-pass route rather
-than try it again on ``[E Z]``. The Gram route's guard reads the loss of
-orthogonality that the snapshot's last check measured, kept with it, so a
-batch near span(E) that would amplify that loss takes the two-pass route. A
-decay-only step touches no m-row data: it keeps B and takes W's kept
-columns. A deferred snapshot builds ``eigen`` on first read, by the
+E, when Z was scaled, or when the rounding bound of the deferred check
+passes ``_DEFER_ROUNDING`` of its tolerance; that E starts the next B, and
+no buffer holds a copy of it. A step off the Gram route (two-pass route,
+dense fallback) compacts the previous snapshot by reading its ``eigen``,
+then runs as ``fast_eigh``'s two-pass route or ``dense_fallback`` does and
+writes its E, the dense path by gathering the kept columns; where the Gram
+route declined on ``[B Z]``, the step goes straight to the two-pass route
+rather than try it again on ``[E Z]``. The Gram route's guard reads the
+loss of orthogonality that the snapshot's last check measured, kept with
+it, so a batch near span(E) that would amplify that loss takes the two-pass
+route. A decay-only step touches no m-row data: it keeps B and takes W's
+kept columns. A deferred snapshot builds ``eigen`` on first read, by the
 compaction's pass and check, and caches it. A Gram-route step never reads
 it, so reading E changes neither that step's work nor any step's result.
 Every snapshot, whatever its path, is checked positive definite on alpha
@@ -59,13 +61,10 @@ from .fast_eigh import (
     LowRankFactor,
     WeightedData,
     _check_descending,
-    _core_eig,
     _derived_factor,
-    _gram_core,
-    _in_band,
+    _gram_route,
     _lifted,
     _signs,
-    _svqr,
     _two_pass_core,
     dense_fallback,
     factor_to_eig,
@@ -74,7 +73,6 @@ from .kernels import (
     _Record,
     _ValueRecord,
     _aligned_empty,
-    _block_gram,
     _norm,
     _orthonormal_tolerance,
     _rotate,
@@ -406,29 +404,23 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
             raise
         raise ValueError("the scaled batch overflows float64") from None
     nx, ny = data.X.shape[1], data.Y.shape[1]
-    deferred = None
-    if nx + ny and held.D.size + nx + ny <= m:
-        deferred = _deferred_core(held, cfg.decay, data)
-    core, grown = deferred or (None, None)
-
-    path, alpha = "fast", decayed_alpha
+    path, alpha, core, grown = "fast", decayed_alpha, None, None
     if nx + ny == 0:
         path, d = "decay", cfg.decay * held.D
-    elif core is None:
-        # compact first, then decompose as fast_eigh or the dense path does
-        prev = model.eigen
+    elif held.D.size + nx + ny > m:
+        # compact first, then decompose as the dense path does
+        path, prev = "dense", model.eigen
         decayed = _derived_factor(decayed_alpha, prev.E, np.diag(cfg.decay * prev.D), held.loss)
-        if prev.rank + nx + ny > m:
-            path = "dense"
-            ef = dense_fallback(decayed_alpha, decayed, data)
-            alpha, d, basis = ef.alpha, ef.D, ef.E
-        elif deferred is None:  # Z to be scaled: fast_eigh's own choice of route
-            core = _core_eig(decayed, data)
-        else:
-            # the Gram route declined on [B Z]; on [E Z] its novelty
-            # ratio is the same up to rounding, so it is not tried again
-            core = _two_pass_core(prev.E, decayed.B, (data.X, data.Y), _signs(data))
-    if core is not None:
+        ef = dense_fallback(decayed_alpha, decayed, data)
+        alpha, d, basis = ef.alpha, ef.D, ef.E
+    else:
+        core, grown = _deferred_core(held, cfg.decay, data)
+        if core is None:
+            # the Gram route declined on [B Z]; on [E Z] its novelty ratio is
+            # the same up to rounding, so the step compacts and goes straight
+            # to the two-pass route
+            core = _two_pass_core(model.eigen.E, np.diag(cfg.decay * held.D),
+                                  (data.X, data.Y), _signs(data))
         d = core.eig.D
 
     floor = cfg.floor if cfg.floor is not None else 1e-12 * decayed_alpha
@@ -470,36 +462,27 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
 
 
 def _deferred_core(held: _Rotation, decay: float, data: WeightedData):
-    """``(core, grown)`` of a step on ``E = B W`` from the block Gram of
-    ``[B Z]``, with ``P = W^T (B^T Z)``, or None where ``fast_eigh`` would
-    scale Z. core is the Gram route's, built by ``_gram_core`` with W as
-    Q's coefficient, or None where that route declines, for such a step
-    compacts and takes the two-pass route. When the batch rows have room for
-    Z, Z is appended to them first, the core's parts are B's and that Z,
-    read from the grown basis, and grown is that basis and its Gram
-    ``G' = [[G, B^T Z], [Z^T B, Z^T Z]]``. Else grown is None, the parts are
-    B's, X and Y, and the step compacts."""
+    """``(core, grown)`` of a step on ``E = B W``: core is ``_gram_route``'s
+    on B's parts and Z with W as Q's coefficient, or None where that route
+    declines, for such a step compacts and takes the two-pass route. When
+    the batch rows have room for Z, Z is appended to them first and the
+    core's last part is that Z, read from the grown basis; grown is then
+    that basis and its Gram ``G' = [[G, B^T Z], [Z^T B, Z^T Z]]``, unless Z
+    was scaled. Else grown is None, and the step compacts on ``[B Z]``."""
     j, blocks = held.j, (data.X, data.Y)
     k = data.X.shape[1] + data.Y.shape[1]
     lead, basis = held.parts(), None
     if j + k <= (_DEFER_GROWTH - 1) * held.E0.shape[1]:
         basis = _appended(held, blocks)
         blocks = (basis.rows[j:j + k].T,)
-    core_b = np.diag(decay * held.D)
-    with np.errstate(over="ignore", invalid="ignore"):
-        qz, zz = _block_gram(lead, blocks)
-        p = held.coef.T @ qz
-        trace, norm = float(zz.trace()), _norm(p)
-        if not _in_band(data.dim, zz, trace, norm):
-            return None
-        gram = _svqr(core_b, p, zz, trace, 1.0, norm, _signs(data), held.loss)
-    core = _gram_core(core_b, (*lead, *blocks), gram, held.coef)
-    if core is None or basis is None:
+    core, grams = _gram_route(np.diag(decay * held.D), lead, blocks, _signs(data), held.loss,
+                              held.coef)
+    if basis is None or grams is None:
         return core, None
-    b = held.gram.shape[0]
+    (bz, zz), b = grams, held.gram.shape[0]
     grown = np.empty((b + k, b + k))
-    grown[:b, :b], grown[:b, b:] = held.gram, qz
-    grown[b:, :b], grown[b:, b:] = qz.T, zz
+    grown[:b, :b], grown[:b, b:] = held.gram, bz
+    grown[b:, :b], grown[b:, b:] = bz.T, zz
     return core, (basis, grown)
 
 

@@ -625,8 +625,50 @@ class TestDeferredRotation:
         out = update(model, batch, cfg)
         assert (out.stats.route, out.stats.compacted) == ("gram", True)
         assert (out.stats.tau, out.stats.floored, out.rank) == (tau, count, ef.rank)
-        assert_allclose(out.eigen.alpha + out.eigen.D, ef.alpha + ef.D, rtol=1e-12, atol=0)
-        assert_allclose(out.eigen.E, ef.E, rtol=0, atol=1e-12)
+        lam, ref = out.eigen.alpha + out.eigen.D, ef.alpha + ef.D
+        top = float(np.max(np.abs(ref)))
+        assert_allclose(lam, ref, rtol=0, atol=1e-12 * top)
+        # eigenvectors are compared only where their eigenvalue stands apart:
+        # at 1e+100 the floor lifts columns 1-5 to one value, and which
+        # directions of that eigenspace truncation keeps is set by rounding
+        gaps = np.abs(ref[:, None] - ref) + np.diag(np.full(ref.size, np.inf))
+        apart = gaps.min(axis=1) > 1e-6 * top
+        assert apart.tolist() == [True] + [scale < 1.0] * (ef.rank - 1)
+        e, f = out.eigen.E[:, apart], ef.E[:, apart]
+        assert_allclose(e * np.sign(np.sum(e * f, axis=0)), f, rtol=0, atol=1e-12)
+        assert scaled_step_residual(model, batch, cfg, out) <= 1.0
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_extreme_scale_stream_keeps_its_invariants(self, scale):
+        # every batch is scaled, so every Gram-route step compacts on [B Z]
+        cfg = UpdateConfig(decay=0.9, gain=0.5, rank_cap=6, floor=1e-3 * scale**2)
+        model, routes = MetricModel.identity(self.m, scale**2), set()
+        for batch in gaussian_stream(71, self.m, 60, count=3):
+            batch = LabeledBatch(scale * batch.vectors, batch.weights)
+            out = update(model, batch, cfg)
+            routes.add((out.stats.route, out.stats.compacted))
+            e, tol = out.eigen.E, kernels._orthonormal_tolerance(out.rank)
+            assert np.linalg.norm(e.T @ e - np.eye(out.rank)) <= tol
+            assert scaled_step_residual(model, batch, cfg, out) <= 1.0
+            model = out
+        assert ("gram", True) in routes and ("gram", False) not in routes
+
+
+def scaled_step_residual(prev, batch, cfg, new):
+    """``step_residual`` of the step divided through by ``s**2``, the batch
+    by s, s the power of 2 nearest the square root of the new largest
+    eigenvalue, so that neither its products nor its norms leave the normal
+    range at extreme data scales."""
+    top = new.eigen.alpha + max(float(new.eigen.D.max(initial=0.0)), 0.0)
+    s = 2.0 ** round(math.log2(top) / 2)
+
+    def shrunk(model):
+        ef = model.eigen
+        return MetricModel(EigenFactor(ef.alpha / s**2, ef.E, ef.D / s**2))
+
+    shrunk_batch = LabeledBatch(batch.vectors / s, batch.weights)
+    shrunk_cfg = UpdateConfig(cfg.decay, cfg.gain, cfg.rank_cap, cfg.floor / s**2)
+    return step_residual(shrunk(prev), shrunk_batch, shrunk_cfg, shrunk(new))
 
 
 def step_residual(prev, batch, cfg, new):

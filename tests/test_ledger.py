@@ -1,6 +1,6 @@
 """Fixed-cost ledger: the calls one warm ``fast_eigh`` and one ``update`` make.
 
-For four cases it counts the Python-level calls into loweig (through
+For five cases it counts the Python-level calls into loweig (through
 ``sys.setprofile``), the LAPACK calls ``np.linalg.eigh`` and
 ``np.linalg.svd``, and the calls of the m-row kernels, wrapped wherever a
 loweig module binds them. Each count is pinned at most at its value in
@@ -36,6 +36,8 @@ LEDGER = {
     "feigh (64; 32, 4, 4)": {"python": 67, "eigh": 2, "svd": 0, "_self_gram": 2,
                              "_block_gram": 1, "_rotate": 1},
     "deferred update": {"python": 61, "eigh": 2, "svd": 0, "_block_gram": 1},
+    "scaled update": {"python": 91, "eigh": 2, "svd": 0, "_block_gram": 2, "_rotate": 1,
+                      "_self_gram": 1},
     "compacting update": {"python": 70, "eigh": 2, "svd": 0, "_block_gram": 1,
                           "_rotate": 1, "_self_gram": 1},
 }
@@ -110,14 +112,23 @@ def test_learner_steps(monkeypatch):
         vectors += 0.1 * rng.standard_normal(vectors.shape)
         return LabeledBatch(vectors, np.repeat([1.0, -1.0], per_class))
 
-    model = MetricModel.identity(m, 1.0)
-    while model.rank < cfg.rank_cap or model._held.j == 0:
-        model = update(model, batch(), cfg)
+    parent = MetricModel.identity(m, 1.0)
+    while parent.rank < cfg.rank_cap or parent._held.j == 0:
+        parent = update(parent, batch(), cfg)
     # a step on a B that holds batch rows appends to them, and holds E as B W ...
     step = batch()
-    model, counts = ledger(monkeypatch, lambda: update(model, step, cfg))
+    model, counts = ledger(monkeypatch, lambda: update(parent, step, cfg))
     assert (model.stats.route, model.stats.compacted) == ("gram", False)
     check("deferred update", counts)
+    monkeypatch.undo()
+    # ... a batch that the Gram route scales also runs on B W, and compacts
+    # on [B Z] without reading the snapshot's E ...
+    step = batch()
+    step = LabeledBatch(1e100 * step.vectors, step.weights)
+    scaled, counts = ledger(monkeypatch, lambda: update(parent, step, cfg))
+    assert (scaled.stats.route, scaled.stats.compacted) == ("gram", True)
+    assert "eigen" not in vars(parent)
+    check("scaled update", counts)
     monkeypatch.undo()
     # ... until B would pass twice the columns of the compacted E
     while model._held.j + 2 * per_class <= model._held.E0.shape[1]:

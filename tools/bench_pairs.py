@@ -26,8 +26,13 @@ states it (a share of the parent's median), and a verdict, the first of:
   below the parent's by more than the parent's interquartile range;
 - ``same``: none of these.
 
-A metric without a bound is judged by the last two rules only.
-Exits non-zero if a run fails or prints no JSON result.
+A metric without a bound is judged by the last two rules only. Each
+workload also records each side's failed share: its runs' failed
+operations over their attempted ones.
+
+Exits non-zero if a run fails or prints no JSON result, and, after writing
+the file, if any run reports a failed check (``correct`` false) or a failed
+operation, so that no record of wrong outputs passes as a clean one.
 """
 
 from __future__ import annotations
@@ -74,6 +79,12 @@ def src_sha256(tree: Path) -> str:
         digest.update(path.relative_to(tree).as_posix().encode() + b"\0")
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def failed_share(runs: list[dict], side: str) -> float:
+    """One side's failed operations over its attempted ones, in all runs."""
+    attempted = sum(pair[side]["attempted"] for pair in runs)
+    return sum(pair[side]["failed"] for pair in runs) / max(attempted, 1)
 
 
 def side_summary(values: list[float]) -> dict:
@@ -166,10 +177,20 @@ def main(argv=None) -> int:
                 pair[side] = run_once(trees[side], workload, seed, args.seconds)
                 print(f"{workload} pair {i} {side}: {json.dumps(pair[side])}", flush=True)
             runs.append(pair)
-        record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, bounds)}
+        record["workloads"][workload] = {
+            "runs": runs,
+            "failed_share": {side: failed_share(runs, side) for side in trees},
+            "summary": summarize(runs, bounds),
+        }
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")
+    bad = [f"{workload} seed {pair['seed']} {side}"
+           for workload, entry in record["workloads"].items() for pair in entry["runs"]
+           for side in trees if pair[side]["correct"] is not True or pair[side]["failed"]]
+    if bad:
+        print("runs with a failed check or operation: " + ", ".join(bad), file=sys.stderr)
+        return 1
     return 0
 
 
