@@ -55,6 +55,7 @@ check                          where it runs        what supplies it
 Q finite and orthonormal       ``LowRankFactor``    ``_self_gram(Q)``
 B finite and symmetric         ``LowRankFactor``    a scan of B
 X, Y finite                    ``WeightedData``     a scan of X and Y
+deferred batch's Z finite      ``learner.update``   the Gram of ``[B Z]``
 Q's parts, X, Y finite; scale  ``_scaled_gram``     the Gram of ``[Q X Y]``
 E's loss from Q's <= tol / 2   ``_svqr`` (route)    Q's check, P and lam_min
 core finite (no overflow)      ``_core_eig``        ``symmetric_eig``'s scan
@@ -204,30 +205,25 @@ class WeightedData(_Record):
         count of an empty batch; vectors of any other length raise
         ``DimensionError``.
 
-        Each of X and Y is written in C order by one product, see
-        ``_weighted_columns``; a non-finite vector leaves non-finite entries,
-        which the check of X or Y rejects. Finite vectors whose products
-        with the weights' square roots overflow raise ``ValueError`` naming
-        the overflow.
+        X and Y are written in C order, each column by ``_signed_rows``; a
+        non-finite vector leaves non-finite entries, which the check of X or
+        Y rejects. Finite vectors whose products with the weights' square
+        roots overflow raise ``ValueError`` naming the overflow.
         """
-        w = np.asarray(weights, dtype=float)
-        arr = np.asarray(vectors, dtype=float)
-        if arr.size == 0:
-            if dim is None:
-                raise DimensionError("dim is required for an empty batch")
-            arr = arr.reshape(0, dim)
-        if arr.ndim != 2 or w.ndim != 1 or arr.shape[0] != w.shape[0]:
-            raise DimensionError("vectors must be (count, m) matching weights (count,)")
-        if dim is not None and arr.shape[1] != dim:
-            raise DimensionError(f"vectors have length {arr.shape[1]}, dim is {dim}")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-        pos = w > 0.0
-        neg = w < 0.0
+        return cls._of(_signed_pairs(vectors, weights, dim))
+
+    @classmethod
+    def _of(cls, pairs) -> "WeightedData":
+        """The batch of ``_signed_pairs``, checked as ``from_weighted`` says."""
+        vectors, kept, nx = pairs
+        m = vectors.shape[1]
+        x, y = np.empty((m, nx)), np.empty((m, len(kept) - nx))
+        with np.errstate(over="ignore"):
+            _signed_rows(pairs, [*x.T, *y.T])
         try:
-            return cls(_weighted_columns(arr[pos], w[pos]), _weighted_columns(arr[neg], -w[neg]))
+            return cls(x, y)
         except ValueError:
-            if not np.isfinite(arr[pos | neg]).all():
+            if not np.isfinite(vectors[[i for i, _ in kept]]).all():
                 raise
             raise ValueError("the scaled batch overflows float64") from None
 
@@ -240,17 +236,51 @@ class WeightedData(_Record):
         return self.X.shape[0]
 
 
-def _weighted_columns(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``(rows * sqrt(w)[:, None]).T`` in C order, as ``rows.T @ diag(sqrt(w))``.
-
-    BLAS reads the rows transposed, so no transposing copy is made. Every
-    entry is ``rows[i, j] * sqrt(w[i])`` plus exact zeros, the elementwise
-    product. A non-finite row still gives non-finite entries (``inf * 0``
-    spreads NaN along its row of the result), which the caller's check
-    names, so the product raises no warning.
+def _signed_pairs(vectors, weights, dim: int | None, gain: float = 1.0):
+    """``(vectors, kept, nx)`` of a batch whose weights are scaled by gain:
+    the vectors as a float matrix, ``(i, sqrt(|w_i|))`` for each nonzero
+    scaled weight ``w_i``, positive ones first and then negative ones, each
+    in input order, and the count of positive ones. Raises as
+    ``from_weighted`` says; a finite weight that the gain takes past float64
+    raises ``ValueError`` naming the overflow. The weights are scaled as
+    Python floats, which overflow without a warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return rows.T @ np.diag(np.sqrt(w))
+    w = np.asarray(weights, dtype=float)
+    arr = np.asarray(vectors, dtype=float)
+    if arr.size == 0:
+        if dim is None:
+            raise DimensionError("dim is required for an empty batch")
+        arr = arr.reshape(0, dim)
+    if arr.ndim != 2 or w.ndim != 1 or arr.shape[0] != w.shape[0]:
+        raise DimensionError("vectors must be (count, m) matching weights (count,)")
+    if dim is not None and arr.shape[1] != dim:
+        raise DimensionError(f"vectors have length {arr.shape[1]}, dim is {dim}")
+    given, gain, kept, negative = w.tolist(), float(gain), [], []
+    for i, v in enumerate(given):
+        v *= gain
+        if not math.isfinite(v):
+            break
+        if v > 0.0:
+            kept.append((i, math.sqrt(v)))
+        elif v < 0.0:
+            negative.append((i, math.sqrt(-v)))
+    else:
+        return arr, kept + negative, len(kept)
+    if all(map(math.isfinite, given)):
+        raise ValueError("the scaled batch overflows float64")
+    raise ValueError("weights must be finite")
+
+
+def _signed_rows(pairs, rows) -> None:
+    """Write the signed rows ``sqrt(|w_i|) x_i`` of ``_signed_pairs`` into
+    ``rows``, one vector each, in its order: each entry is the one product
+    ``x_ij * sqrt(|w_i|)``. A non-finite vector leaves non-finite entries
+    and a product that overflows is inf, silently under the caller's
+    ``np.errstate``; the caller's check names them.
+    """
+    vectors, kept, _ = pairs
+    for (i, root), row in zip(kept, rows):
+        np.multiply(vectors[i], root, out=row)
 
 
 class EigenFactor(_Record):
@@ -410,17 +440,18 @@ def _svqr(b, p, zz, trace, scale, norm, w, loss):
     ``ratio = sigma_min(R) / ||Z||_F`` is below ``GRAM_MIN_RATIO``, or when
     the lift could amplify ``loss`` past half the check's tolerance."""
     lam, v = np.linalg.eigh(zz - p.T @ p)
+    low = float(lam[0])
     # a product, not lam_min / trace, which is 0 / 0 for a zero Z
-    if not (trace > 0.0 and lam[0] >= GRAM_MIN_RATIO**2 * trace):
+    if not (trace > 0.0 and low >= GRAM_MIN_RATIO**2 * trace):
         return None
     # E^T E - I = W^T (Q^T Q - I) W with ||W||_2^2 <= 1 + ||P||_F^2 / lam_min
-    if loss * (1.0 + norm * norm / float(lam[0])) > 0.5 * _orthonormal_tolerance(sum(p.shape)):
+    if loss * (1.0 + norm * norm / low) > 0.5 * _orthonormal_tolerance(sum(p.shape)):
         return None
     sigma = np.sqrt(lam)
     if scale != 1.0:
         p, sigma = p * scale, sigma * scale
     core = _signed_core(b, p, sigma[:, None] * v.T, w)
-    return p, v / sigma, core, math.sqrt(lam[0] / trace)
+    return p, v / sigma, core, math.sqrt(low / trace)
 
 
 # _scaled_gram keeps the unscaled Gram when the trace t of the k-by-k Z^T Z
@@ -496,13 +527,19 @@ class _Core(_Record):
     def coef(self, v: np.ndarray) -> np.ndarray:
         """The coefficients of the lift of v on the parts: v itself on the
         two-pass route, ``[v1 - P C; C]`` with ``C = R^-1 v2`` on the Gram
-        route, its top block ``W (v1 - P C)`` where Q is ``B W``."""
+        route, its top block ``W (v1 - P C)`` where Q is ``B W``, written
+        into one array."""
         if self.rinv is None:
             return v
-        n = self.p.shape[0]
-        c = self.rinv @ v[n:]
-        top = v[:n] - self.p @ c
-        return np.concatenate([top if self.q_coef is None else self.q_coef @ top, c])
+        n, q_coef = self.p.shape[0], self.q_coef
+        top = n if q_coef is None else q_coef.shape[0]
+        out = np.empty((top + self.rinv.shape[0], v.shape[1]))
+        c = np.matmul(self.rinv, v[n:], out=out[top:])
+        if q_coef is None:
+            np.subtract(v[:n], self.p @ c, out=out[:n])
+        else:
+            np.matmul(q_coef, v[:n] - self.p @ c, out=out[:top])
+        return out
 
 
 def factor_to_eig(alpha: float, q_a, b_a) -> EigenFactor:
@@ -540,17 +577,18 @@ def _core_eig(factor: LowRankFactor, data: WeightedData) -> _Core:
     that route takes, else the two-pass route's."""
     m = _common_dim(factor, data)
     q, b, blocks = factor.Q, factor.B, (data.X, data.Y)
-    w = _signs(data)
+    w = _signs(data.X.shape[1], data.Y.shape[1])
     _check_rank(m, q.shape[1], w.size)
     core = None
     if w.size:
-        core, _ = _gram_route(b, (q,), blocks, w, factor.orthogonality or 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            core, _ = _gram_route(b, (q,), blocks, w, factor.orthogonality or 0.0)
     return _two_pass_core(q, b, blocks, w) if core is None else core
 
 
-def _signs(data: WeightedData) -> np.ndarray:
-    """The +-1 signs of the columns of ``Z = [X Y]``."""
-    return np.array([1.0] * data.X.shape[1] + [-1.0] * data.Y.shape[1])
+def _signs(nx: int, ny: int) -> np.ndarray:
+    """The +-1 signs of the columns of ``Z = [X Y]``, X's nx and Y's ny."""
+    return np.array([1.0] * nx + [-1.0] * ny)
 
 
 def _gram_route(b, lead, blocks, w, loss, q_coef=None):
@@ -559,11 +597,11 @@ def _gram_route(b, lead, blocks, w, loss, q_coef=None):
     orthogonality ``loss``: core is the route's ``_Core`` on the parts
     ``[lead blocks]`` and grams is ``(L^T Z, Z^T Z)`` as summed, or None
     where Z was scaled; ``(None, None)`` where ``_svqr`` declines. Products
-    that overflow on extreme data raise no warning here; the checks name
+    that overflow on extreme data are silent under the caller's
+    ``np.errstate``, ``over`` and ``invalid`` ignored; the checks name
     them."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        lz, p, zz, trace, scale, norm = _scaled_gram(lead, blocks, q_coef)
-        gram = _svqr(b, p, zz, trace, scale, norm, w, loss)
+    lz, p, zz, trace, scale, norm = _scaled_gram(lead, blocks, q_coef)
+    gram = _svqr(b, p, zz, trace, scale, norm, w, loss)
     if gram is None:
         return None, None
     p, rinv, bc, ratio = gram

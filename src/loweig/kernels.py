@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -275,7 +276,7 @@ def _pairwise_gram(parts, lead):
     """``_block_gram`` as one product per row block and pair of parts: each
     of the first ``lead`` parts (Q's) with each later part, and each later
     part with itself and every part after it."""
-    ends = np.cumsum([x.shape[1] for x in parts]).tolist()
+    ends = [*accumulate([x.shape[1] for x in parts])]
     spans = [*map(slice, [0, *ends[:-1]], ends)]
     n = spans[lead].start
     g = np.zeros((ends[-1], ends[-1] - n))

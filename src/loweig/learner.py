@@ -14,12 +14,19 @@ low-rank modifications of the thin singular value decomposition", LAA 415):
 B is the last compacted E, left where its compaction (or the caller) wrote
 it, followed by each later step's ``Z = [X Y]``, which a buffer of batch
 rows shared by the stream's snapshots holds, one column of B per row; G is
-B's measured Gram ``B^T B`` and W a b-by-r coefficient. A Gram-route step
-writes Z after the batch rows and hands B's parts, that Z and W to
+B's measured Gram ``B^T B`` and W a b-by-r coefficient. A batch enters B
+once: where the batch rows have room for it, a fast step writes each kept
+vector's signed row ``sqrt(gain |w_i|) x_i`` straight into the buffer
+after them, those of positive weight first, then those of negative
+weight, each in input order, which is ``[X Y]^T`` of ``WeightedData``
+entry for entry. It hands B's parts, that Z and W to
 ``fast_eigh._gram_route``, the one code of the Gram route, as
 ``fast_eigh`` hands it Q, X and Y: it sums the block Gram of ``[B Z]``,
-the step's one pass over the m rows, forms ``P = W^T (B^T Z)``, scales Z
-where its Gram leaves the safe band, and builds the core. The core carries
+the step's one pass over the m rows, which is also the test that Z is
+finite, forms ``P = W^T (B^T Z)``, scales Z where its Gram leaves the safe
+band, and builds the core. A step that reads X and Y instead (no room
+left, the two-pass route after a decline, the dense path) builds them
+from the same signed rows, in C order. The core carries
 W, so its coefficients of the kept eigenvectors V on ``[B Z]`` are ``W' =
 [[W (V1 - P C)], [C]]``, ``C = R^-1 V2``. What this module keeps is the
 buffer and the ``B W`` bookkeeping: the Gram's ``B^T Z`` and ``Z^T Z``,
@@ -64,6 +71,8 @@ from .fast_eigh import (
     _derived_factor,
     _gram_route,
     _lifted,
+    _signed_pairs,
+    _signed_rows,
     _signs,
     _two_pass_core,
     dense_fallback,
@@ -123,7 +132,7 @@ class LabeledBatch(_Record):
             raise DimensionError(f"weights must be one-dimensional, got shape {weights.shape}")
         if vectors.shape[0] != weights.shape[0]:
             raise DimensionError(f"{vectors.shape[0]} vectors but {weights.shape[0]} weights")
-        if weights.size and not np.all(np.isfinite(weights)):
+        if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
         self.__dict__.update(vectors=vectors, weights=weights)
 
@@ -202,7 +211,10 @@ class _Basis:
     snapshot's B is that E followed by ``rows[:j].T``. The first update of a
     snapshot to ``claim`` row j appends its batch there in place; any other
     copies the j rows into a fresh buffer first, so no snapshot's B ever
-    changes. ``dict.setdefault`` makes a claim atomic.
+    changes. ``dict.setdefault`` makes a claim atomic. A step that claimed
+    row j but whose snapshot does not hold the rows it wrote there (it
+    compacted, or it raised) releases the claim when it ends, so a later
+    step of that snapshot appends in place.
     """
 
     __slots__ = ("rows", "claims")
@@ -213,6 +225,10 @@ class _Basis:
     def claim(self, j: int) -> bool:
         token = object()
         return self.claims.setdefault(j, token) is token
+
+    def release(self, j: int) -> None:
+        """Give back the claim on row j (none on a buffer no step claimed)."""
+        self.claims.pop(j, None)
 
 
 class _Rotation(_Record):
@@ -229,7 +245,7 @@ class _Rotation(_Record):
         """B = E and W = I for a checked E, G its Gram as measured, by
         ``_self_gram`` when not given."""
         gram = _self_gram(ef.E) if gram is None else gram
-        return _unchecked(cls, ef.alpha, ef.D, ef.E, None, 0, gram, np.eye(ef.rank),
+        return _unchecked(cls, ef.alpha, ef.D, ef.E, None, 0, gram, np.eye(ef.D.size),
                           ef.orthogonality or 0.0)
 
     def parts(self) -> tuple:
@@ -352,20 +368,22 @@ def _floor_spectrum(alpha: float, d: np.ndarray, m: int, floor: float):
     descending d stays descending and E keeps its column order.
     """
     full = alpha + d
-    floored_explicit = int(np.count_nonzero(full < floor))
+    # full descends, so the eigenvalues below the floor are its last ones
+    floored_explicit = int(full[::-1].searchsorted(floor))
     alpha_raised = alpha < floor
     if floored_explicit == 0 and not alpha_raised:
         return alpha, d, 0
     new_alpha = float(max(alpha, floor))
-    new_d = np.maximum(full, floor) - new_alpha
+    new_d = np.maximum(full, floor, out=full)
+    new_d -= new_alpha
     # The subtraction can make alpha + d round back below the floor; nudge
     # such entries up so the reconstructed eigenvalue honors it exactly.
-    low = new_alpha + new_d < floor
-    if low.any():
+    # new_alpha + new_d descends too, so they are the last ones.
+    if new_d.size and new_alpha + new_d[-1] < floor:
         d_floor = floor - new_alpha
         while new_alpha + d_floor < floor:
-            d_floor = np.nextafter(d_floor, np.inf)
-        new_d = np.where(low, np.maximum(new_d, d_floor), new_d)
+            d_floor = math.nextafter(d_floor, math.inf)
+        np.maximum(new_d, d_floor, out=new_d, where=new_alpha + new_d < floor)
     count = floored_explicit + (m - d.size if alpha_raised else 0)
     return new_alpha, new_d, count
 
@@ -391,36 +409,40 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
     eigenvalues; the kept columns of the new E are then held as ``B W`` or
     written once.
     """
-    held, m = model._held, model.dim
-    decayed_alpha = float(cfg.decay * held.alpha)
-    with np.errstate(over="ignore"):
-        weights = cfg.gain * batch.weights
+    held = model._held
+    m = held.E0.shape[0]
+    pairs = _signed_pairs(batch.vectors, batch.weights, m, cfg.gain)
+    k = len(pairs[1])
+    # a fast step writes its batch's rows after B's where they fit
+    basis = _basis_for(held, k) if k and held.D.size + k <= m else None
+    out = None
     try:
-        data = WeightedData.from_weighted(batch.vectors, weights, dim=m)
-    except ValueError as err:
-        # finite weights that the gain took past float64
-        if isinstance(err, DimensionError) or np.isfinite(weights).all() \
-                or not np.isfinite(batch.weights).all():
-            raise
-        raise ValueError("the scaled batch overflows float64") from None
-    nx, ny = data.X.shape[1], data.Y.shape[1]
+        out = _step(model, m, cfg, pairs, basis)
+        return out
+    finally:
+        # a claimed row j stays claimed only while a snapshot holds the rows
+        # written there
+        if basis is not None and (out is None or out._held.basis is not basis):
+            basis.release(held.j)
+
+
+def _step(model: MetricModel, m: int, cfg: UpdateConfig, pairs, basis: _Basis | None):
+    """``update`` of model, of dimension m, by the batch of ``_signed_pairs``,
+    its signed rows written into basis from row j where basis is given."""
+    held, (_, kept, nx) = model._held, pairs
+    decayed_alpha = float(cfg.decay * held.alpha)
+    k = len(kept)
     path, alpha, core, grown = "fast", decayed_alpha, None, None
-    if nx + ny == 0:
+    if k == 0:
         path, d = "decay", cfg.decay * held.D
-    elif held.D.size + nx + ny > m:
+    elif held.D.size + k > m:
         # compact first, then decompose as the dense path does
-        path, prev = "dense", model.eigen
+        path, data, prev = "dense", WeightedData._of(pairs), model.eigen
         decayed = _derived_factor(decayed_alpha, prev.E, np.diag(cfg.decay * prev.D), held.loss)
         ef = dense_fallback(decayed_alpha, decayed, data)
-        alpha, d, basis = ef.alpha, ef.D, ef.E
+        alpha, d, e = ef.alpha, ef.D, ef.E
     else:
-        core, grown = _deferred_core(held, cfg.decay, data)
-        if core is None:
-            # the Gram route declined on [B Z]; on [E Z] its novelty ratio is
-            # the same up to rounding, so the step compacts and goes straight
-            # to the two-pass route
-            core = _two_pass_core(model.eigen.E, np.diag(cfg.decay * held.D),
-                                  (data.X, data.Y), _signs(data))
+        core, grown = _fast_core(model, cfg.decay, pairs, basis)
         d = core.eig.D
 
     floor = cfg.floor if cfg.floor is not None else 1e-12 * decayed_alpha
@@ -445,15 +467,14 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
                           held.coef[:, columns], held.loss)
         return _model(held, stats(None, False))
     if path == "dense":
-        ef = _unchecked(EigenFactor, alpha, _take_columns(basis, columns), d)
+        ef = _unchecked(EigenFactor, alpha, _take_columns(e, columns), d)
         return _model(_Rotation.of(ef), stats(None, True), ef)
     _check_descending(d)
     coef = core.coef(core.eig.E[:, columns])
     if grown is not None:
-        basis, gram = grown
-        orthogonality = _deferred_orthogonality(gram, coef)
+        orthogonality = _deferred_orthogonality(grown, coef)
         if orthogonality is not None:
-            held = _unchecked(_Rotation, alpha, d, held.E0, basis, held.j + nx + ny, gram, coef,
+            held = _unchecked(_Rotation, alpha, d, held.E0, basis, held.j + k, grown, coef,
                               orthogonality)
             return _model(held, stats(orthogonality, False))
     e, gram = _rotate(core.parts, coef)
@@ -461,29 +482,47 @@ def update(model: MetricModel, batch: LabeledBatch, cfg: UpdateConfig) -> Metric
     return _model(_Rotation.of(ef, gram), stats(ef.orthogonality, True), ef)
 
 
-def _deferred_core(held: _Rotation, decay: float, data: WeightedData):
-    """``(core, grown)`` of a step on ``E = B W``: core is ``_gram_route``'s
-    on B's parts and Z with W as Q's coefficient, or None where that route
-    declines, for such a step compacts and takes the two-pass route. When
-    the batch rows have room for Z, Z is appended to them first and the
-    core's last part is that Z, read from the grown basis; grown is then
-    that basis and its Gram ``G' = [[G, B^T Z], [Z^T B, Z^T Z]]``, unless Z
-    was scaled. Else grown is None, and the step compacts on ``[B Z]``."""
-    j, blocks = held.j, (data.X, data.Y)
-    k = data.X.shape[1] + data.Y.shape[1]
-    lead, basis = held.parts(), None
-    if j + k <= (_DEFER_GROWTH - 1) * held.E0.shape[1]:
-        basis = _appended(held, blocks)
-        blocks = (basis.rows[j:j + k].T,)
-    core, grams = _gram_route(np.diag(decay * held.D), lead, blocks, _signs(data), held.loss,
-                              held.coef)
+def _fast_core(model: MetricModel, decay: float, pairs, basis: _Basis | None):
+    """``(core, grown)`` of a fast step on ``E = B W``: core is
+    ``_gram_route``'s on B's parts and Z with W as Q's coefficient; where
+    that route declines, it is the two-pass route's on the compacted E,
+    for on ``[E Z]`` the novelty ratio is the same up to rounding. Where
+    basis is given, the batch's signed rows are written into its rows from
+    j and Z is read from there; grown is then the Gram of the grown B,
+    ``G' = [[G, B^T Z], [Z^T B, Z^T Z]]``, unless Z was scaled or the route
+    declined. Else Z is ``WeightedData``'s X and Y, as on the two-pass
+    route, and grown is None. The block Gram of ``[B Z]`` is the test that
+    written rows are finite; behind a failure ``WeightedData`` names a
+    non-finite or overflowing batch, as ``from_weighted`` does."""
+    held, (_, kept, nx) = model._held, pairs
+    j, k, r = held.j, len(kept), held.D.size
+    signs, data = _signs(nx, k - nx), None
+    b = np.zeros((r, r))
+    b.reshape(-1)[::r + 1] = decay * held.D
+    with np.errstate(over="ignore", invalid="ignore"):
+        if basis is None:
+            data = WeightedData._of(pairs)
+            blocks = (data.X, data.Y)
+        else:
+            z = basis.rows[j:j + k]
+            _signed_rows(pairs, z)
+            blocks = (z.T,)
+        try:
+            core, grams = _gram_route(b, held.parts(), blocks, signs, held.loss, held.coef)
+        except ValueError:
+            if basis is not None:
+                WeightedData._of(pairs)
+            raise
+    if core is None:
+        data = WeightedData._of(pairs) if data is None else data
+        return _two_pass_core(model.eigen.E, b, (data.X, data.Y), signs), None
     if basis is None or grams is None:
         return core, None
-    (bz, zz), b = grams, held.gram.shape[0]
-    grown = np.empty((b + k, b + k))
-    grown[:b, :b], grown[:b, b:] = held.gram, bz
-    grown[b:, :b], grown[b:, b:] = bz.T, zz
-    return core, (basis, grown)
+    (bz, zz), n = grams, held.gram.shape[0]
+    grown = np.empty((n + k, n + k))
+    grown[:n, :n], grown[:n, n:] = held.gram, bz
+    grown[n:, :n], grown[n:, n:] = bz.T, zz
+    return core, grown
 
 
 def _deferred_orthogonality(gram: np.ndarray, coef: np.ndarray) -> float | None:
@@ -501,19 +540,17 @@ def _deferred_orthogonality(gram: np.ndarray, coef: np.ndarray) -> float | None:
     return norm if norm <= tol and bound <= _DEFER_ROUNDING * tol else None
 
 
-def _appended(held: _Rotation, blocks) -> _Basis:
-    """The basis whose first rows are held's j and then the blocks' columns:
-    held's own when this step claims its row j, else a fresh buffer of
-    ``(_DEFER_GROWTH - 1) * n`` rows for held's m-by-n E0, with the j rows
-    copied in. Each block is written as its transpose: one long copy per
-    column."""
+def _basis_for(held: _Rotation, k: int) -> _Basis | None:
+    """The basis into whose rows from j a step on held writes its k batch
+    rows: None where they would outgrow ``(_DEFER_GROWTH - 1) * n`` rows,
+    for held's m-by-n E0; held's own when this step claims its row j; else
+    a fresh buffer of that many rows, with held's j rows copied in."""
     basis, j, (m, n) = held.basis, held.j, held.E0.shape
+    if j + k > (_DEFER_GROWTH - 1) * n:
+        return None
     if basis is None or not basis.claim(j):
         rows = _aligned_empty(((_DEFER_GROWTH - 1) * n, m))
         if j:
             rows[:j] = basis.rows[:j]
         basis = _Basis(rows)
-    for x in blocks:
-        basis.rows[j:j + x.shape[1]] = x.T
-        j += x.shape[1]
     return basis

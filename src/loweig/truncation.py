@@ -8,10 +8,10 @@ materializing m scalars.
 
 Values decide: ``_select`` works on ``(alpha, d, m)`` alone and returns the
 new alpha, the kept columns and tau, so a caller gathers or rotates only the
-columns it keeps. ``_windows`` scores every offset in one vectorized pass;
-``select_tau`` takes its minimizer, and ``_select`` takes it over the
-interval of offsets whose window covers the implicit positions, which all
-sit in the alpha block. ``truncate`` is ``_select`` plus one gather.
+columns it keeps. ``_window`` scores every offset in one vectorized pass
+and takes the minimizer over the offsets whose window covers the implicit
+positions, which all sit in the alpha block (every offset, for
+``select_tau``). ``truncate`` is ``_select`` plus one gather.
 """
 
 from __future__ import annotations
@@ -84,15 +84,15 @@ def _blocks(alpha: float, d: np.ndarray, m: int):
     m == r).
 
     One pass over the sorted d: ``alpha + d`` is descending, so its exact
-    ties are neighbours. The m - r implicit copies of alpha enter as one
-    entry after the values above alpha, and a new block starts wherever a
-    value differs from the one before it.
+    ties are neighbours, and the values above alpha come first. The m - r
+    implicit copies of alpha enter as one entry after them, and a new block
+    starts wherever a value differs from the one before it.
     """
     r = d.size
     pool = alpha + d
     at = None
     if m > r:
-        at = int(np.count_nonzero(pool > alpha))
+        at = r - int(pool[::-1].searchsorted(alpha, side="right"))
         pool = np.concatenate((pool[:at], (alpha,), pool[at:]))
     starts = np.empty(pool.size, dtype=bool)
     starts[:1] = True
@@ -129,52 +129,63 @@ class TruncationResult(_ValueRecord):
         )
 
 
-def _windows(values: np.ndarray, mult: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Objective and log geometric mean of the window at every tau in 0..k.
+def _window(values: np.ndarray, mult: np.ndarray, m: int, k: int, a: int | None = None,
+            implicit: int = 0) -> tuple[int, float, float, np.ndarray]:
+    """``(tau, objective, log_mean, starts)`` of the best window of m - k
+    consecutive sorted values that covers the ``implicit`` positions.
 
     ``values`` are the block values, strictly descending, and ``mult`` their
-    multiplicities. The window holds sorted positions [tau, tau + m - k); its
-    objective is the sum of squared deviations of its log-values from their
-    own mean. Both come from block prefix sums at all 2(k+1) window edges.
-    The third value is the tie tolerance: the sums round by a few ulps of
-    their total, so objectives that close are ties, as windows over tied
-    eigenvalues often are.
+    multiplicities, which sum to m; a is the block that holds the implicit
+    positions. The window at tau holds sorted positions [tau, tau + m - k);
+    its objective is the sum of squared deviations of its log-values from
+    their own mean, and ``log_mean`` that mean. Every offset in 0..k is
+    scored in one vectorized pass, from block prefix sums at all 2(k+1)
+    window edges. tau is the smallest feasible offset whose objective ties
+    the least feasible one: the sums round by a few ulps of their total, so
+    objectives that close are ties, as windows over tied eigenvalues often
+    are. ``starts`` holds the sorted position at which each block starts,
+    then m, as exact floats.
     """
-    m = int(mult.sum())
     if k >= m:
         raise ValueError(f"k must be smaller than the dimension, got k={k}, m={m}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     length = m - k
     nb = values.size
-    mult = mult.astype(float)
     logs = np.log(values)
-    mean = float((mult * logs).sum()) / m
-    # centering kills cancellation in the variance formula; the entry past
-    # the last block is for edge m
-    clogs = np.zeros(nb + 1)
-    np.subtract(logs, mean, out=clogs[:nb])
-    # prefix sums of n, s1 and s2 at every block start, from edge 0
-    cum = np.zeros((3, nb + 1))
-    mult.cumsum(out=cum[0, 1:])
-    (mult * clogs[:nb]).cumsum(out=cum[1, 1:])
-    (mult * clogs[:nb] ** 2).cumsum(out=cum[2, 1:])
+    # Rows 0 to 2: prefix sums at every block start, from edge 0, of the
+    # positions and of the centred log-values c and their squares, weighted
+    # by mult. Rows 3 and 4: c and c^2 of each block, and 0 past the last,
+    # for edge m.
+    acc = np.zeros((5, nb + 1))
+    terms, powers = acc[:3, 1:], acc[3:, :nb]
+    terms[0] = mult
+    mean = float(np.add.reduce(terms[0] * logs)) / m
+    # centring kills cancellation in the variance formula
+    np.subtract(logs, mean, out=powers[0])
+    np.square(powers[0], out=powers[1])
+    np.multiply(terms[0], powers, out=terms[1:])
+    np.add.accumulate(terms, axis=1, out=terms)
+    starts = acc[0]
     edges = np.arange(2 * k + 2, dtype=float)
     edges[k + 1:] += length - k - 1
-    j = np.searchsorted(cum[0], edges, side="right") - 1
-    part = edges - cum[0, j]
-    c = clogs[j]
-    s1 = cum[1, j] + part * c
-    s2 = cum[2, j] + part * c**2
-    s1 = s1[k + 1:] - s1[:k + 1]
-    s2 = s2[k + 1:] - s2[:k + 1]
+    at = acc.take(starts.searchsorted(edges, side="right") - 1, axis=1)
+    s = at[1:3] + (edges - at[0]) * at[3:]
+    s1, s2 = s[:, k + 1:] - s[:, :k + 1]
     objectives = np.maximum(s2 - s1 * s1 / length, 0.0)
-    return objectives, s1 / length + mean, 1e-12 * float(cum[2, -1])
-
-
-def _first_min(objectives: np.ndarray, tol: float) -> int:
-    """Smallest offset whose objective ties the minimum within ``tol``."""
-    return int((objectives <= objectives.min() + tol).argmax())
+    # Every implicit position lies in block a, [starts[a], starts[a + 1]),
+    # so the offsets whose window covers them all form [first, last].
+    first, last = 0, k
+    if implicit:
+        first = max(0, int(starts[a]) + implicit - length)
+        last = min(k, int(starts[a + 1]) - implicit)
+    if implicit > length or first > last:
+        raise ValueError(
+            "no feasible window: a kept position would lack an explicit eigenvector"
+        )
+    feasible = objectives[first:last + 1]
+    tau = first + int((feasible <= np.minimum.reduce(feasible) + 1e-12 * acc[2, -1]).argmax())
+    return tau, float(objectives[tau]), float(s1[tau]) / length + mean, starts
 
 
 def select_tau(spectrum: Spectrum, k: int) -> int:
@@ -186,8 +197,7 @@ def select_tau(spectrum: Spectrum, k: int) -> int:
     """
     values = np.array([b.value for b in spectrum.blocks])
     mult = np.array([b.multiplicity for b in spectrum.blocks])
-    objectives, _, tol = _windows(values, mult, k)
-    return _first_min(objectives, tol)
+    return _window(values, mult, spectrum.total, k)[0]
 
 
 def _select(
@@ -203,32 +213,19 @@ def _select(
     ``variance`` is the variance of the log-values in the replaced window.
     """
     values, mult, block, a = _blocks(alpha, d, m)
-    if not (values > 0.0).all() or not math.isfinite(values[0]):
+    # the values descend, so their ends bound them
+    if not (values[-1] > 0.0 and math.isfinite(values[0])):
         raise ValueError("spectrum values must be finite and strictly positive")
-    objectives, log_means, tol = _windows(values, mult, k)
     length = m - k
-    hi = mult.cumsum()
-    lo = hi - mult
-    # Every implicit position lies in the alpha block [lo, hi), so the
-    # offsets whose window covers them all form the interval [first, last].
-    implicit = m - d.size
-    first, last = 0, k
-    if implicit:
-        first, last = max(0, int(lo[a]) + implicit - length), min(k, int(hi[a]) - implicit)
-    if implicit > length or first > last:
-        raise ValueError(
-            "no feasible window: a kept position would lack an explicit eigenvector"
-        )
-    tau = first + _first_min(objectives[first:last + 1], tol)
-    # Kept positions of each block: those above and those below the window.
+    tau, objective, log_mean, starts = _window(values, mult, m, k, a, m - d.size)
+    # Each block keeps its positions outside the window [tau, tau + length).
     # Feasibility leaves enough explicit pairs in every block to fill them;
     # they are the block's first explicit pairs, whose indices run from the
     # block's first index up to ``cut``.
-    above = np.minimum(np.maximum(tau - lo, 0), mult)
-    below = np.minimum(np.maximum(hi - (tau + length), 0), mult)
-    cut = np.searchsorted(block, np.arange(values.size)) + above + below
-    columns = np.flatnonzero(np.arange(d.size) < cut[block])
-    return math.exp(log_means[tau]), columns, tau, float(objectives[tau]) / length
+    inside = np.minimum(starts[1:], tau + length) - np.maximum(starts[:-1], tau)
+    cut = block.searchsorted(np.arange(values.size)) + (mult - np.maximum(inside, 0.0))
+    columns = (np.arange(d.size) < cut.take(block)).nonzero()[0]
+    return math.exp(log_mean), columns, tau, objective / length
 
 
 def truncate(ef: EigenFactor, k: int) -> tuple[LowRankFactor, TruncationResult]:

@@ -497,8 +497,8 @@ class TestTypes:
 
 
 class TestFromWeighted:
-    """``from_weighted`` writes X and Y in C order by one product each,
-    ``vectors[kept].T @ diag(sqrt(|w|))``, with no transposing copy."""
+    """``from_weighted`` writes X and Y in C order, each entry the one
+    product ``x_ij * sqrt(|w_i|)``."""
 
     @staticmethod
     def elementwise(vectors, weights):
@@ -531,8 +531,8 @@ class TestFromWeighted:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("sign, name", [(1.0, "X"), (-1.0, "Y")])
     def test_non_finite_vector_named(self, bad, sign, name):
-        # inf * 0 spreads NaN along the vector's row of X or Y; the check of
-        # that block still names it, and no RuntimeWarning escapes
+        # the vector leaves non-finite entries in its column of X or Y; the
+        # check of that block names it, and no RuntimeWarning escapes
         vectors = np.ones((3, 6))
         vectors[1, 4] = bad
         with warnings.catch_warnings():

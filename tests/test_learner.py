@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 import sys
 import threading
 import warnings
@@ -582,14 +583,92 @@ class TestDeferredRotation:
         cfg = UpdateConfig(decay=0.9, gain=0.5, rank_cap=6, floor=1e-3)
         ef, count, tau = reference_update(parent(), batch, cfg)
         model = parent()
-        names = ("_block_gram", "_svqr", "_rotate", "_project", "_appended")
+        # the signed rows are written once for the two-pass route's X and Y,
+        # and first into the batch rows where B has room for them
+        names = ("_block_gram", "_svqr", "_rotate", "_project", "_signed_rows")
         counts = count_calls(monkeypatch, names)
         out = update(model, batch, cfg)
         assert (out.stats.route, out.stats.compacted) == ("two-pass", True)
-        assert counts == dict(zip(names, (1, 1, 1 + (not compacted), 1, not compacted)))
+        assert counts == dict(zip(names, (1, 1, 1 + (not compacted), 1, 1 + (not compacted))))
         assert (out.stats.tau, out.stats.floored, out.rank) == (tau, count, ef.rank)
         assert_allclose(out.eigen.alpha + out.eigen.D, ef.alpha + ef.D, rtol=1e-12, atol=0)
         assert_allclose(out.eigen.E, ef.E, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("gain", [0.5, 3.0])
+    def test_batch_rows_are_from_weighted_rows(self, gain):
+        # a zero weight is dropped, and a negative one listed before a
+        # positive one is still written after it: the rows are [X Y]^T of
+        # from_weighted on the scaled weights, bit for bit
+        parent, cfg = self.parent(), UpdateConfig(self.cfg.decay, gain, self.cfg.rank_cap)
+        held = parent._held
+        vectors = np.random.default_rng(72).standard_normal((4, self.m))
+        weights = np.array([-2.0, 0.0, 1.5, -0.25])
+        assert held.j + 3 <= held.basis.rows.shape[0]
+        out = update(parent, LabeledBatch(vectors, weights), cfg)
+        assert (out.stats.route, out.stats.compacted) == ("gram", False)
+        assert out._held.basis is held.basis and out._held.j == held.j + 3
+        data = WeightedData.from_weighted(vectors, gain * weights, dim=self.m)
+        rows = out._held.basis.rows[held.j:out._held.j]
+        assert rows.tobytes() == np.hstack([data.X, data.Y]).T.tobytes()
+
+    @pytest.mark.parametrize("bad, weight, gain", [
+        (np.nan, 1.0, 0.5), (np.inf, -1.0, 0.5), (-np.inf, 1.0, 0.5),
+        (1e300, 1e30, 0.5), (1e300, -1e30, 0.5), (1.0, 1e300, 1e10),
+    ])
+    def test_bad_batch_raises_and_leaves_the_row_claimable(self, monkeypatch, bad, weight, gain):
+        # a non-finite vector, a product with a weight's root that overflows
+        # and a weight that the gain overflows raise from_weighted's messages
+        # on the scaled weights; the first two are found by the Gram of
+        # [B Z] after the rows were written, the last before
+        parent, cfg = self.parent(), UpdateConfig(self.cfg.decay, gain, self.cfg.rank_cap)
+        held = parent._held
+        vectors = np.random.default_rng(73).standard_normal((2, self.m))
+        vectors[1, 5] = bad
+        weights = np.array([1.0, weight])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError) as expected:
+                WeightedData.from_weighted(vectors, gain * weights, dim=self.m)
+        message = str(expected.value)
+        if gain * weight == math.inf:
+            assert message == "weights must be finite"
+            message = "the scaled batch overflows float64"
+        written = count_calls(monkeypatch, ("_signed_rows",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                update(parent, LabeledBatch(vectors, weights), cfg)
+        # into the batch rows, then into X and Y to name the failure
+        assert written["_signed_rows"] == (0 if gain * weight == math.inf else 2)
+        monkeypatch.undo()
+        step = gaussian_stream(74, self.m, 1, count=2)[0]
+        assert update(parent, step, self.cfg)._held.basis is held.basis
+
+    @pytest.mark.parametrize("kind", ["scaled", "declined"])
+    def test_a_compacting_step_gives_its_row_back(self, monkeypatch, kind):
+        # a step that the Gram route scales, or declines, writes its rows
+        # after B's and then compacts; a sibling that defers appends in place
+        parent = self.parent()
+        held = parent._held
+        v = np.random.default_rng(75).standard_normal((2, self.m))
+        if kind == "scaled":
+            batch, cfg = LabeledBatch(1e100 * v, [1.0, -1.0]), self.cfg
+        else:
+            batch = LabeledBatch(v[[0, 1, 0]], [1.0, 1.0, -1.0])
+            cfg = UpdateConfig(decay=0.9, gain=0.5, rank_cap=6, floor=1e-3)
+        out = update(parent, batch, cfg)
+        route = "gram" if kind == "scaled" else "two-pass"
+        assert (out.stats.route, out.stats.compacted) == (route, True)
+        assert held.j not in held.basis.claims
+        shapes, real = [], learner._aligned_empty
+        monkeypatch.setattr(learner, "_aligned_empty",
+                            lambda shape: shapes.append(shape) or real(shape))
+        sibling = update(parent, gaussian_stream(76, self.m, 1, count=2)[0], self.cfg)
+        assert (sibling.stats.route, sibling.stats.compacted) == ("gram", False)
+        assert sibling._held.basis is held.basis and shapes == []
+        # ... and keeps the row it appended to
+        assert update(parent, gaussian_stream(77, self.m, 1, count=2)[0],
+                      self.cfg)._held.basis is not held.basis
 
     def test_gram_of_a_given_basis_is_measured(self):
         # an E orthonormal only to within the tolerance: a deferred step's

@@ -48,7 +48,8 @@ def gram_route(q, b, blocks, w, loss):
     it for a Z that is not empty, or None where the route declines. The core
     is returned as built, not diagonalized, for at 1e160 it overflows."""
     module = importlib.import_module("loweig.fast_eigh")
-    with mock.patch.object(module, "_core_symmetric_eig", lambda b, core: core):
+    with mock.patch.object(module, "_core_symmetric_eig", lambda b, core: core), \
+            np.errstate(over="ignore", invalid="ignore"):
         core, _ = _gram_route(b, (q,), blocks, w, loss)
     return None if core is None else (core.p, core.rinv, core.eig, core.novelty_ratio)
 

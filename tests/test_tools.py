@@ -72,3 +72,42 @@ def test_same_results_digest_reads_bits_and_order():
     assert digest(x, 1.0) != digest(x.reshape(3, 2), 1.0)
     assert digest(x, 0.0) != digest(x, -0.0)
     assert digest(1.0, 2.0) != digest(2.0, 1.0)
+
+
+NEW_SETS = ("learner-scores", "augment", "factor_to_eig", "svd_route", "dense_fallback")
+
+
+def set_digest(tool, name, lw):
+    h = hashlib.sha256()
+    items = list(tool.SETS[name](lw))
+    for item in items:
+        tool.feed(h, item)
+    return h.hexdigest(), items
+
+
+@pytest.mark.parametrize("name", NEW_SETS)
+def test_same_results_sets_repeat(name):
+    # each set, run twice in one process, digests alike
+    import loweig
+
+    tool = load("same_results")
+    (first, items), (second, _) = (set_digest(tool, name, loweig) for _ in range(2))
+    assert items and first == second
+
+
+def test_same_results_sets_reach_their_cases():
+    import loweig
+
+    tool = load("same_results")
+    # distance is read on deferred and on compacted snapshots
+    scores = list(tool.SETS["learner-scores"](loweig))
+    assert {item[0] for item in scores} == {True, False}
+    assert all(len(item) == 9 and np.isfinite(item[1:]).all() for item in scores)
+    # a repeated column costs augment and svd_route one direction
+    widths = [qc.shape[1] for qc, _ in tool.SETS["augment"](loweig)]
+    assert widths == [11, 12, 12, 11, 12, 12, 8, 9, 9, 8, 9, 9]
+    ranks = [d.size for _, _, d in tool.SETS["svd_route"](loweig)]
+    assert ranks == [8, 7, 8, 7, 10, 9, 10, 9]
+    # dense_fallback returns all m pairs
+    assert [e.shape for _, e, _ in tool.SETS["dense_fallback"](loweig)] == \
+        [(24, 24)] * 4 + [(12, 12)] * 4

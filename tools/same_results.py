@@ -24,6 +24,10 @@ Sets, every input drawn from generators with fixed seeds:
   benchmark's learner stream (m = 4096, rank cap 32, decay 0.9, gain 0.25,
   4 + 4 points per batch), from the identity: every step's ``UpdateStats``,
   and ``eigen`` every 7th step.
+- ``learner-scores``: ``distance`` of 8 fixed probes (4 stream points and 4
+  standard Gaussians) on every 3rd of the first 150 snapshots of the
+  learner stream of seed 3, deferred and compacted snapshots alike, each
+  with its ``compacted`` flag.
 - ``stream-two-pass``, ``stream-scaled``, ``stream-dense`` and
   ``stream-mixed``: 150 steps each off the in-band Gram route, with
   ``eigen`` every 3rd step. Cancelling batches the Gram route declines; a
@@ -32,6 +36,15 @@ Sets, every input drawn from generators with fixed seeds:
   that scaled steps also land on deferred snapshots; batches that outgrow
   m, for the dense path; and a seeded mix of in-band Gram-route,
   cancelling, dense and empty batches.
+- ``augment``: ``(Qc, Bc)`` of ``augment`` on 12 inputs at (64; 8, 4) and
+  (500; 3, 6), with per-column signs, both scalar signs and, on a third
+  of them, a column repeated so that the two-pass route drops a direction.
+- ``factor_to_eig``: ``(alpha, E, D)`` at (4096; 32), (500; 8) and (64;
+  64), 4 inputs each.
+- ``svd_route``: ``(alpha, E, D)`` at (4096; 8) and (64; 10), 4 inputs
+  each, half of them with a column repeated, which the rank cut drops.
+- ``dense_fallback``: ``(alpha, E, D)`` at (24; 8, 10, 10) and (12; 4, 6,
+  6), 4 inputs each, where the combined rank outgrows m.
 
 A digest covers every array's shape and bytes, every float's bits and every
 other value's repr, in order. Run as a script, it pins BLAS to one thread
@@ -119,24 +132,46 @@ def stream(lw, model, cfg, batches, every):
             yield ef.alpha, ef.E, ef.D
 
 
-def learner_stream(lw):
-    """The benchmark's learner stream, as ``perfbench/workloads.py`` draws it."""
+def learner_batches(seed, steps):
+    """``(draw, batches)`` of the benchmark's learner stream, as
+    ``perfbench/workloads.py`` draws it: ``draw(count, i)`` draws count
+    points along the regular (0) or irregular (1) direction."""
     m, per_class = 4096, 4
+    rng = np.random.default_rng(seed)
+    directions = orthonormal(rng, m, 2).T
+
+    def draw(count, i):
+        signal = rng.uniform(0.7, 2.7, count) * rng.choice((-1.0, 1.0), count)
+        return signal[:, None] * directions[i] + 0.1 * rng.standard_normal((count, m))
+
+    def batches():
+        for _ in range(steps):
+            yield (np.vstack([draw(per_class, 0), draw(per_class, 1)]),
+                   np.concatenate([np.ones(per_class), -np.ones(per_class)]))
+
+    return draw, batches()
+
+
+def learner_config(lw):
+    return lw.UpdateConfig(decay=0.9, gain=0.25, rank_cap=32)
+
+
+def learner_stream(lw):
+    """400 steps of the benchmark's learner stream on each of two seeds."""
     for seed in (1, 2):
-        rng = np.random.default_rng(seed)
-        reg, irr = orthonormal(rng, m, 2).T
+        _, batches = learner_batches(seed, 400)
+        yield from stream(lw, lw.MetricModel.identity(4096, 1.0), learner_config(lw), batches, 7)
 
-        def draw(count, direction):
-            signal = rng.uniform(0.7, 2.7, count) * rng.choice((-1.0, 1.0), count)
-            return signal[:, None] * direction + 0.1 * rng.standard_normal((count, m))
 
-        def batches():
-            for _ in range(400):
-                yield (np.vstack([draw(per_class, reg), draw(per_class, irr)]),
-                       np.concatenate([np.ones(per_class), -np.ones(per_class)]))
-
-        cfg = lw.UpdateConfig(decay=0.9, gain=0.25, rank_cap=32)
-        yield from stream(lw, lw.MetricModel.identity(m, 1.0), cfg, batches(), 7)
+def learner_scores(lw):
+    """``distance`` of fixed probes on snapshots of the learner stream."""
+    draw, batches = learner_batches(3, 150)
+    probes = [*draw(2, 0), *draw(2, 1), *np.random.default_rng(4).standard_normal((4, 4096))]
+    model, cfg = lw.MetricModel.identity(4096, 1.0), learner_config(lw)
+    for i, (vectors, weights) in enumerate(batches, 1):
+        model = lw.update(model, lw.LabeledBatch(vectors, weights), cfg)
+        if i % 3 == 0:
+            yield [model.stats.compacted, *(lw.distance(model, x) for x in probes)]
 
 
 def off_route(kind):
@@ -169,12 +204,72 @@ def off_route_stream(kind):
     return results
 
 
+def symmetric(rng, n):
+    g = rng.standard_normal((n, n))
+    return (g + g.T) / 2.0
+
+
+def with_repeat(rng, m, k, repeat):
+    """An m-by-k Gaussian draw, its last column a copy of its first if repeat."""
+    x = rng.standard_normal((m, k))
+    if repeat and k > 1:
+        x[:, -1] = x[:, 0]
+    return x
+
+
+def augment(lw):
+    """``(Qc, Bc)`` of ``augment`` with per-column and scalar signs."""
+    for m, n, k in ((64, 8, 4), (500, 3, 6)):
+        rng = np.random.default_rng([m, n, k])
+        for i, sign in enumerate(["columns", 1.0, -1.0] * 2):
+            q, b = orthonormal(rng, m, n), symmetric(rng, n)
+            x = with_repeat(rng, m, k, i % 3 == 0)
+            if sign == "columns":
+                sign = rng.choice((-1.0, 1.0), k)
+            yield lw.augment(q, b, x, sign)
+
+
+def factor_to_eig(lw):
+    """``(alpha, E, D)`` of ``factor_to_eig`` on orthonormal bases."""
+    for m, r in ((4096, 32), (500, 8), (64, 64)):
+        rng = np.random.default_rng([m, r])
+        for _ in range(4):
+            ef = lw.factor_to_eig(float(rng.uniform(0.5, 2.0)), orthonormal(rng, m, r),
+                                  symmetric(rng, r))
+            yield ef.alpha, ef.E, ef.D
+
+
+def svd_route(lw):
+    """``(alpha, E, D)`` of ``svd_route``, rank deficient on half the draws."""
+    for m, k in ((4096, 8), (64, 10)):
+        rng = np.random.default_rng([m, k, 1])
+        for i in range(4):
+            ef = lw.svd_route(float(rng.uniform(0.5, 2.0)), with_repeat(rng, m, k, i % 2))
+            yield ef.alpha, ef.E, ef.D
+
+
+def dense_fallback(lw):
+    """``(alpha, E, D)`` of ``dense_fallback`` where n + nx + ny outgrows m."""
+    for m, n, nx, ny in ((24, 8, 10, 10), (12, 4, 6, 6)):
+        rng = np.random.default_rng([m, n, nx, ny])
+        for _ in range(4):
+            factor = lw.LowRankFactor(1.0, orthonormal(rng, m, n), symmetric(rng, n))
+            data = lw.WeightedData(rng.standard_normal((m, nx)), rng.standard_normal((m, ny)))
+            ef = lw.dense_fallback(float(rng.uniform(0.5, 2.0)), factor, data)
+            yield ef.alpha, ef.E, ef.D
+
+
 SETS = {
     "feigh-bench": feigh_bench,
     "feigh-edge": feigh_edge,
     "learner-stream": learner_stream,
+    "learner-scores": learner_scores,
     **{f"stream-{kind}": off_route_stream(kind)
        for kind in ("two-pass", "scaled", "dense", "mixed")},
+    "augment": augment,
+    "factor_to_eig": factor_to_eig,
+    "svd_route": svd_route,
+    "dense_fallback": dense_fallback,
 }
 
 
