@@ -42,9 +42,13 @@ given whole. ``svd_route`` and ``dense_fallback`` are the nonnegative-weight
 baseline and the O(m^3) always-correct path.
 
 On the Gram route a call makes two passes over the m-row data, the block
-Gram and the lift, which also sums E's Gram for its check when E has 2 to
-12 columns, plus one r-by-r ``eigh`` and a fixed cost on r-sized arrays;
-the ``kernels`` module docstring says how the passes are blocked.
+Gram and the lift, plus one r-by-r ``eigh`` and a fixed cost on r-sized
+arrays; the ``kernels`` module docstring says how the passes are blocked.
+The lift sums E's Gram for its check when E has 2 to 12 columns. A wider
+E, ``[Q X Y] K``, is checked from ``E^T E = K^T G K``, G the block Gram,
+which then also sums ``Q^T Q`` (``_gram_orthogonality``, the learner's
+check of a deferred E), unless Z was scaled or that check declines: then,
+as off the Gram route, E's Gram is a third pass.
 
 Each invariant is verified once per array, where the array enters, and is
 read off a Gram the call computes anyway where one exists:
@@ -60,6 +64,7 @@ Q's parts, X, Y finite; scale  ``_scaled_gram``     the Gram of ``[Q X Y]``
 E's loss from Q's <= tol / 2   ``_svqr`` (route)    Q's check, P and lam_min
 core finite (no overflow)      ``_core_eig``        ``symmetric_eig``'s scan
 E finite and orthonormal       ``_lifted``          ``_rotate``'s Gram of E
+wide Gram-route E, the same    ``fast_eigh``        ``K^T G K``, G of Q, X, Y
 E = ``B W`` orthonormal        ``learner.update``   ``W^T G W``, G of Grams
 dense matrix finite            ``_dense_matrix``    ``_finite_core``'s scan
 =============================  ===================  =========================
@@ -79,7 +84,8 @@ square overflowed, so the O(m r) finiteness scans run only behind a
 non-finite Gram, to name the array; a B changed after its factor was built
 is likewise scanned only behind a non-finite core. The fast path does not
 test Q again: the check of E also catches a Q changed after its factor was
-built. Every column of the lift is kept, and on the Gram route
+built, for a wide E through the ``Q^T Q`` its block Gram sums in the same
+call. Every column of the lift is kept, and on the Gram route
 ``E^T E - I = W^T (Q^T Q - I) W`` with ``W = [I, -P R^-1] V``, whose
 singular values are all >= 1, so ``||E^T E - I|| >= ||Q^T Q - I||``. Bases
 the library builds (the lifted E, ``factor_to_eig``'s E and the learner's
@@ -290,6 +296,10 @@ class EigenFactor(_Record):
     spectrum is {alpha + d_i} plus alpha with multiplicity m - r.
     ``orthogonality`` is ``||E^T E - I||_F`` as the check in ``__init__`` or
     ``_lifted`` measured it, and None for a factor built without that check.
+    On a ``fast_eigh`` result wider than ``kernels._PANEL_MAX_WIDTH`` from
+    the Gram route it is computed from the Grams, ``||K^T G K - I||_F`` for
+    ``E = [Q X Y] K``, within the rounding bound that check enforces
+    (``_gram_orthogonality``).
     """
 
     _fields = ("alpha", "E", "D")
@@ -334,13 +344,42 @@ def _check_descending(d: np.ndarray) -> None:
         raise ValueError("D must be finite and sorted descending")
 
 
-def _lifted(alpha, e: np.ndarray, gram: np.ndarray, d: np.ndarray) -> EigenFactor:
+def _lifted(alpha, e: np.ndarray, gram, d: np.ndarray, orthogonality=None) -> EigenFactor:
     """``EigenFactor(alpha, e, d)`` for e and its Gram as ``_rotate`` returns
-    them: alpha is checked as there, e's orthonormality from the Gram, and d
-    is the caller's to check (a ``symmetric_eig``'s is finite, descending)."""
+    them: alpha is checked as there, e's orthonormality from the Gram (its
+    ``_self_gram`` where it is None), unless the caller has computed it and
+    passes it as ``orthogonality``, and d is the caller's to check (a
+    ``symmetric_eig``'s is finite, descending)."""
     ef = _unchecked(EigenFactor, _finite_alpha(alpha), e, d)
-    ef.__dict__["orthogonality"] = _check_orthonormal(e, "E", gram)
+    if orthogonality is None:
+        orthogonality = _check_orthonormal(e, "E", gram)
+    ef.__dict__["orthogonality"] = orthogonality
     return ef
+
+
+# A check ||W^T G W - I||_F of E = A W from G = A^T A is trusted while its
+# rounding bound stays below this share of the check's tolerance; past it, as
+# when W grows on an A whose columns nearly repeat, E's Gram is measured.
+_CHECK_ROUNDING = 0.1
+_EPS = float(np.finfo(float).eps)
+
+
+def _gram_orthogonality(gram: np.ndarray, coef: np.ndarray) -> float | None:
+    """``||W^T G W - I||_F`` of ``E = A W`` for G the Gram of A as summed, or
+    None unless it passes the check's tolerance with a rounding bound inside
+    ``_CHECK_ROUNDING`` of it. Both products, and ``A @ W``, round within
+    about ``sqrt(b) eps |W|^T |G| |W|`` (the probabilistic bound of Higham &
+    Mary 2019, SISC 41), which grows with W where A's columns nearly repeat.
+    A passing bound also makes E finite: ``|E_ij| <= sum_l sqrt(G_ll)
+    |W_lj| <= sqrt(b M_jj)`` for ``M = |W|^T |G| |W|``, and a NaN or an
+    overflow in G or W makes the bound fail."""
+    b, r = coef.shape
+    ortho = coef.T @ (gram @ coef)
+    ortho.reshape(-1)[::r + 1] -= 1.0
+    norm, tol = _norm(ortho), _orthonormal_tolerance(r)
+    size = np.abs(coef)
+    bound = 2.0 * math.sqrt(b) * _EPS * _norm(size.T @ (np.abs(gram) @ size))
+    return norm if norm <= tol and bound <= _CHECK_ROUNDING * tol else None
 
 
 def augment(q, b, x, sign) -> tuple[np.ndarray, np.ndarray]:
@@ -465,11 +504,14 @@ _GRAM_HIGH = _SAFE_HIGH**2 / 2.0
 
 
 def _scaled_gram(lead, blocks, q_coef=None):
-    """``(L^T Z, P, Z^T Z, trace, scale, norm)`` for ``Z = [blocks] / scale``
-    and Q held as its leading parts ``L = [lead]``, or as ``L W`` for
+    """``(L^T Z, P, Z^T Z, trace, scale, norm, G)`` for ``Z = [blocks] /
+    scale`` and Q held as its leading parts ``L = [lead]``, or as ``L W`` for
     ``q_coef`` W: ``P = Q^T Z`` (``W^T L^T Z``), the trace of ``Z^T Z``,
     ``scale = _safe_scale(*blocks)``, an exact power of 2 that keeps the
-    products from overflowing or going subnormal, and ``norm = ||P||_F``.
+    products from overflowing or going subnormal, ``norm = ||P||_F`` and G,
+    ``_block_gram``'s Gram of ``[Q Z]`` whole, asked for where Q is given
+    whole (the learner, whose Q is ``B W``, has B's Gram already), and None
+    where Z was scaled.
 
     The unscaled Gram comes first, and its trace and the norm of P decide
     the scale: a finite norm and a trace in the band above give scale 1.0,
@@ -481,11 +523,11 @@ def _scaled_gram(lead, blocks, q_coef=None):
     the bound ``||Q^T Z||_F <= ||Z||_F`` for free. It runs under the
     caller's ``np.errstate``.
     """
-    def gram(blocks):
-        lz, zz = _block_gram(lead, blocks)
-        return lz, lz if q_coef is None else q_coef.T @ lz, zz, float(zz.trace())
+    def gram(blocks, whole):
+        lz, zz, g = _block_gram(lead, blocks, whole)
+        return lz, lz if q_coef is None else q_coef.T @ lz, zz, float(zz.trace()), g
 
-    lz, p, zz, trace = gram(blocks)
+    lz, p, zz, trace, g = gram(blocks, q_coef is None)
     norm, scale, m = _norm(p), 1.0, lead[0].shape[0]
     if not (math.isfinite(norm) and m * zz.shape[0] * _GRAM_LOW <= trace <= _GRAM_HIGH):
         for name, parts in (("q", lead), ("x", blocks)):
@@ -493,7 +535,8 @@ def _scaled_gram(lead, blocks, q_coef=None):
                 _check_finite(a, name)
         scale = _safe_scale(*blocks)
         if scale != 1.0:
-            lz, p, zz, trace = gram([x / scale for x in blocks])
+            # no G: the lift's coefficients apply to the unscaled Z
+            lz, p, zz, trace, g = gram([x / scale for x in blocks], False)
         norm = _norm(p) if np.isfinite(p).all() else math.nan
     # An orthonormal Q has ||Q^T Z||_F <= ||Z||_F (Bessel). A Q scaled up in
     # place after it was built breaks that, and by 1e50 or so the core
@@ -502,7 +545,7 @@ def _scaled_gram(lead, blocks, q_coef=None):
     # of the bound as the true one.
     if not norm <= 2.0 * math.sqrt(trace):
         raise ValueError("q does not have orthonormal columns")
-    return lz, p, zz, trace, scale, norm
+    return lz, p, zz, trace, scale, norm, g
 
 
 class _Core(_Record):
@@ -514,15 +557,20 @@ class _Core(_Record):
     Gram route, which never forms U: with ``C = R^-1 v2`` the lift is
     ``Q (v1 - P C) + X C_x + Y C_y``. ``q_coef`` is W where Q is held as
     ``B W``, its leading parts being B's, and None where they are Q.
+    ``gram`` is the Gram of the parts as the block Gram summed it whole,
+    Q^T Q included, where it did (a wide ``[Q X Y]`` not scaled), else None.
     """
 
-    _fields = ("route", "eig", "parts", "p", "rinv", "novelty_ratio", "dropped", "q_coef")
+    _fields = ("route", "eig", "parts", "p", "rinv", "novelty_ratio", "dropped", "q_coef",
+               "gram")
 
     def __init__(self, route: str, eig: SymEig, parts: tuple, p: np.ndarray | None = None,
                  rinv: np.ndarray | None = None, novelty_ratio: float | None = None,
-                 dropped: int = 0, q_coef: np.ndarray | None = None):
+                 dropped: int = 0, q_coef: np.ndarray | None = None,
+                 gram: np.ndarray | None = None):
         self.__dict__.update(route=route, eig=eig, parts=parts, p=p, rinv=rinv,
-                             novelty_ratio=novelty_ratio, dropped=dropped, q_coef=q_coef)
+                             novelty_ratio=novelty_ratio, dropped=dropped, q_coef=q_coef,
+                             gram=gram)
 
     def coef(self, v: np.ndarray) -> np.ndarray:
         """The coefficients of the lift of v on the parts: v itself on the
@@ -596,17 +644,18 @@ def _gram_route(b, lead, blocks, w, loss, q_coef=None):
     ``_scaled_gram``, Z as ``[blocks]`` with signs w and Q's loss of
     orthogonality ``loss``: core is the route's ``_Core`` on the parts
     ``[lead blocks]`` and grams is ``(L^T Z, Z^T Z)`` as summed, or None
-    where Z was scaled; ``(None, None)`` where ``_svqr`` declines. Products
+    where Z was scaled; ``(None, None)`` where ``_svqr`` declines. The
+    core's ``gram`` is ``_scaled_gram``'s G. Products
     that overflow on extreme data are silent under the caller's
     ``np.errstate``, ``over`` and ``invalid`` ignored; the checks name
     them."""
-    lz, p, zz, trace, scale, norm = _scaled_gram(lead, blocks, q_coef)
+    lz, p, zz, trace, scale, norm, g = _scaled_gram(lead, blocks, q_coef)
     gram = _svqr(b, p, zz, trace, scale, norm, w, loss)
     if gram is None:
         return None, None
     p, rinv, bc, ratio = gram
     core = _Core("gram", _core_symmetric_eig(b, bc), (*lead, *blocks), p, rinv, ratio,
-                 q_coef=q_coef)
+                 q_coef=q_coef, gram=g)
     return core, (lz, zz) if scale == 1.0 else None
 
 
@@ -641,7 +690,12 @@ def fast_eigh(alpha: float, factor: LowRankFactor, data: WeightedData) -> EigenF
         If n + nx + ny > m; use ``dense_fallback`` there instead.
     """
     core = _core_eig(factor, data)
-    return _lifted(alpha, *_rotate(core.parts, core.coef(core.eig.E)), core.eig.D)
+    coef = core.coef(core.eig.E)
+    # a wide E is checked off the Gram of [Q X Y] where the bound allows,
+    # and otherwise measured
+    e, gram = _rotate(core.parts, coef, core.gram is None)
+    computed = None if core.gram is None else _gram_orthogonality(core.gram, coef)
+    return _lifted(alpha, e, gram, core.eig.D, computed)
 
 
 def svd_route(alpha: float, x) -> EigenFactor:

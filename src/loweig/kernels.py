@@ -27,6 +27,11 @@ From 2 to ``_PANEL_MAX_WIDTH`` columns a check's Gram is summed by
 ``_add_gram``, one ``gemm`` per block against a copy of the block (numpy's
 ``syrk`` is slow on a few columns): for the lift's E, each block just after
 it is written and still in cache; for any other array, by ``_self_gram``.
+The Gram of an E of any other width is one more pass, ``_self_gram`` after
+the lift, unless the caller checks E without it: ``fast_eigh`` reads the
+check of a wide E off ``E^T E = K^T G K`` for ``E = [Q X Y] K``, G the Gram
+of ``[Q X Y]`` that the per-block kernel sums whole when asked, Q^T Q
+included.
 """
 
 from __future__ import annotations
@@ -250,17 +255,23 @@ def _self_gram(a: np.ndarray) -> np.ndarray:
     return g
 
 
-def _block_gram(lead, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """``(Q^T Z, Z^T Z)`` for ``Q = [lead]`` and ``Z = [blocks]``, concatenating
-    neither, summed over row blocks: one product of each thin panel with its
-    Z rows, or else each pair's product into a view of the result taken
-    once. Non-finite results are the caller's to test, under its
-    ``np.errstate``."""
+def _block_gram(lead, blocks,
+                whole: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(Q^T Z, Z^T Z, G)`` for ``Q = [lead]`` and ``Z = [blocks]``,
+    concatenating neither, summed over row blocks: one product of each thin
+    panel with its Z rows, or else each pair's product into a view of the
+    result taken once. G is None, except where ``whole`` asks for it and the
+    per-block kernel runs: then it is the Gram of ``[Q Z]`` whole, Q^T Q
+    summed with the rest, and the first two are views of it. Non-finite
+    results are the caller's to test, under its ``np.errstate``."""
     parts = [*lead, *blocks]
     widths = [x.shape[1] for x in parts]
     n, width, m = sum(widths[:len(lead)]), sum(widths), parts[0].shape[0]
     if width > _PANEL_MAX_WIDTH:
-        return _pairwise_gram(parts, len(lead))
+        if whole:
+            g = _pairwise_gram(parts, 0)[1]
+            return g[:n, n:], g[n:, n:], g
+        return (*_pairwise_gram(parts, len(lead)), None)
     grams = (panel @ panel[n:].T for _, panel in _panels(parts, _row_blocks(m, width)))
     g = next(grams)
     for block in grams:
@@ -269,7 +280,7 @@ def _block_gram(lead, blocks) -> tuple[np.ndarray, np.ndarray]:
     # exactly symmetric and leaves the diagonal as it is
     zz = g[n:] + g[n:].T
     zz /= 2.0
-    return g[:n], zz
+    return g[:n], zz, None
 
 
 def _pairwise_gram(parts, lead):
@@ -295,15 +306,17 @@ def _pairwise_gram(parts, lead):
     return g[:n], g[n:]
 
 
-def _rotate(parts, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rotate(parts, coef: np.ndarray,
+            measure: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """``(E, E^T E)`` for ``E = [parts] @ coef``, written once into a fresh
     64-byte-aligned read-only array (a basis checked once cannot change before
     it is used), without concatenating the parts: thin inputs are packed one
     row block at a time. If ``_gemm_gram(k)``, each block of E is added to the
     Gram while in cache, copied into its panel (E has no more columns than
     the parts) or the per-block products' buffer; any other E takes
-    ``_self_gram``. Nothing that overflows warns: the check of the Gram names
-    it."""
+    ``_self_gram`` after the lift, unless ``measure`` is false, for a caller
+    that checks E from the Grams it has: then its Gram is None. Nothing that
+    overflows warns: the check of the Gram names it."""
     q, (m, n), (width, k) = parts[0], parts[0].shape, coef.shape
     out, fuse, gram = _aligned_empty((m, k)), _gemm_gram(k), None
     blocks = _row_blocks(m, width + k)
@@ -331,7 +344,8 @@ def _rotate(parts, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     o += t
                 if fuse:
                     gram = _add_gram(gram, o, t)
-        gram = _self_gram(out) if gram is None else gram
+        if gram is None and measure:
+            gram = _self_gram(out)
     out.flags.writeable = False
     return out, gram
 

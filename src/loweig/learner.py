@@ -31,14 +31,16 @@ W, so its coefficients of the kept eigenvectors V on ``[B Z]`` are ``W' =
 [[W (V1 - P C)], [C]]``, ``C = R^-1 V2``. What this module keeps is the
 buffer and the ``B W`` bookkeeping: the Gram's ``B^T Z`` and ``Z^T Z``,
 returned where Z was not scaled, extend G, and the check of E is
-``||W'^T G' W' - I||_F``, all on b-sized arrays.
+``||W'^T G' W' - I||_F``, all on b-sized arrays, by
+``fast_eigh._gram_orthogonality``, which checks a wide ``fast_eigh`` result
+too.
 
 The step compacts instead, writing ``E = B' W'`` in one ``kernels._rotate``
 pass, as ``fast_eigh`` lifts, under the measured check of E, when the batch
 rows would outgrow ``_DEFER_GROWTH - 1`` times the columns of the compacted
-E, when Z was scaled, or when the rounding bound of the deferred check
-passes ``_DEFER_ROUNDING`` of its tolerance; that E starts the next B, and
-no buffer holds a copy of it. A step off the Gram route (two-pass route,
+E, when Z was scaled, or when that check declines: E fails it, or its
+rounding bound passes ``fast_eigh._CHECK_ROUNDING`` of the tolerance. That
+E starts the next B, and no buffer holds a copy of it. A step off the Gram route (two-pass route,
 dense fallback) compacts the previous snapshot by reading its ``eigen``,
 then runs as ``fast_eigh``'s two-pass route or ``dense_fallback`` does and
 writes its E, the dense path by gathering the kept columns; where the Gram
@@ -69,6 +71,7 @@ from .fast_eigh import (
     WeightedData,
     _check_descending,
     _derived_factor,
+    _gram_orthogonality,
     _gram_route,
     _lifted,
     _signed_pairs,
@@ -82,8 +85,6 @@ from .kernels import (
     _Record,
     _ValueRecord,
     _aligned_empty,
-    _norm,
-    _orthonormal_tolerance,
     _rotate,
     _self_gram,
     _take_columns,
@@ -195,12 +196,6 @@ class UpdateStats(_ValueRecord):
 # a compaction's pass reads it once more; of 2, 3 and 4, 2 gave the lowest
 # median and mean step on the benchmark's learner stream (CHANGES.md).
 _DEFER_GROWTH = 2
-
-# A deferred step's check ||W^T G W - I||_F is trusted while its rounding bound
-# stays below this share of the check's tolerance; past it, as when W grows
-# on a B whose columns nearly repeat, the step compacts and measures E.
-_DEFER_ROUNDING = 0.1
-_EPS = float(np.finfo(float).eps)
 
 
 class _Basis:
@@ -472,7 +467,7 @@ def _step(model: MetricModel, m: int, cfg: UpdateConfig, pairs, basis: _Basis | 
     _check_descending(d)
     coef = core.coef(core.eig.E[:, columns])
     if grown is not None:
-        orthogonality = _deferred_orthogonality(grown, coef)
+        orthogonality = _gram_orthogonality(grown, coef)
         if orthogonality is not None:
             held = _unchecked(_Rotation, alpha, d, held.E0, basis, held.j + k, grown, coef,
                               orthogonality)
@@ -523,21 +518,6 @@ def _fast_core(model: MetricModel, decay: float, pairs, basis: _Basis | None):
     grown[:n, :n], grown[:n, n:] = held.gram, bz
     grown[n:, :n], grown[n:, n:] = bz.T, zz
     return core, grown
-
-
-def _deferred_orthogonality(gram: np.ndarray, coef: np.ndarray) -> float | None:
-    """``||W^T G W - I||_F`` of ``E = B W``, or None unless it passes the
-    check's tolerance with a rounding bound inside ``_DEFER_ROUNDING`` of it.
-    Both products, and the later ``B @ W``, round within about ``sqrt(b) eps
-    |W|^T |G| |W|`` (the probabilistic bound of Higham & Mary 2019, SISC 41),
-    which grows with W where B's columns nearly repeat."""
-    b, r = coef.shape
-    ortho = coef.T @ (gram @ coef)
-    ortho.reshape(-1)[::r + 1] -= 1.0
-    norm, tol = _norm(ortho), _orthonormal_tolerance(r)
-    size = np.abs(coef)
-    bound = 2.0 * math.sqrt(b) * _EPS * _norm(size.T @ (np.abs(gram) @ size))
-    return norm if norm <= tol and bound <= _DEFER_ROUNDING * tol else None
 
 
 def _basis_for(held: _Rotation, k: int) -> _Basis | None:

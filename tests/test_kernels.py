@@ -359,7 +359,7 @@ def test_block_gram_packs_even_panels(monkeypatch):
             yield rows, panel
 
     monkeypatch.setattr(kernels, "_panels", counted)
-    p, zz = kernels._block_gram((q,), [x, y])
+    p, zz, _ = kernels._block_gram((q,), [x, y])
     assert len(packed) == 3
     z = np.hstack([x, y])
     assert_allclose(p, q.T @ z, rtol=1e-12, atol=1e-12)

@@ -39,7 +39,7 @@ LAPACK = ("eigh", "svd")
 LEDGER = {
     "feigh (2^15; 1, 1, 1)": {"python": 87, "numpy": 50, "eigh": 2, "svd": 0, "_self_gram": 1,
                               "_block_gram": 1, "_rotate": 1},
-    "feigh (64; 32, 4, 4)": {"python": 67, "numpy": 43, "eigh": 2, "svd": 0, "_self_gram": 2,
+    "feigh (64; 32, 4, 4)": {"python": 66, "numpy": 40, "eigh": 2, "svd": 0, "_self_gram": 1,
                              "_block_gram": 1, "_rotate": 1},
     "deferred update": {"python": 53, "numpy": 36, "eigh": 2, "svd": 0, "_block_gram": 1},
     "scaled update": {"python": 81, "numpy": 50, "eigh": 2, "svd": 0, "_block_gram": 2,

@@ -40,6 +40,19 @@ def test_no_submodule_loads_dataclasses():
     assert out.split() == ["False"]
 
 
+def test_wide_fast_eigh_loads_no_learner():
+    # the check of a wide E that fast_eigh shares with the learner lives in
+    # fast_eigh, so a call loads neither the learner nor truncation
+    out = run_fresh(
+        "import numpy as np, loweig; rng = np.random.default_rng(0); "
+        "q = np.linalg.qr(rng.standard_normal((64, 8)))[0]; "
+        "ef = loweig.fast_eigh(1.0, loweig.LowRankFactor(1.0, q, np.eye(8)), "
+        "loweig.WeightedData(rng.standard_normal((64, 4)), rng.standard_normal((64, 4)))); "
+        "print(ef.rank, *[m for m in ('loweig.learner', 'loweig.truncation') if m in sys.modules])"
+    )
+    assert out.split() == ["16"]
+
+
 def test_first_use_loads_the_owning_submodule():
     out = run_fresh(
         "import loweig; loweig.truncate; "

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -452,10 +452,10 @@ class TestVerdicts:
         scale = _safe_scale(*blocks)
         if case.startswith("1e"):
             assert (scale == 1.0) == (abs(math.log10(float(case))) <= 70.5)
-        _, p, zz, _, got_scale, _ = _scaled_gram((factor.Q,), blocks)
+        _, p, zz, _, got_scale, _, _ = _scaled_gram((factor.Q,), blocks)
         assert got_scale == scale
         prescaled = [b / scale for b in blocks]
-        _, p_ref, zz_ref, _, ref_scale, _ = _scaled_gram((factor.Q,), prescaled)
+        _, p_ref, zz_ref, _, ref_scale, _, _ = _scaled_gram((factor.Q,), prescaled)
         assert ref_scale == 1.0 or case == "zero"
         np.testing.assert_array_equal(p, p_ref)
         np.testing.assert_array_equal(zz, zz_ref)
@@ -469,6 +469,7 @@ class TestVerdicts:
 
 
 KERNELS = importlib.import_module("loweig.kernels")
+FAST = importlib.import_module("loweig.fast_eigh")
 
 
 class TestPanelKernels:
@@ -494,7 +495,7 @@ class TestPanelKernels:
         got = {}
         for limit in (0, k):
             monkeypatch.setattr(KERNELS, "_PANEL_MAX_WIDTH", limit)
-            p, zz = KERNELS._block_gram((q,), [x, y])
+            p, zz, _ = KERNELS._block_gram((q,), [x, y])
             e, _ = KERNELS._rotate([q, x, y], coef)
             assert np.array_equal(zz, zz.T)
             assert not e.flags.writeable and e.flags.c_contiguous and e.ctypes.data % 64 == 0
@@ -519,8 +520,8 @@ class TestPanelKernels:
         x, y = rng.standard_normal((m, nx)), rng.standard_normal((m, ny))
         lead = (q[:, :n // 2], np.ascontiguousarray(q[:, n // 2:].T).T)
         monkeypatch.setattr(KERNELS, "_PANEL_MAX_WIDTH", limit)
-        p, zz = KERNELS._block_gram((q,), [x, y])
-        p_parts, zz_parts = KERNELS._block_gram(lead, [x, y])
+        p, zz, _ = KERNELS._block_gram((q,), [x, y])
+        p_parts, zz_parts, _ = KERNELS._block_gram(lead, [x, y])
         assert np.array_equal(zz_parts, zz_parts.T)
         a = np.abs(np.hstack([q, x, y]))
         bound = 16 * np.finfo(float).eps * (a.T @ a[:, n:])
@@ -551,18 +552,21 @@ class TestPanelKernels:
     @pytest.mark.parametrize("k, fused", [(2, True), (6, True), (12, True), (13, False),
                                           (40, False)])
     def test_thin_e_is_checked_from_the_lift(self, monkeypatch, k, fused):
-        # the lift returns the Gram of an E of 2 to 12 columns, so fast_eigh
-        # takes no _self_gram of it; a wider E gets one
+        # the lift returns the Gram of an E of 2 to 12 columns; a wider E on
+        # the Gram route is checked off the Gram of [Q X Y]: fast_eigh takes
+        # no _self_gram of E either way
         rng = np.random.default_rng(k)
         n = k // 2
         factor = LowRankFactor(1.0, random_orthonormal(rng, 64, n), random_symmetric(rng, n))
         data = WeightedData(rng.standard_normal((64, k - n - 1)), rng.standard_normal((64, 1)))
-        calls = []
-        real = KERNELS._self_gram
+        calls, checks = [], []
+        real, real_check = KERNELS._self_gram, FAST._gram_orthogonality
         monkeypatch.setattr(KERNELS, "_self_gram", lambda a: calls.append(a.shape) or real(a))
+        monkeypatch.setattr(FAST, "_gram_orthogonality",
+                            lambda *a: checks.append(1) or real_check(*a))
         ef = fast_eigh(1.0, factor, data)
         assert ef.rank == k
-        assert calls == ([] if fused else [(64, k)])
+        assert calls == [] and len(checks) == (not fused)
         assert ef.orthogonality == pytest.approx(
             np.linalg.norm(ef.E.T @ ef.E - np.eye(k)), rel=0, abs=1e-14)
 
@@ -577,3 +581,74 @@ class TestPanelKernels:
         data = WeightedData(rng.standard_normal((64, k - n - 1)), rng.standard_normal((64, 1)))
         assert_matches_dense(1.0, factor, data, scale=64.0)
         assert bool(calls) == panel
+
+
+class TestCheckFromGrams:
+    """On the Gram route, ``E = [Q X Y] K`` and ``E^T E = K^T G K``, G the
+    Gram of ``[Q X Y]``: ``fast_eigh`` checks an E wider than
+    ``_PANEL_MAX_WIDTH`` from G, Q^T Q measured in the same call, while the
+    rounding bound allows, and otherwise measures E's Gram."""
+
+    def test_planted_error_in_the_lift_coefficients_is_caught(self, monkeypatch):
+        factor, data = route_instance("gram", *WIDE)
+        real = FAST._Core.coef
+
+        def planted(core, v):
+            coef = real(core, v)
+            coef[:, 0] *= 1.0 + 1e-8
+            return coef
+
+        monkeypatch.setattr(FAST._Core, "coef", planted)
+        core = _core_eig(factor, data)
+        assert core.gram is not None
+        assert FAST._gram_orthogonality(core.gram, core.coef(core.eig.E)) is None
+        with pytest.raises(ValueError, match="^E does not have orthonormal columns$"):
+            fast_eigh(1.0, factor, data)
+
+    @pytest.mark.parametrize("decline", ["bound", "scale"])
+    def test_declined_check_measures_e(self, monkeypatch, decline):
+        # a bound past its share of the tolerance, or a Z the Gram route
+        # scales, leaves E to the measured Gram, and its loss is that Gram's
+        factor, data = route_instance("gram", *WIDE)
+        if decline == "bound":
+            monkeypatch.setattr(FAST, "_CHECK_ROUNDING", 0.0)
+        else:
+            data = WeightedData(data.X * 1e100, data.Y * 1e100)
+            assert _core_eig(factor, data).gram is None
+        calls = []
+        real = KERNELS._self_gram
+        monkeypatch.setattr(KERNELS, "_self_gram", lambda a: calls.append(a.shape) or real(a))
+        ef = fast_eigh(1.0, factor, data)
+        assert calls == [ef.E.shape]
+        assert ef.orthogonality == KERNELS._check_orthonormal(ef.E, "E")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(4.0, 12.0).map(lambda e: round(2.0**e)),
+           st.integers(13, 80),
+           st.one_of(st.just(0.0), st.floats(-14.0, -8.0)))
+    def test_computed_check_agrees_with_the_measured_one(self, seed, m, width, log_loss):
+        # Q scaled by 1 + delta after its factor was built: the computed loss
+        # tracks the measured one within the check's rounding bound (and
+        # 1e-14 where that is smaller), and an E that passes the computed
+        # check passes the measured one, but for rounding at the tolerance
+        width = min(width, m)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, width - 1))
+        nx = int(rng.integers(0, width - n)) + 1
+        factor = LowRankFactor(1.0, random_orthonormal(rng, m, n), random_symmetric(rng, n))
+        data = WeightedData(rng.standard_normal((m, nx)), rng.standard_normal((m, width - n - nx)))
+        factor.Q[:] *= 1.0 + (10.0**log_loss if log_loss else 0.0)
+        core = _core_eig(factor, data)
+        assume(core.route == "gram" and core.gram is not None)
+        coef = np.abs(core.coef(core.eig.E))
+        bound = 2.0 * math.sqrt(width) * np.finfo(float).eps * np.linalg.norm(
+            coef.T @ np.abs(core.gram) @ coef)
+        try:
+            ef = fast_eigh(1.0, factor, data)
+        except ValueError as error:
+            assert str(error) == "E does not have orthonormal columns"
+            return
+        measured = np.linalg.norm(ef.E.T @ ef.E - np.eye(width))
+        assert abs(ef.orthogonality - measured) <= max(1e-14, bound)
+        if abs(measured - KERNELS._orthonormal_tolerance(width)) > max(1e-14, bound):
+            KERNELS._check_orthonormal(ef.E, "E")
